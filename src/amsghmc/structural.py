@@ -2,24 +2,27 @@
 
 Assembles chain-topology system matrices, simulates total floor
 accelerations with an exact zero-order-hold discretization of the
-first-order state-space form, propagates forward sensitivities with the
-same discrete scheme, and generates synthetic noisy datasets.
+first-order state-space form, differentiates them by an adjoint march,
+and generates synthetic noisy datasets.
 
 The simulation core is batched: a stack of buildings sharing the same
 mass vector and time step but differing in stiffness and damping is
 discretized and integrated together, which is what the posterior-gradient
-path needs when many MCMC chains move in parallel.
+path needs when many MCMC chains move in parallel. Each building steps in
+its diagonal modal basis, and the gradient of a weighted sum of its
+response over story stiffness and damping costs one reverse march in the
+same basis; buildings whose eigenbasis is ill-conditioned step through
+matrix exponentials in the physical basis instead.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 
 @dataclass(frozen=True)
@@ -123,48 +126,31 @@ def assemble_system(b: ShearBuilding):
     return M, C, K
 
 
-def default_parameters(n_stories: int) -> list:
-    """All stiffness then all damping parameters, story order."""
-    return [("k", s) for s in range(n_stories)] + [("c", s) for s in range(n_stories)]
-
-
 @dataclass
 class Discretized:
     """Exact one-step propagators for a batch of buildings at fixed dt.
 
-    ad, bd map state to state over one step under zero-order-hold input;
-    c_out maps state to total floor accelerations. When parameters are
-    tracked, f and g drive the coupled sensitivity recursion and dc_out is
-    the parameter derivative of the output map (shared across the batch
-    because it depends only on the fixed masses and assembly patterns).
+    Row b's continuous state matrix is a[b] = vec[b] @ diag(lam[b]) @ vinv[b],
+    and its last n_floors rows map the physical state to total floor
+    accelerations. In modal coordinates z = vinv[b] @ x one zero-order-hold
+    step is z <- e * z + beta * a_j, with e = exp(lam * dt) and
+    beta = (e - 1) / lam * (vinv[b] @ b_in) for the ground-input vector
+    b_in. The rows listed in dense have an ill-conditioned eigenbasis: their
+    vec and vinv are the identity, so their state is the physical one, and
+    they step by x <- ad[i] @ x + beta * a_j (i their position in dense),
+    with ad[i] and beta from matrix exponentials.
     """
 
+    dt: float
+    mass: np.ndarray
+    a: np.ndarray
+    lam: np.ndarray
+    vec: np.ndarray
+    vinv: np.ndarray
+    e: np.ndarray
+    beta: np.ndarray
+    dense: np.ndarray
     ad: np.ndarray
-    bd: np.ndarray
-    c_out: np.ndarray
-    f: np.ndarray | None = None
-    g: np.ndarray | None = None
-    dc_out: np.ndarray | None = None
-
-    @property
-    def batch(self) -> int:
-        return self.ad.shape[0]
-
-
-def _param_blocks(mass: np.ndarray, wrt: Sequence) -> tuple:
-    """State-matrix and output-map derivatives for each tracked parameter."""
-    n = mass.size
-    pats = story_patterns(n)
-    minv = 1.0 / mass
-    p = len(wrt)
-    ap = np.zeros((p, 2 * n, 2 * n))
-    dc = np.zeros((p, n, 2 * n))
-    for i, (kind, s) in enumerate(wrt):
-        blk = -minv[:, None] * pats[s]
-        col = slice(0, n) if kind == "k" else slice(n, 2 * n)
-        ap[i, n:, col] = blk
-        dc[i, :, col] = blk
-    return ap, dc
 
 
 def discretize_batch(
@@ -172,7 +158,6 @@ def discretize_batch(
     stiffness: np.ndarray,
     damping: np.ndarray,
     dt: float,
-    wrt: Sequence = (),
     cond_limit: float = 1e8,
 ) -> Discretized:
     """Exact ZOH discretization of a batch of buildings.
@@ -180,7 +165,8 @@ def discretize_batch(
     stiffness and damping are (batch, n_stories); mass is (n_stories,) and
     shared. The continuous system is diagonalized per batch element; rows
     whose eigenvector matrix is badly conditioned (1-norm condition
-    estimate above cond_limit) fall back to matrix-exponential formulas.
+    estimate above cond_limit) fall back to matrix-exponential formulas
+    and step in the physical basis.
     """
     mass = np.asarray(mass, dtype=float)
     ks = np.atleast_2d(np.asarray(stiffness, dtype=float))
@@ -194,104 +180,134 @@ def discretize_batch(
     a[:, :n, n:] = np.eye(n)
     a[:, n:, :n] = -minv[None, :, None] * kmat
     a[:, n:, n:] = -minv[None, :, None] * cmat
-    bvec = np.zeros((nb, 2 * n))
-    bvec[:, n:] = -1.0
-    c_out = a[:, n:, :].copy()
 
     lam, vec = np.linalg.eig(a)
     vinv = np.linalg.inv(vec)
     cond1 = np.abs(vec).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    ok = cond1 <= cond_limit
-
+    dense = np.nonzero(~(cond1 <= cond_limit))[0]
     e = np.exp(lam * dt)
-    ad = np.real(np.einsum("bij,bj,bjk->bik", vec, e, vinv))
-    aib = np.linalg.solve(a, bvec[:, :, None])[:, :, 0]
-    phi = np.linalg.solve(a, ad - np.eye(2 * n))
-    bd = np.einsum("bij,bj->bi", phi, bvec)
-
-    f = g = dc = None
-    if wrt:
-        ap, dc = _param_blocks(mass, wrt)
-        den = lam[:, :, None] - lam[:, None, :]
-        scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
-        close = np.abs(den) < 1e-8 * scale[:, None, None]
-        den = np.where(close, 1.0, den)
-        num = e[:, :, None] - e[:, None, :]
-        lphi = np.where(close, dt * e[:, :, None], num / den)
-        w = np.einsum("bij,pjk,bkl->bpil", vinv, ap, vec)
-        f = np.real(np.einsum("bij,bpjk,bkl->bpil", vec, w * lphi[:, None], vinv))
-        g = np.einsum("bpij,bj->bpi", f, aib) - np.einsum(
-            "bij,pjk,bk->bpi", phi, ap, aib
-        )
-
-    if not np.all(ok):
-        for bidx in np.nonzero(~ok)[0]:
-            adb, bdb, fb, gb = _discretize_expm(a[bidx], bvec[bidx], dt, ap if wrt else None)
-            ad[bidx] = adb
-            bd[bidx] = bdb
-            if wrt:
-                f[bidx] = fb
-                g[bidx] = gb
-    return Discretized(ad=ad, bd=bd, c_out=c_out, f=f, g=g, dc_out=dc)
+    beta = (e - 1.0) / lam * -vinv[:, :, n:].sum(axis=2)  # vinv @ b_in
+    ad = np.empty((dense.size, 2 * n, 2 * n))
+    for i, row in enumerate(dense):
+        ad[i], beta[row] = _discretize_expm(a[row], dt)
+        vec[row] = vinv[row] = np.eye(2 * n)
+    return Discretized(dt=dt, mass=mass, a=a, lam=lam, vec=vec, vinv=vinv, e=e,
+                       beta=beta, dense=dense, ad=ad)
 
 
-def _discretize_expm(a, bvec, dt, ap):
-    """Matrix-exponential fallback for one batch element."""
+def _input_block(a):
+    """[[a, b_in], [0, 0]] for the state matrix a of one building, where the
+    ground-input vector b_in is -1 on its last n_floors rows. The exponential
+    of the block times dt holds (ad, bd) in its first block row (Van Loan
+    1978).
+    """
     m = a.shape[0]
-    adb = expm(a * dt)
-    phi = np.linalg.solve(a, adb - np.eye(m))
-    bdb = phi @ bvec
-    if ap is None:
-        return adb, bdb, None, None
-    aib = np.linalg.solve(a, bvec)
-    p = ap.shape[0]
-    fb = np.empty((p, m, m))
-    gb = np.empty((p, m))
-    for i in range(p):
-        big = np.zeros((2 * m, 2 * m))
-        big[:m, :m] = a
-        big[m:, m:] = a
-        big[:m, m:] = ap[i]
-        fb[i] = expm(big * dt)[:m, m:]
-        gb[i] = fb[i] @ aib - phi @ ap[i] @ aib
-    return adb, bdb, fb, gb
+    block = np.zeros((m + 1, m + 1))
+    block[:m, :m] = a
+    block[m // 2 : m, m] = -1.0
+    return block
+
+
+def _discretize_expm(a, dt):
+    """Matrix-exponential discretization (ad, bd) of one batch element."""
+    m = a.shape[0]
+    full = expm(_input_block(a) * dt)
+    return full[:m, :m], full[:m, m]
+
+
+def _expm_adjoint(a, dt, s, q):
+    """Gradient over a of <ad, s> + <bd, q>, with (ad, bd) as in _discretize_expm.
+
+    The adjoint of the Frechet derivative of expm at X is the one at X^T, so
+    one derivative (Al-Mohy & Higham 2009) gives every parameter's gradient.
+    """
+    m = a.shape[0]
+    w = np.zeros((m + 1, m + 1))
+    w[:m, :m] = s
+    w[:m, m] = q
+    return expm_frechet(_input_block(a).T * dt, w * dt, compute_expm=False)[:m, :m]
+
+
+def _march(disc: Discretized, inputs: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Every s of s <- P s + inputs[j] from s = 0, over j = 0, 1, ...
+
+    inputs is (n_steps, batch, 2 n_floors). P is diag(e) for modal rows and
+    ad for dense rows; reverse runs j backwards with P^T, the adjoint march.
+    """
+    out = np.empty(inputs.shape, dtype=inputs.dtype)
+    prev = np.zeros(inputs.shape[1:], dtype=inputs.dtype)
+    ad = disc.ad.transpose(0, 2, 1) if reverse else disc.ad
+    steps = range(inputs.shape[0])
+    for j in reversed(steps) if reverse else steps:
+        cur = out[j]
+        np.multiply(disc.e, prev, out=cur)
+        if disc.dense.size:
+            cur[disc.dense] = np.einsum("bij,bj->bi", ad, prev[disc.dense])
+        cur += inputs[j]
+        prev = cur
+    return out
 
 
 def run_batch(disc: Discretized, ground: np.ndarray):
-    """March the discrete recursions over the ground-motion record.
+    """March the discretized batch over the ground-motion record.
 
-    Returns total accelerations y with shape (batch, n_floors, n_steps) and,
-    when the discretization tracks parameters, sensitivities dy with shape
-    (batch, n_params, n_floors, n_steps). Measurement j is the state after
-    step j, i.e. at time (j+1) dt.
+    Returns (y, states): total accelerations y with shape (batch, n_floors,
+    n_steps), and the state after every step in each row's basis (see
+    Discretized), shaped (n_steps, batch, 2 n_floors), for response_vjp.
+    Measurement j is the state after step j, i.e. at time (j+1) dt.
     """
     ground = np.asarray(ground, dtype=float)
-    nt = ground.size
-    nb, n, m = disc.c_out.shape
-    x = np.zeros((nb, m))
-    y = np.empty((nb, n, nt))
-    sens = disc.f is not None
-    if sens:
-        p = disc.f.shape[1]
-        xp = np.zeros((nb, p, m))
-        dy = np.empty((nb, p, n, nt))
-    else:
-        dy = None
-    for j in range(nt):
-        aj = ground[j]
-        if sens:
-            xp = (
-                np.einsum("bij,bpj->bpi", disc.ad, xp)
-                + np.einsum("bpij,bj->bpi", disc.f, x)
-                + disc.g * aj
-            )
-        x = np.einsum("bij,bj->bi", disc.ad, x) + disc.bd * aj
-        y[:, :, j] = np.einsum("bni,bi->bn", disc.c_out, x)
-        if sens:
-            dy[:, :, :, j] = np.einsum("bni,bpi->bpn", disc.c_out, xp) + np.einsum(
-                "pni,bi->bpn", disc.dc_out, x
-            )
-    return y, dy
+    states = _march(disc, disc.beta * ground[:, None, None])
+    y = np.real(disc.a[:, disc.mass.size :] @ disc.vec @ states.transpose(1, 2, 0))
+    return y, states
+
+
+def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
+                 cotangent: np.ndarray) -> np.ndarray:
+    """Gradient of sum(cotangent * y) over story stiffness and damping.
+
+    y and states come from run_batch(disc, ground); cotangent has y's shape.
+    Returns (batch, 2 n_floors): every story stiffness, then every story
+    damping. The adjoint nu_j = P^T nu_{j+1} + (c vec)^T cotangent_j, with c
+    the acceleration rows of a, marches back in each row's basis. With
+    S = sum_j nu_j z_j^T and q = sum_j nu_j a_j, z_j the state entering
+    step j, a modal row's gradient over its continuous state matrix is
+    vinv^T (L * S + Psi * q (vinv b_in)^T) vec^T, where L and Psi hold the
+    divided differences of exp(lam dt) and (exp(lam dt) - 1) / lam over
+    pairs of eigenvalues (Najfeld & Havel 1995); dense rows take it from
+    _expm_adjoint. The output map adds sum_j cotangent_j x_{j+1}^T.
+    """
+    n = disc.mass.size
+    ground = np.asarray(ground, dtype=float)
+    cv = disc.a[:, n:] @ disc.vec
+    nu = _march(disc, (cv.transpose(0, 2, 1) @ cotangent).transpose(2, 0, 1), reverse=True)
+    # nu[j] meets the state entering step j: states[j - 1], or zero for j = 0.
+    s = nu[1:].transpose(1, 2, 0) @ states[:-1].transpose(1, 0, 2)
+    q = np.tensordot(ground, nu, axes=1)
+
+    lam, dt = disc.lam, disc.dt
+    half = 0.5 * dt * (lam[:, :, None] - lam[:, None, :])
+    # e_k - e_l = 2 exp(dt (lam_k + lam_l) / 2) sinh(half) loses no digits
+    # as lam_k -> lam_l; near the confluent limit the series of
+    # sinh(half) / half is exact to rounding.
+    confluent = np.abs(half) < 1e-4
+    sinhc = np.where(confluent, 1.0 + half**2 / 6.0,
+                     np.sinh(half) / np.where(confluent, 1.0, half))
+    l_dd = dt * np.exp(0.5 * dt * (lam[:, :, None] + lam[:, None, :])) * sinhc
+    # Leibniz rule on lam * psi = e - 1 gives psi's divided difference.
+    psi = (disc.e - 1.0) / lam
+    psi_dd = (l_dd - psi[:, None, :]) / lam[:, :, None]
+    vinv_low = disc.vinv[:, :, n:]  # vinv @ b_in = -vinv_low.sum(axis=2)
+    g = l_dd * s - psi_dd * (q[:, :, None] * vinv_low.sum(axis=2)[:, None, :])
+    # Only the acceleration rows of the state matrix depend on parameters.
+    h = np.real(vinv_low.transpose(0, 2, 1) @ g @ disc.vec.transpose(0, 2, 1))
+    for row in disc.dense:
+        h[row] = _expm_adjoint(disc.a[row], dt, s[row].real, q[row].real)[n:]
+    h += np.real(cotangent @ states.transpose(1, 0, 2) @ disc.vec.transpose(0, 2, 1))
+    h *= -1.0 / disc.mass[:, None]
+    pats = story_patterns(n)
+    return np.concatenate([np.einsum("sij,bij->bs", pats, h[:, :, :n]),
+                           np.einsum("sij,bij->bs", pats, h[:, :, n:])], axis=1)
 
 
 def simulate_accelerations(b: ShearBuilding, d: Dataset) -> np.ndarray:
@@ -299,21 +315,6 @@ def simulate_accelerations(b: ShearBuilding, d: Dataset) -> np.ndarray:
     disc = discretize_batch(b.mass, b.stiffness[None, :], b.damping[None, :], d.dt)
     y, _ = run_batch(disc, d.ground_accel)
     return y[0, list(d.observed_dofs), :]
-
-
-def simulate_with_sensitivities(b: ShearBuilding, d: Dataset, wrt: Sequence | None = None):
-    """Clean response plus its derivative for each tracked parameter.
-
-    wrt is a list of ("k"|"c", story_index) pairs; default is every
-    stiffness then every damping parameter. Returns (y, dy) with shapes
-    (n_obs, n_steps) and (n_params, n_obs, n_steps).
-    """
-    if wrt is None:
-        wrt = default_parameters(b.n_stories)
-    disc = discretize_batch(b.mass, b.stiffness[None, :], b.damping[None, :], d.dt, wrt=wrt)
-    y, dy = run_batch(disc, d.ground_accel)
-    obs = list(d.observed_dofs)
-    return y[0, obs, :], dy[0][:, obs, :]
 
 
 def generate_dataset(b_nominal: ShearBuilding, cfg: DatasetConfig, rng: np.random.Generator):

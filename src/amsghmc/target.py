@@ -319,18 +319,17 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
     if np.any(sigma <= 0):
         raise ValueError("noise scale must be positive")
 
-    wrt = structural.default_parameters(n)
-    disc = structural.discretize_batch(problem.building.mass, k_phys, c_phys, d.dt, wrt=wrt)
-    y, dy = structural.run_batch(disc, d.ground_accel)
+    disc = structural.discretize_batch(problem.building.mass, k_phys, c_phys, d.dt)
+    y, states = structural.run_batch(disc, d.ground_accel)
     obs = list(d.observed_dofs)
-    resid = d.measurements[None, :, :] - y[:, obs, :]
-    dyo = dy[:, :, obs, :]
+    resid = np.zeros_like(y)
+    resid[:, obs, :] = d.measurements[None, :, :] - y[:, obs, :]
     s = np.einsum("bnt,bnt->b", resid, resid)
     count = d.n_obs * d.n_steps
 
     ll = -0.5 * count * np.log(2.0 * np.pi * sigma**2) - s / (2.0 * sigma**2)
     grad = np.empty_like(w)
-    dldp = np.einsum("bnt,bpnt->bp", resid, dyo) / sigma[:, None] ** 2
+    dldp = structural.response_vjp(disc, d.ground_accel, states, resid) / sigma[:, None] ** 2
     grad[:, :n] = dldp[:, :n] * k_nom
     grad[:, n : 2 * n] = dldp[:, n:] * c_nom
     grad[:, 2 * n] = (-count / sigma + s / sigma**3) * problem.sigma0

@@ -163,35 +163,94 @@ def test_free_response_envelope_decays():
     assert np.all(np.diff(env) <= 1e-12)
 
 
-def test_sensitivity_zero_ground_is_zero():
+def weighted_response(mass, ks, cs, ground, cot, **kw):
+    y, _ = sb.run_batch(sb.discretize_batch(mass, ks, cs, 0.01, **kw), ground)
+    return np.einsum("bnt,bnt->b", cot, y)
+
+
+def vjp(mass, ks, cs, ground, cot, **kw):
+    disc = sb.discretize_batch(mass, ks, cs, 0.01, **kw)
+    _, states = sb.run_batch(disc, ground)
+    return sb.response_vjp(disc, ground, states, cot)
+
+
+def fd_response_gradient(mass, ks, cs, ground, cot, **kw):
+    """Central differences of weighted_response over every story stiffness,
+    then every story damping, for each row."""
+    n = ks.shape[1]
+    params = np.concatenate([ks, cs], axis=1)
+    out = np.empty_like(params)
+    for i in range(2 * n):
+        h = 1e-6 * np.abs(params[:, i])
+        plus, minus = params.copy(), params.copy()
+        plus[:, i] += h
+        minus[:, i] -= h
+        jp = weighted_response(mass, plus[:, :n], plus[:, n:], ground, cot, **kw)
+        jm = weighted_response(mass, minus[:, :n], minus[:, n:], ground, cot, **kw)
+        out[:, i] = (jp - jm) / (2 * h)
+    return out
+
+
+def assert_matches_fd(grad, fd, ks, cs, rtol):
+    # Compare the relative sensitivities p dJ/dp, so stiffness and damping
+    # (three orders of magnitude apart) weigh alike.
+    scale = np.concatenate([ks, cs], axis=1)
+    for row in range(grad.shape[0]):
+        err = np.linalg.norm((grad[row] - fd[row]) * scale[row])
+        assert err <= rtol * np.linalg.norm(fd[row] * scale[row])
+
+
+def test_response_vjp_zero_ground_is_zero():
     b = sb.nominal_building(2)
-    d = _dataset(np.zeros(30), 0.01, (0, 1))
-    y, dy = sb.simulate_with_sensitivities(b, d)
+    cot = np.random.default_rng(4).normal(size=(1, 2, 30))
+    disc = sb.discretize_batch(b.mass, b.stiffness[None], b.damping[None], 0.01)
+    y, states = sb.run_batch(disc, np.zeros(30))
     np.testing.assert_array_equal(y, 0.0)
-    np.testing.assert_array_equal(dy, 0.0)
+    np.testing.assert_array_equal(sb.response_vjp(disc, np.zeros(30), states, cot), 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 5])
-def test_sensitivities_match_finite_differences(n):
+def test_response_vjp_matches_finite_differences(n):
     rng = np.random.default_rng(21 + n)
-    b = random_building(rng, n)
+    ks = 2e7 * rng.uniform(0.6, 1.6, (3, n))
+    cs = 6e4 * rng.uniform(0.6, 1.6, (3, n))
+    mass = np.full(n, 2e5)
     ground = rng.normal(0, 1, 150)
-    d = _dataset(ground, 0.01, (0, n - 1))
-    wrt = sb.default_parameters(n)
-    y, dy = sb.simulate_with_sensitivities(b, d, wrt)
-    for idx, (kind, s) in enumerate(wrt):
-        vec = b.stiffness.copy() if kind == "k" else b.damping.copy()
-        h = 1e-6 * abs(vec[s])
-        args = {"stiffness": b.stiffness, "damping": b.damping, "mass": b.mass}
-        key = "stiffness" if kind == "k" else "damping"
-        plus = vec.copy()
-        plus[s] += h
-        minus = vec.copy()
-        minus[s] -= h
-        yp = sb.simulate_accelerations(sb.ShearBuilding(**{**args, key: plus}), d)
-        ym = sb.simulate_accelerations(sb.ShearBuilding(**{**args, key: minus}), d)
-        fd = (yp - ym) / (2 * h)
-        assert np.linalg.norm(dy[idx] - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-30)
+    cot = rng.normal(size=(3, n, 150))
+    grad = vjp(mass, ks, cs, ground, cot)
+    assert_matches_fd(grad, fd_response_gradient(mass, ks, cs, ground, cot), ks, cs, 1e-6)
+
+
+def test_response_vjp_fallback_and_near_repeated_rows():
+    n = 2
+    mass = np.full(n, 2e5)
+    rng = np.random.default_rng(17)
+    k = 2e7 * np.array([1.1, 0.9])
+    kmat = np.einsum("s,sij->ij", k, sb.story_patterns(n))
+    from scipy.linalg import eigh
+
+    w1 = np.sqrt(eigh(kmat, np.diag(mass), eigvals_only=True)[0])
+    # Damping c = beta k damps the first mode critically at beta = 2 / w1,
+    # where its eigenvalue pair merges into a defective one: the closer
+    # beta gets, the closer the pair and the worse the eigenbasis.
+    near = 1.0 - np.array([1e-8, 1e-11, 1e-14])
+    ks = np.vstack([2e7 * rng.uniform(0.6, 1.6, n), np.tile(k, (3, 1))])
+    cs = np.vstack([6e4 * rng.uniform(0.6, 1.6, n), (2.0 / w1) * near[:, None] * k])
+    ground = rng.normal(0, 1, 150)
+    cot = rng.normal(size=(4, n, 150))
+    disc = sb.discretize_batch(mass, ks, cs, 0.01, cond_limit=1e6)
+    np.testing.assert_array_equal(disc.dense, [2, 3])
+    # Row 1 stays modal with a pair close enough for the confluent branch.
+    gap = 0.5 * 0.01 * np.abs(disc.lam[1][:, None] - disc.lam[1][None, :])
+    assert 0.0 < gap[~np.eye(2 * n, dtype=bool)].min() < 1e-4
+
+    _, states = sb.run_batch(disc, ground)
+    grad = sb.response_vjp(disc, ground, states, cot)
+    fd = fd_response_gradient(mass, ks, cs, ground, cot, cond_limit=1e6)
+    assert_matches_fd(grad, fd, ks, cs, 1e-5)
+    # The modal rows agree with the same rows stepped by matrix exponentials.
+    dense = vjp(mass, ks[:2], cs[:2], ground, cot[:2], cond_limit=0.0)
+    assert_matches_fd(grad[:2], dense, ks[:2], cs[:2], 1e-7)
 
 
 def test_generate_dataset_zero_noise_equals_clean():
@@ -248,11 +307,22 @@ def test_batched_discretization_matches_single():
     cs = 6e4 * rng.uniform(0.6, 1.6, (4, n))
     mass = np.full(n, 2e5)
     ground = rng.normal(0, 1, 80)
-    disc = sb.discretize_batch(mass, ks, cs, 0.01, wrt=sb.default_parameters(n))
-    y_all, dy_all = sb.run_batch(disc, ground)
+    y_all, _ = sb.run_batch(sb.discretize_batch(mass, ks, cs, 0.01), ground)
     for i in range(4):
         b = sb.ShearBuilding(ks[i], cs[i], mass)
-        d = _dataset(ground, 0.01, (0, 1))
-        y, dy = sb.simulate_with_sensitivities(b, d)
+        y = sb.simulate_accelerations(b, _dataset(ground, 0.01, (0, 1)))
         np.testing.assert_allclose(y_all[i], y, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(dy_all[i], dy, rtol=1e-10, atol=1e-12)
+
+
+def test_batched_vjp_matches_single():
+    rng = np.random.default_rng(13)
+    n = 2
+    ks = 2e7 * rng.uniform(0.6, 1.6, (4, n))
+    cs = 6e4 * rng.uniform(0.6, 1.6, (4, n))
+    mass = np.full(n, 2e5)
+    ground = rng.normal(0, 1, 80)
+    cot = rng.normal(size=(4, n, 80))
+    grad_all = vjp(mass, ks, cs, ground, cot)
+    for i in range(4):
+        grad = vjp(mass, ks[i : i + 1], cs[i : i + 1], ground, cot[i : i + 1])[0]
+        np.testing.assert_allclose(grad_all[i], grad, rtol=1e-10)

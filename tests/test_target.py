@@ -297,3 +297,69 @@ def test_joint_prior_sampling_shape_and_determinism(small_problem):
     np.testing.assert_array_equal(draws1, draws2)
     assert np.all(np.isfinite(
         target.map_params_to_state(draws1, small_problem.transform)))
+
+
+@pytest.fixture(scope="module")
+def five_story_problem():
+    rng = np.random.default_rng(2604)
+    b = structural.nominal_building(5)
+    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
+    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    return target.default_problem(b, dataset)
+
+
+# Three states of five_story_problem with the energies and gradients the
+# forward-sensitivity gradient gave for them. The eigenbasis condition
+# estimates of the rows are about 74, 63 and 86, so a limit of 80 sends
+# only the last row through the matrix-exponential discretization.
+GOLDEN_THETAS = np.array([
+    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    [0.6, 0.7, 0.65, 0.8, 0.75, -0.3, 0.4, 1.2, 0.2, 0.9, 1.3],
+    [1.45, 1.4, 1.3, 1.35, 1.2, 2.5, 1.8, 2.2, 0.6, 1.5, 0.7],
+])
+GOLDEN_U = np.array([186.7224579503253, 257.1092195151757, 150.80924708809604])
+GOLDEN_GRAD = np.array([
+    [2.7957447276924247e-01, -5.7429861196937426e-01, 1.1677493756164509e-01,
+     -1.7728933687281984e-02, 5.6810954754059499e-02, -1.1337602547716598e-02,
+     -1.4482656523728278e-02, 8.6034826843911089e-03, -4.7104372999358379e-03,
+     3.7762475284440892e-03, 1.9513049738121848e+02],
+    [-5.4813531380527447e+00, -3.9912057565787484e+00, -4.4205106547572406e+00,
+     -2.5265013416825104e+00, -3.2350771089245427e+00, -1.4514075781399269e+01,
+     -6.6794611692886381e+00, 2.2158088343902698e+00, -8.8952329670836008e+00,
+     -1.1153652521884163e+00, 1.5325355592143137e+02],
+    [1.1365159339062981e+01, 7.0267920978521170e+00, 3.7298113730744586e+00,
+     5.4352794713688946e+00, 3.8255217902030005e+00, 1.6758790696083452e+01,
+     8.6608379180286299e+00, 1.3324217327473784e+01, -4.4555331488262393e+00,
+     5.5450210177653982e+00, 2.5789151300797710e+02],
+])
+
+
+def test_golden_batch_energy_and_gradient(five_story_problem, monkeypatch):
+    discretize = structural.discretize_batch
+    expm = structural._discretize_expm
+    fallback_calls = []
+    monkeypatch.setattr(structural, "discretize_batch",
+                        lambda *a, **k: discretize(*a, **k, cond_limit=80.0))
+    monkeypatch.setattr(structural, "_discretize_expm",
+                        lambda *a: fallback_calls.append(a) or expm(*a))
+    u, grad = target.potential_energy_batch(GOLDEN_THETAS, five_story_problem)
+    assert len(fallback_calls) == 1
+    np.testing.assert_allclose(u, GOLDEN_U, rtol=1e-10)
+    np.testing.assert_allclose(grad, GOLDEN_GRAD, rtol=1e-10)
+
+
+def test_five_story_batch_gradient_matches_finite_differences(five_story_problem):
+    prob = five_story_problem
+    w = target.sample_prior_ratios(prob.priors, np.random.default_rng(41), 4)
+    thetas = target.map_params_to_state(w, prob.transform)
+    _, grad = target.potential_energy_batch(thetas, prob)
+    h = 1e-6
+    fd = np.empty_like(thetas)
+    for i in range(thetas.shape[1]):
+        step = np.zeros(thetas.shape[1])
+        step[i] = h
+        up, _ = target.potential_energy_batch(thetas + step, prob)
+        um, _ = target.potential_energy_batch(thetas - step, prob)
+        fd[:, i] = (up - um) / (2 * h)
+    for row in range(thetas.shape[0]):
+        assert np.linalg.norm(grad[row] - fd[row]) <= 1e-5 * np.linalg.norm(fd[row])
