@@ -210,9 +210,8 @@ def _input_block(a):
 
 def _discretize_expm(a, dt):
     """Matrix-exponential discretization (ad, bd) of one batch element."""
-    m = a.shape[0]
     full = expm(_input_block(a) * dt)
-    return full[:m, :m], full[:m, m]
+    return full[:-1, :-1], full[:-1, -1]
 
 
 def _expm_adjoint(a, dt, s, q):
@@ -256,8 +255,7 @@ def run_batch(disc: Discretized, ground: np.ndarray):
     Discretized), shaped (n_steps, batch, 2 n_floors), for response_vjp.
     Measurement j is the state after step j, i.e. at time (j+1) dt.
     """
-    ground = np.asarray(ground, dtype=float)
-    states = _march(disc, disc.beta * ground[:, None, None])
+    states = _march(disc, disc.beta * np.asarray(ground, dtype=float)[:, None, None])
     y = np.real(disc.a[:, disc.mass.size :] @ disc.vec @ states.transpose(1, 2, 0))
     return y, states
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,3 +365,37 @@ def test_five_story_batch_gradient_matches_finite_differences(five_story_problem
         fd[:, i] = (up - um) / (2 * h)
     for row in range(thetas.shape[0]):
         assert np.linalg.norm(grad[row] - fd[row]) <= 1e-5 * np.linalg.norm(fd[row])
+
+
+def test_repeated_observed_dof_counts_every_channel():
+    # generate_dataset folds the default (0, n - 1) of a 1-story building
+    # into one channel; a dataset built directly may still observe dof 0
+    # twice, and both channels must enter the energy and its gradient.
+    rng = np.random.default_rng(7)
+    b = structural.nominal_building(1)
+    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
+    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    assert dataset.observed_dofs == (0,)
+    second = dataset.measurements[0] + rng.normal(0.0, 0.5, dataset.n_steps)
+    twice = dataclasses.replace(dataset, observed_dofs=(0, 0),
+                                measurements=np.vstack([dataset.measurements, second]))
+    prob = target.default_problem(b, twice)
+    thetas = np.array([[1.0, 1.0, 1.0], [0.7, 2.1, 0.8], [1.3, -0.2, 1.6]])
+    u, grad = target.potential_energy_batch(thetas, prob)
+    # Values the forward-sensitivity gradient gave for this batch.
+    np.testing.assert_allclose(u, [248.3097602600693, 255.1530592605919, 325.43489725024415],
+                               rtol=1e-10)
+    np.testing.assert_allclose(grad, [
+        [54.99354141757495, -1.1807401119184415, 71.9558927617305],
+        [-154.5139740487795, 9.76592632358931, -23.645106457049028],
+        [48.20123992639416, -15.08353490149934, 82.07738914711726],
+    ], rtol=1e-10)
+    h = 1e-6
+    fd = np.empty_like(thetas)
+    for i in range(thetas.shape[1]):
+        step = np.zeros(thetas.shape[1])
+        step[i] = h
+        up, _ = target.potential_energy_batch(thetas + step, prob)
+        um, _ = target.potential_energy_batch(thetas - step, prob)
+        fd[:, i] = (up - um) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
