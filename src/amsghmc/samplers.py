@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import strategy as sn
 from . import target
 from .adaptive import MomentEstimator
@@ -365,10 +364,10 @@ def momentum_update(p, grad, eta, g_diag, c_diag, gamma_p, xi):
 
     Both gradient-based engines route through this single arithmetic path
     so the constant-network reduction is bitwise identical.  Works on
-    plain arrays and on tape variables alike.
+    plain numbers and arrays.
     """
     return ((1.0 - eta * c_diag) * p - eta * (g_diag * grad)
-            + eta * gamma_p + ad.sqrt(2.0 * eta * c_diag) * xi)
+            + eta * gamma_p + np.sqrt(2.0 * eta * c_diag) * xi)
 
 
 def position_update(theta, p_new, eta, g_hat, dg_dp_hat):
@@ -523,59 +522,6 @@ class DualAveraging:
     @property
     def tuned(self) -> float:
         return float(np.exp(self.log_avg))
-
-
-# --- gradient-free initializer ----------------------------------------------------
-
-
-def spsa_optimize(problem, steps: int, rng: np.random.Generator,
-                  theta0=None, *, c0: float = 0.1, alpha: float = 0.602,
-                  gamma: float = 0.101) -> np.ndarray:
-    """Simultaneous-perturbation descent; returns the lowest-energy point
-    among every state it evaluated."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    fn = energy_fn(problem)
-    d = problem.dimension
-    if theta0 is None:
-        theta0 = (np.ones(d) if isinstance(problem, target.UpdatingProblem)
-                  else np.zeros(d))
-    theta = np.asarray(theta0, dtype=float).copy()
-    big_a = 0.1 * steps
-
-    # gain numerator scaled so the first move is a small fraction of the
-    # probe-estimated gradient scale
-    mags = []
-    for _ in range(4):
-        delta = rng.choice([-1.0, 1.0], d)
-        u2, _, ok = _safe_energy(fn, np.stack([theta + c0 * delta,
-                                               theta - c0 * delta]))
-        if ok.all() and np.isfinite(u2).all():
-            mags.append(np.abs((u2[0] - u2[1]) / (2.0 * c0 * delta)).mean())
-    g_scale = max(float(np.mean(mags)) if mags else 0.0, 1e-12)
-    a0 = 0.05 * (big_a + 1.0) ** alpha / g_scale
-
-    best_u, _, ok = _safe_energy(fn, theta[None])
-    best_u = float(best_u[0]) if ok[0] and np.isfinite(best_u[0]) else np.inf
-    best_theta = theta.copy()
-    for k in range(steps):
-        ck = c0 / (k + 1.0) ** gamma
-        ak = a0 / (k + 1.0 + big_a) ** alpha
-        delta = rng.choice([-1.0, 1.0], d)
-        pair = np.stack([theta + ck * delta, theta - ck * delta])
-        u2, _, ok = _safe_energy(fn, pair)
-        if not (ok.all() and np.isfinite(u2).all()):
-            continue
-        for cand_u, cand in zip(u2, pair):
-            if cand_u < best_u:
-                best_u = float(cand_u)
-                best_theta = cand.copy()
-        ghat = (u2[0] - u2[1]) / (2.0 * ck * delta)
-        theta = theta - ak * ghat
-    u_f, _, ok = _safe_energy(fn, theta[None])
-    if ok[0] and np.isfinite(u_f[0]) and u_f[0] < best_u:
-        best_theta = theta.copy()
-    return best_theta
 
 
 # --- full runs --------------------------------------------------------------------

@@ -11,10 +11,15 @@ the D-network output on (i_U, i_p, i_G, one-hot category). An optional
 shortcut (linear layer plus Gaussian RBF units) adds to the MLP output
 before the sigmoid.
 
-All forward code is written against the generic elementwise functions of
-the autodiff module, so the same implementation runs on plain numpy
-batches during sampling, on tape Vars during training, and on dual numbers
-when the sampler needs the state partials of G and C.
+The networks are evaluated by vectorized numpy code over whole (K, D)
+batches, carrying one forward-mode tangent for the state partials of G and
+C.  Training differentiates that same pass by hand: with the leaky-ReLU
+gates fixed the tangent stream is linear in the weights, so one backward
+pass over the recorded primal and tangent activations gives the weight
+gradient.  The generic scalar path (``q_eval``, ``d_eval`` and
+``build_tape_nets``, written against the autodiff module's tape and dual
+numbers) is no longer called by any stage; it stays as the reference the
+hand-written gradient is tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 
@@ -265,11 +271,11 @@ def strategy_partials(nets: StrategyNets, z, sigma, du_hat_dtheta):
     return dg_dth, dc_dp, dg_dp
 
 
-# --- vectorized numpy twins for the sampling hot loop -------------------------
+# --- vectorized numpy path: sampling, and training through a hand VJP --------
 
 
 def _expit(x):
-    return ad.sigmoid(np.asarray(x, dtype=float))
+    return expit(np.asarray(x, dtype=float))
 
 
 def _squash_u_np(u):
@@ -284,13 +290,23 @@ def _squash_p_np(p):
     return 3.0 * s - 1.5, 0.3 * s * (1.0 - s)
 
 
+def _squash_p_curvature(p):
+    """Second derivative of the momentum squash."""
+    s = _expit(np.asarray(p, dtype=float) / 10.0)
+    return 0.03 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
 def _squash_g_np(g):
     s = _expit(np.asarray(g, dtype=float) / 30.0)
     return 3.0 * s - 1.5, 0.1 * s * (1.0 - s)
 
 
-def _fast_forward(layers, shortcut, prim, tang, slope):
-    """Stacked-channel MLP pass; prim/tang are (channels, K, D)."""
+def _fast_forward(layers, shortcut, prim, tang, slope, acts=None):
+    """Stacked-channel MLP pass; prim/tang are (channels, K, D).
+
+    When ``acts`` is a list, each layer's input pair and leaky-ReLU gate
+    (None on the output layer) are appended to it for ``_fast_backward``.
+    """
     h, ht = prim, tang
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
@@ -298,10 +314,13 @@ def _fast_forward(layers, shortcut, prim, tang, slope):
         b = np.asarray(b, dtype=float)
         z = np.tensordot(w, h, axes=(1, 0)) + b[:, None, None]
         zt = None if ht is None else np.tensordot(w, ht, axes=(1, 0))
+        gate = None
         if li < last:
             gate = np.where(z > 0, 1.0, slope)
             z = z * gate
             zt = None if zt is None else zt * gate
+        if acts is not None:
+            acts.append((h, ht, gate))
         h, ht = z, zt
     o, ot = h[0], (None if ht is None else ht[0])
     if shortcut is not None:
@@ -310,6 +329,40 @@ def _fast_forward(layers, shortcut, prim, tang, slope):
         if ot is not None:
             ot = ot + sot
     return o, ot
+
+
+def _fast_backward(layers, shortcut, acts, bar_o, bar_ot):
+    """Pull cotangents on (o, ot) of a recorded ``_fast_forward`` back.
+
+    The gates are constant almost everywhere, so both streams go back
+    through the same gated, transposed layers, and a weight collects the
+    products with both its primal and its tangent input.  Returns (layer
+    gradients ``[w0, b0, w1, b1, ...]``, trainable shortcut gradients
+    ``[lin_w, lin_b, amp]`` or ``[]`` when absent or frozen, cotangent on
+    the primal channels, cotangent on the tangent channels).
+    """
+    bar_h, bar_ht = bar_o[None], bar_ot[None]
+    grads = []
+    for (w, _), (h, ht, gate) in zip(reversed(layers), reversed(acts)):
+        if gate is not None:
+            bar_h = bar_h * gate
+            bar_ht = bar_ht * gate
+        gw = (np.tensordot(bar_h, h, axes=([1, 2], [1, 2]))
+              + np.tensordot(bar_ht, ht, axes=([1, 2], [1, 2])))
+        grads[:0] = [gw, bar_h.sum(axis=(1, 2))]
+        w = np.asarray(w, dtype=float)
+        bar_h = np.tensordot(w, bar_h, axes=(0, 0))
+        bar_ht = np.tensordot(w, bar_ht, axes=(0, 0))
+    sc_grads = []
+    if shortcut is not None:
+        prim, tang = acts[0][0], acts[0][1]
+        sc_grads, bar_x, bar_xt = _shortcut_backward(shortcut, prim, tang,
+                                                     bar_o, bar_ot)
+        bar_h = bar_h + bar_x
+        bar_ht = bar_ht + bar_xt
+        if shortcut.frozen:
+            sc_grads = []
+    return grads, sc_grads, bar_h, bar_ht
 
 
 def _fast_shortcut(sc: Shortcut, prim, tang):
@@ -328,6 +381,32 @@ def _fast_shortcut(sc: Shortcut, prim, tang):
     return out, ot
 
 
+def _shortcut_backward(sc: Shortcut, prim, tang, bar_o, bar_ot):
+    """Reverse of ``_fast_shortcut`` with a tangent.
+
+    With k = -1/width^2 and q_r = k amp_r rbf_r, the shortcut adds
+    lin_w.x + sum_r amp_r rbf_r to o and lin_w.xt + sum_r q_r (x - c_r).xt
+    to ot.  Returns ([d/dlin_w, d/dlin_b, d/damp], d/dx, d/dxt).
+    """
+    k = -1.0 / sc.width**2
+    lin_w = np.asarray(sc.lin_w, dtype=float)
+    amp = np.asarray(sc.amp, dtype=float)
+    diff = prim[None, :, :, :] - sc.centers[:, :, None, None]
+    rbf = np.exp((diff**2).sum(axis=1) * (0.5 * k))
+    inner = (diff * tang[None, :, :, :]).sum(axis=1)
+    both = ([1, 2], [0, 1])
+    g_lin = np.tensordot(prim, bar_o, axes=both) + np.tensordot(tang, bar_ot, axes=both)
+    g_amp = (np.tensordot(rbf, bar_o, axes=both)
+             + k * np.tensordot(rbf * inner, bar_ot, axes=both))
+    q = k * amp[:, None, None] * rbf
+    bar_x = (lin_w[:, None, None] * bar_o
+             + np.einsum("rkd,rckd->ckd", q * (bar_o + k * inner * bar_ot), diff)
+             + tang * (bar_ot * q.sum(axis=0)))
+    bar_xt = (lin_w[:, None, None] * bar_ot
+              + np.einsum("rkd,rckd->ckd", q * bar_ot, diff))
+    return [g_lin, np.array([bar_o.sum()]), g_amp], bar_x, bar_xt
+
+
 def _fast_channels(parts, seeds, k, d):
     """(value, d/dseed, seed) triples -> stacked primal/tangent arrays."""
     prim = np.empty((len(parts), k, d))
@@ -341,14 +420,9 @@ def _fast_channels(parts, seeds, k, d):
     return prim, tang
 
 
-def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
-                du_seed=None, dp_seed=None):
-    """Vectorized twin of q_eval over a (K, D) batch.
-
-    u_hat is (K,); outputs agree with the generic path up to
-    floating-point reassociation. Tangent is None when unseeded.
-    """
-    cfg = nets.cfg
+def _q_logits(nets: StrategyNets, u_hat, p, onehot, du_seed=None,
+              dp_seed=None, acts=None):
+    """Q-net output o_Q before the sigmoid, and its tangent, over (K, D)."""
     p = np.asarray(p, dtype=float)
     k, d = p.shape
     iu, diu = _squash_u_np(u_hat)
@@ -360,8 +434,34 @@ def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
     if dp_seed is not None:
         seeds.append((1, dip * dp_seed))
     prim, tang = _fast_channels(parts, seeds, k, d)
-    o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, prim, tang,
-                          cfg.leaky_slope)
+    return _fast_forward(nets.q_layers, nets.q_shortcut, prim, tang,
+                         nets.cfg.leaky_slope, acts)
+
+
+def _d_logits(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None,
+              acts=None):
+    """D-net output o_D before the sigmoid, and its tangent, over (K, D)."""
+    p = np.asarray(p, dtype=float)
+    k, d = p.shape
+    iu, _ = _squash_u_np(u_hat)
+    ip, dip = _squash_p_np(p)
+    ig, _ = _squash_g_np(du_star)
+    parts = [iu[:, None], ip, ig] + [row[None, :] for row in onehot]
+    seeds = [] if dp_seed is None else [(1, dip * dp_seed)]
+    prim, tang = _fast_channels(parts, seeds, k, d)
+    return _fast_forward(nets.d_layers, nets.d_shortcut, prim, tang,
+                         nets.cfg.leaky_slope, acts)
+
+
+def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
+                du_seed=None, dp_seed=None):
+    """Vectorized twin of q_eval over a (K, D) batch.
+
+    u_hat is (K,); outputs agree with the generic path up to
+    floating-point reassociation. Tangent is None when unseeded.
+    """
+    cfg = nets.cfg
+    o, ot = _q_logits(nets, u_hat, p, onehot, du_seed, dp_seed)
     s = _expit(5.0 * o)
     g = sigma * (cfg.c1 + cfg.m_q * s)
     if ot is None:
@@ -372,16 +472,7 @@ def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
 def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
     """Vectorized twin of d_eval over a (K, D) batch."""
     cfg = nets.cfg
-    p = np.asarray(p, dtype=float)
-    k, d = p.shape
-    iu, _ = _squash_u_np(u_hat)
-    ip, dip = _squash_p_np(p)
-    ig, _ = _squash_g_np(du_star)
-    parts = [iu[:, None], ip, ig] + [row[None, :] for row in onehot]
-    seeds = [] if dp_seed is None else [(1, dip * dp_seed)]
-    prim, tang = _fast_channels(parts, seeds, k, d)
-    o, ot = _fast_forward(nets.d_layers, nets.d_shortcut, prim, tang,
-                          cfg.leaky_slope)
+    o, ot = _d_logits(nets, u_hat, p, du_star, onehot, dp_seed)
     s = _expit(5.0 * o)
     c = cfg.c2 + cfg.m_d * s
     if ot is None:

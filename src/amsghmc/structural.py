@@ -158,7 +158,7 @@ def discretize_batch(
     stiffness: np.ndarray,
     damping: np.ndarray,
     dt: float,
-    cond_limit: float = 1e8,
+    cond_limit: float = 1e5,
 ) -> Discretized:
     """Exact ZOH discretization of a batch of buildings.
 
@@ -166,7 +166,9 @@ def discretize_batch(
     shared. The continuous system is diagonalized per batch element; rows
     whose eigenvector matrix is badly conditioned (1-norm condition
     estimate above cond_limit) fall back to matrix-exponential formulas
-    and step in the physical basis.
+    and step in the physical basis.  Near a defective eigenvalue the modal
+    gradient loses digits roughly like cond^1.5 eps; the default limit
+    keeps it within ~1e-8 of the dense one.
     """
     mass = np.asarray(mass, dtype=float)
     ks = np.atleast_2d(np.asarray(stiffness, dtype=float))

@@ -7,7 +7,10 @@ KL divergence from the sampled distribution to the target.  Gradients
 flow through one update step per sample (earlier steps are treated as
 constants), the density's own dependence on the samples enters through a
 kernelized score estimate, and one optimizer update is applied per
-sub-epoch from the averaged segment gradients.
+sub-epoch from the averaged segment gradients.  The weight gradient of a
+segment is one hand-written vector-Jacobian product over all of its
+recorded steps at once (``am_update_vjp``); the scalar tape version of the
+step (``_am_update_tape``) is kept only as a test reference.
 
 A replay buffer of past chain states supplies restarts, both for the
 periodic reinitialization that keeps the training distribution broad and
@@ -210,7 +213,8 @@ def _am_update_tape(theta, p, u, grad, xi, eta, var_nets, stats, oh,
 
     State inputs are plain arrays (constants to the tape), so the
     returned position and momentum depend on the weights only through
-    this single step.
+    this single step.  No stage calls it; it is the reference that
+    ``am_update_vjp`` is tested against.
     """
     u_hat, du_star = samplers.normalize_inputs(u, grad, stats)
     du_hat_dth = du_star / stats.sigma_i
@@ -221,10 +225,83 @@ def _am_update_tape(theta, p, u, grad, xi, eta, var_nets, stats, oh,
     gamma = dg_dth + dc_dp
     if detach_gamma:
         gamma = ad.value_of(gamma)
-    p1 = samplers.momentum_update(p, grad, eta, g_t, c_t, gamma, xi)
+    p1 = ((1.0 - eta * c_t) * p - eta * (g_t * grad)
+          + eta * gamma + ad.sqrt(2.0 * eta * c_t) * xi)
     g_hat, dg_dp = sn.q_eval(var_nets, u_col, p1, oh, sig, dp_seed=1.0)
     theta1 = samplers.position_update(theta, p1, eta, g_hat, dg_dp)
     return theta1, p1
+
+
+def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
+                  xi, eta: float, oh, detach_gamma: bool = False):
+    """``samplers.am_update`` on (N, D) rows, with its pullback to the weights.
+
+    Each row carries its own normalized inputs (``u_hat`` (N,), ``du_star``)
+    and scales ``sig`` (N, D), so rows taken under different statistics
+    stack into one call.  Returns (theta1, finite, pullback):
+    ``finite`` says that every forward value, network outputs and tangents
+    included, is finite, and ``pullback(cot)`` gives the gradient of
+    sum(cot * theta1) over ``sn.get_trainable_flat(nets)``.
+
+    The weights reach theta1 = theta + eta G^ p1 - eta dG^/dp through G^
+    and dG^/dp at p1, through p1 itself (also G^'s momentum channel, so the
+    squash's second derivative enters), and through p1's G, dG/dtheta
+    (Q-net), C, dC/dp (D-net) and sqrt(2 eta C) xi; ``detach_gamma`` holds
+    Gamma = dG/dtheta + dC/dp constant.
+    """
+    cfg = nets.cfg
+    q_acts, d_acts, h_acts = [], [], []
+    o_g, ot_g = sn._q_logits(nets, u_hat, p, oh, du_seed=du_star / sig,
+                             acts=q_acts)
+    o_c, ot_c = sn._d_logits(nets, u_hat, p, du_star, oh, dp_seed=1.0,
+                             acts=d_acts)
+    # For y = c + m * sigmoid(5 o): dy/do = m a1(o), d2y/do2 = m a2(o).
+    s_g, s_c = sn._expit(5.0 * o_g), sn._expit(5.0 * o_c)
+    a1_g, a1_c = 5.0 * s_g * (1.0 - s_g), 5.0 * s_c * (1.0 - s_c)
+    g = sig * (cfg.c1 + cfg.m_q * s_g)
+    c = cfg.c2 + cfg.m_d * s_c
+    gamma = sig * (cfg.m_q * a1_g * ot_g) + cfg.m_d * a1_c * ot_c
+    p1 = samplers.momentum_update(p, grad, eta, g, c, gamma, xi)
+    o_h, ot_h = sn._q_logits(nets, u_hat, p1, oh, dp_seed=1.0, acts=h_acts)
+    s_h = sn._expit(5.0 * o_h)
+    a1_h = 5.0 * s_h * (1.0 - s_h)
+    g_hat = sig * (cfg.c1 + cfg.m_q * s_h)
+    theta1 = samplers.position_update(theta, p1, eta, g_hat,
+                                      sig * (cfg.m_q * a1_h * ot_h))
+    finite = all(np.isfinite(x).all() for x in
+                 (o_g, ot_g, o_c, ot_c, p1, o_h, ot_h, theta1))
+
+    def a2(s):
+        return 25.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+    def pullback(cot):
+        q_scale = sig * cfg.m_q
+        # theta1 = theta + eta g_hat p1 - eta g_hat_p with
+        # g_hat_p = q_scale a1(o_h) ot_h
+        bar_g_hat_p = -eta * cot
+        bar_o = q_scale * (eta * cot * p1 * a1_h + bar_g_hat_p * a2(s_h) * ot_h)
+        h_layers, h_sc, bar_x, bar_xt = sn._fast_backward(
+            nets.q_layers, nets.q_shortcut, h_acts, bar_o,
+            q_scale * bar_g_hat_p * a1_h)
+        _, dip = sn._squash_p_np(p1)
+        bar_p1 = (eta * cot * g_hat + bar_x[1] * dip
+                  + bar_xt[1] * sn._squash_p_curvature(p1))
+        # p1 = (1 - eta c) p - eta g grad + eta gamma + sqrt(2 eta c) xi
+        bar_c = bar_p1 * (eta * xi / np.sqrt(2.0 * eta * c) - eta * p)
+        bar_gamma = 0.0 if detach_gamma else eta * bar_p1
+        bar_o_g = q_scale * (bar_gamma * a2(s_g) * ot_g - eta * bar_p1 * grad * a1_g)
+        bar_o_c = cfg.m_d * (bar_gamma * a2(s_c) * ot_c + bar_c * a1_c)
+        q_layers, q_sc, _, _ = sn._fast_backward(
+            nets.q_layers, nets.q_shortcut, q_acts, bar_o_g,
+            bar_gamma * q_scale * a1_g)
+        d_layers, d_sc, _, _ = sn._fast_backward(
+            nets.d_layers, nets.d_shortcut, d_acts, bar_o_c,
+            bar_gamma * cfg.m_d * a1_c)
+        parts = ([a + b for a, b in zip(q_layers, h_layers)] + d_layers
+                 + [a + b for a, b in zip(q_sc, h_sc)] + d_sc)
+        return np.concatenate([np.ravel(x) for x in parts])
+
+    return theta1, finite, pullback
 
 
 @dataclass
@@ -258,9 +335,14 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
     step, drawn by the caller so the segment itself is deterministic.
     ``tape_slots`` lists the chains whose recorded states carry weight
     gradients.  Chains that go non-finite freeze at their last state and
-    come back flagged in ``diverged``; tape slots that freeze are
-    excluded from the loss, and if every one freezes (or the tape itself
+    come back flagged in ``diverged``; slots that freeze are excluded from
+    the loss, and if every one freezes (or the differentiated step itself
     degenerates) the segment returns no gradient.
+
+    Each recorded step keeps the inputs of its slots' update as that step
+    saw them (the statistics may move within the segment); the weight
+    gradient is then one ``am_update_vjp`` over all recorded rows, with
+    the energy and score cotangents of each row summed.
     """
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
@@ -273,9 +355,6 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
         raise ValueError("segment shorter than one recorded interval")
     slots = np.asarray(tape_slots, dtype=int)
     n_slots = slots.size
-
-    tape = ad.Tape()
-    var_nets, var_list = sn.build_tape_nets(nets, tape)
 
     ok = np.ones(k, dtype=bool)
     slot_ok = np.ones(n_slots, dtype=bool)
@@ -298,8 +377,10 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
 
         pre_rows = np.flatnonzero(slot_ok) if is_recorded else None
         if pre_rows is not None and pre_rows.size:
-            pre = (theta[slots[pre_rows]].copy(), p[slots[pre_rows]].copy(),
-                   u[slots[pre_rows]].copy(), grad[slots[pre_rows]].copy())
+            idx = slots[pre_rows]
+            u_hat, du_star = samplers.normalize_inputs(u[idx], grad[idx], stats)
+            pre = (theta[idx], p[idx], grad[idx], u_hat, du_star,
+                   np.broadcast_to(stats.sigma_i, (idx.size, d)), xi[idx])
         else:
             pre = None
 
@@ -331,11 +412,7 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
             rows = np.flatnonzero(slot_ok)
             if pre is not None and rows.size:
                 keep = np.isin(pre_rows, rows)
-                th_v, _ = _am_update_tape(
-                    pre[0][keep], pre[1][keep], pre[2][keep], pre[3][keep],
-                    xi[slots[rows]], cfg.eta, var_nets, stats, oh,
-                    cfg.detach_gamma)
-                recorded.append((s_idx, th_v, rows))
+                recorded.append((s_idx, rows, [a[keep] for a in pre]))
             samples_theta[s_idx] = theta[slots]
             samples_p[s_idx] = p[slots]
             samples_u[s_idx] = u[slots]
@@ -350,21 +427,21 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
                             samples_grad, slot_ok)
     if k_eff == 0 or len(recorded) < s_total:
         return no_grad
-    if tape.first_nonfinite() is not None:
+    inputs = [np.concatenate(col) for col in zip(*(r[2] for r in recorded))]
+    _, finite, pullback = am_update_vjp(nets, *inputs, cfg.eta, oh,
+                                        cfg.detach_gamma)
+    if not finite:
         no_grad.aborted = True
         return no_grad
 
     scale_u = 1.0 / (k_eff * s_total)
     loss_energy = float(samples_u[1:, survivors].sum() * scale_u)
-    parents = []
-    partials = []
-    for s_idx, th_v, rows in recorded:
-        part = np.zeros((rows.size, d))
+    cots = {}
+    for s_idx, rows, _ in recorded:
+        cot = np.zeros((rows.size, d))
         member = np.isin(rows, survivors)
-        part[member] = samples_grad[s_idx][rows[member]] * scale_u
-        parents.append(th_v)
-        partials.append(part)
-    loss_var = tape.inject(loss_energy, parents, partials)
+        cot[member] = samples_grad[s_idx][rows[member]] * scale_u
+        cots[s_idx] = (cot, rows)
 
     loss_entropy = 0.0
     n_dens = s_total - cfg.m_skip
@@ -378,17 +455,12 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
             # a lost segment is recoverable, a crashed run is not
             no_grad.aborted = True
             return no_grad
-        by_index = {s_idx: (th_v, rows) for s_idx, th_v, rows in recorded}
         for s_idx, (val, scores) in terms.items():
             loss_entropy += val / n_dens
-            th_v, rows = by_index[s_idx]
-            part = np.zeros((rows.size, d))
-            pos = np.searchsorted(rows, survivors)
-            part[pos] = scores / (k_eff * n_dens)
-            loss_var = loss_var + tape.inject(val / n_dens, [th_v], [part])
+            cot, rows = cots[s_idx]
+            cot[np.searchsorted(rows, survivors)] += scores / (k_eff * n_dens)
 
-    grads = tape.gradient(loss_var, var_list)
-    grad_flat = np.array([float(g) for g in grads])
+    grad_flat = pullback(np.concatenate([cot for cot, _ in cots.values()]))
     if not np.all(np.isfinite(grad_flat)):
         no_grad.aborted = True
         return no_grad
@@ -422,9 +494,9 @@ def _init_shortcuts(nets: sn.StrategyNets, theta, p, u, grad, stats, oh,
     """Place RBF centers using the squashed inputs of the current states."""
     u_hat, du_star = samplers.normalize_inputs(u, grad, stats)
     k, d = p.shape
-    iu = np.broadcast_to(sn._squash_u(u_hat)[:, None], (k, d)).ravel()
-    ip = sn._squash_p(p).ravel()
-    ig = sn._squash_g(du_star).ravel()
+    iu = np.broadcast_to(sn._squash_u_np(u_hat)[0][:, None], (k, d)).ravel()
+    ip = sn._squash_p_np(p)[0].ravel()
+    ig = sn._squash_g_np(du_star)[0].ravel()
     cats = np.broadcast_to(oh[:, None, :], (oh.shape[0], k, d)).reshape(
         oh.shape[0], -1)
     q_rows = np.column_stack([iu, ip, *cats])

@@ -267,37 +267,6 @@ def test_dual_averaging_direction():
     assert np.isfinite(up.tuned) and up.tuned > 0
 
 
-# --- optimizer ---------------------------------------------------------------------
-
-
-def test_spsa_descends_quadratic():
-    class Shifted(Quadratic):
-        def potential_energy_batch(self, thetas):
-            thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-            diff = thetas - 3.0
-            return 0.5 * (diff**2).sum(axis=1), diff
-
-    prob = Shifted(4)
-    rng = np.random.default_rng(21)
-    best = sp.spsa_optimize(prob, 800, rng, theta0=np.zeros(4))
-    assert 0.5 * ((best - 3.0) ** 2).sum() < 0.5 * 9.0 * 4 * 0.05
-
-
-def test_spsa_returns_best_visited():
-    prob = Quadratic(3)
-    rng = np.random.default_rng(2)
-    best = sp.spsa_optimize(prob, 50, rng, theta0=np.zeros(3))
-    u_best, _ = prob.potential_energy_batch(best[None])
-    assert u_best[0] <= 0.5 * 0.1**2 * 3 + 1e-12
-
-
-def test_spsa_deterministic():
-    prob = Quadratic(2)
-    a = sp.spsa_optimize(prob, 40, np.random.default_rng(8), theta0=np.ones(2))
-    b = sp.spsa_optimize(prob, 40, np.random.default_rng(8), theta0=np.ones(2))
-    np.testing.assert_array_equal(a, b)
-
-
 # --- full runs ----------------------------------------------------------------------
 
 

@@ -253,6 +253,30 @@ def test_response_vjp_fallback_and_near_repeated_rows():
     assert_matches_fd(grad[:2], dense, ks[:2], cs[:2], 1e-7)
 
 
+def test_default_cond_limit_keeps_near_defective_gradients_accurate():
+    n = 2
+    mass = np.full(n, 2e5)
+    k = 2e7 * np.array([1.1, 0.9])
+    kmat = np.einsum("s,sij->ij", k, sb.story_patterns(n))
+    from scipy.linalg import eigh
+
+    w1 = np.sqrt(eigh(kmat, np.diag(mass), eigvals_only=True)[0])
+    # Stiffness-proportional damping just below critical for mode 1: the
+    # eigenbasis condition is ~7e3 in row 0 and ~7e6 in row 1, where a
+    # modal gradient is off by ~3e-5.
+    near = 1.0 - np.array([1e-6, 1e-12])
+    ks = np.tile(k, (2, 1))
+    cs = (2.0 / w1) * near[:, None] * k
+    rng = np.random.default_rng(3)
+    ground = rng.normal(0, 1, 150)
+    cot = rng.normal(size=(2, n, 150))
+    disc = sb.discretize_batch(mass, ks, cs, 0.01)
+    np.testing.assert_array_equal(disc.dense, [1])
+    grad = vjp(mass, ks, cs, ground, cot)
+    dense = vjp(mass, ks, cs, ground, cot, cond_limit=0.0)
+    assert_matches_fd(grad, dense, ks, cs, 1e-8)
+
+
 def test_generate_dataset_zero_noise_equals_clean():
     rng = np.random.default_rng(1)
     b = sb.nominal_building(2)

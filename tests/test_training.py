@@ -273,6 +273,150 @@ def test_segment_gradient_is_sum_of_single_step_gradients():
     np.testing.assert_allclose(res.grad_flat, total, rtol=1e-10, atol=1e-12)
 
 
+def shortcut_nets(cfg, rng, frozen):
+    """Random nets whose shortcuts are active (nonzero weights)."""
+    nets = sn.init_strategy(cfg, rng)
+    for name, channels in (("q_shortcut", cfg.q_channels),
+                           ("d_shortcut", cfg.d_channels)):
+        sc = sn.init_shortcut(rng.normal(size=(20, channels)), cfg.n_rbf, rng)
+        sc.lin_w[:] = rng.normal(size=channels) * 0.3
+        sc.lin_b[:] = 0.1
+        sc.amp[:] = rng.normal(size=cfg.n_rbf) * 0.5
+        sc.frozen = frozen
+        setattr(nets, name, sc)
+    return nets
+
+
+def detached_theta1(nets, theta, p, u, grad, xi, eta, stats, oh, gamma):
+    """samplers.am_update with Gamma pinned to the given value."""
+    u_hat, du_star = sp.normalize_inputs(u, grad, stats)
+    sig = stats.sigma_i
+    g, _ = sn.fast_q_eval(nets, u_hat, p, oh, sig)
+    c, _ = sn.fast_d_eval(nets, u_hat, p, du_star, oh)
+    p1 = sp.momentum_update(p, grad, eta, g, c, gamma, xi)
+    g_hat, dg_dp = sn.fast_q_eval(nets, u_hat, p1, oh, sig, dp_seed=1.0)
+    return sp.position_update(theta, p1, eta, g_hat, dg_dp)
+
+
+@pytest.mark.parametrize("case", ["plain", "shortcut", "frozen_shortcut",
+                                  "detach_gamma"])
+def test_am_update_vjp_matches_finite_differences(case):
+    rng = np.random.default_rng(31)
+    scfg = sn.StrategyConfig(use_shortcut=case.endswith("shortcut"), n_rbf=4)
+    if scfg.use_shortcut:
+        nets = shortcut_nets(scfg, rng, frozen=case == "frozen_shortcut")
+    else:
+        nets = sn.init_strategy(scfg, rng)
+    k, d, eta = 5, 3, 0.1
+    oh = sn.one_hot([0, 1, 2], 3)
+    theta = rng.normal(size=(k, d))
+    p = rng.normal(scale=5.0, size=(k, d))
+    u = rng.normal(scale=2.0, size=k)
+    grad = rng.normal(scale=3.0, size=(k, d))
+    xi = rng.normal(size=(k, d))
+    cot = rng.normal(size=(k, d))
+    stats = sp.AdaptiveStats.fixed(np.array([0.7, 1.3, 2.0]), 0.4, 1.6)
+    u_hat, du_star = sp.normalize_inputs(u, grad, stats)
+    sig = np.broadcast_to(stats.sigma_i, (k, d))
+    detach = case == "detach_gamma"
+
+    theta1, finite, pullback = tr.am_update_vjp(
+        nets, theta, p, grad, u_hat, du_star, sig, xi, eta, oh, detach)
+    ref_theta1, _ = sp.am_update(theta, p, u, grad, xi, eta, nets, stats, oh)
+    assert finite
+    np.testing.assert_allclose(theta1, ref_theta1, rtol=1e-13, atol=1e-13)
+    vjp = pullback(cot)
+    flat0 = sn.get_trainable_flat(nets)
+    assert vjp.shape == flat0.shape
+
+    _, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, stats.sigma_i,
+                               du_seed=du_star / stats.sigma_i)
+    _, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
+    gamma0 = dg_dth + dc_dp
+
+    def objective(flat):
+        probe = sn.nets_from_state(nets.cfg, sn.nets_state(nets))
+        sn.set_trainable_flat(probe, flat)
+        if detach:
+            th1 = detached_theta1(probe, theta, p, u, grad, xi, eta, stats,
+                                  oh, gamma0)
+        else:
+            th1, _ = sp.am_update(theta, p, u, grad, xi, eta, probe, stats, oh)
+        return float(np.sum(cot * th1))
+
+    h = 1e-6
+    fd = np.empty_like(flat0)
+    for i in range(flat0.size):
+        step = np.zeros_like(flat0)
+        step[i] = h
+        fd[i] = (objective(flat0 + step) - objective(flat0 - step)) / (2 * h)
+    np.testing.assert_allclose(vjp, fd, rtol=1e-5,
+                               atol=1e-7 * np.abs(fd).max())
+
+
+def test_segment_gradient_with_moving_stats_matches_tape():
+    import amsghmc.autodiff as ad
+
+    problem = Quadratic(2, scale=[1.0, 3.0])
+    scfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
+    cfg = small_cfg(k0=3, k_loss=3, t_t=3, steps_per_sub_epoch=3, m_skip=1,
+                    eta=0.05, strategy=scfg)
+    state, gens = seeded_setup(problem, 3, seed=13)
+    nets = shortcut_nets(scfg, np.random.default_rng(8), frozen=False)
+    nets.d_shortcut.frozen = True
+    stats = sp.AdaptiveStats(2, sp.StatsConfig(window=(0, 10**9),
+                                               mode="training"))
+    stats.update(1, state.theta, state.u)
+    before = sp.AdaptiveStats.from_state(stats.state())
+    oh = sn.one_hot(problem.categories, 3)
+    xi_seq = np.stack([sp._draw_noise(gens, 2) for _ in range(3)])
+    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
+                         nets, stats, oh, sp.energy_fn(problem), cfg,
+                         np.arange(3), update_stats=True, t0=1)
+    assert res.k_eff == 3 and res.grad_flat is not None
+
+    # Replay the statistics step by step; every chain survives, so the
+    # recorded slots are the whole population in order.
+    ref = before
+    terms = tr.entropy_terms(res.samples_theta, cfg.m_skip)
+    total = np.zeros_like(res.grad_flat)
+    sigmas = []
+    for s in (1, 2, 3):
+        ref.update(1 + s, res.samples_theta[s - 1], res.samples_u[s - 1])
+        sigmas.append(ref.sigma_i.copy())
+        tape = ad.Tape()
+        var_nets, var_list = sn.build_tape_nets(nets, tape)
+        th_v, _ = tr._am_update_tape(
+            res.samples_theta[s - 1], res.samples_p[s - 1],
+            res.samples_u[s - 1], res.samples_grad[s - 1], xi_seq[s - 1],
+            cfg.eta, var_nets, ref, oh, False)
+        part = res.samples_grad[s] / (3 * 3)
+        if s in terms:
+            part = part + terms[s][1] / (3 * 2)
+        out = tape.inject(0.0, [th_v], [part])
+        total += np.array([float(g) for g in tape.gradient(out, var_list)])
+    assert not np.allclose(sigmas[0], sigmas[2], rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(stats.sigma_i, ref.sigma_i, rtol=0, atol=0)
+    np.testing.assert_allclose(res.grad_flat, total, rtol=1e-10, atol=1e-12)
+
+
+def test_segment_aborts_on_nonfinite_network_output():
+    # An infinite Q-net output saturates the sigmoid, so every chain
+    # still moves to a finite state, but the differentiated step is not
+    # finite and the segment must give no gradient.
+    problem = Quadratic(2)
+    cfg = small_cfg(k0=2, k_loss=2, t_t=3, steps_per_sub_epoch=3, m_skip=5)
+    state, gens = seeded_setup(problem, 2, seed=9)
+    nets = sn.init_strategy(cfg.strategy, np.random.default_rng(4))
+    nets.q_layers[-1][1][:] = np.inf
+    xi_seq = np.stack([sp._draw_noise(gens, 2) for _ in range(3)])
+    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
+                         nets, fixed_stats(2), sn.one_hot(problem.categories, 3),
+                         sp.energy_fn(problem), cfg, np.arange(2))
+    assert res.k_eff == 2 and not res.diverged.any()
+    assert res.aborted and res.grad_flat is None
+
+
 def test_segment_gradient_invariant_to_potential_offset():
     base = Quadratic(3)
     lifted = Quadratic(3, offset=100.0)
