@@ -94,6 +94,56 @@ def test_config_lists_become_tuples():
     assert cfg.compare == ("hmc", "sghmc")
 
 
+DEFAULT_RESOLVED = {
+    "problem": None,
+    "sampler": "am-sghmc",
+    "seed": 0,
+    "out": "runs/experiment",
+    "checkpoint": None,
+    "trace": None,
+    "run": {
+        "K": 32, "T": 9000, "burn_in": 3000, "tau": 1,
+        "eta": 0.03162277660168379,
+        "window": [300, 2800],
+        "betas_theta": [0.99, 0.995],
+        "betas_u": [0.99, 0.998],
+        "v0_scale": 1.0,
+        "sghmc_G": 1.0, "sghmc_C": 1.0,
+        "hmc_step0": 0.1, "hmc_leapfrog": 10, "hmc_target_accept": 0.7,
+        "hmc_adapt": True,
+    },
+    "training": {
+        "K0": 64, "K": 10, "epochs": 100, "sub_epochs": 10,
+        "steps_per_sub_epoch": 90, "T_T": 15, "tau": 1, "M": 3,
+        "eta": 0.03162277660168379, "lr": 0.01,
+        "betas": [0.5, 0.75],
+        "grad_clip": 10.0, "replay_prob": 0.2, "replay_capacity": 10000,
+        "adapt_epochs": 50, "adapt_last": 6,
+        "betas_theta": [0.99, 0.999],
+        "betas_u": [0.99, 0.998],
+        "v0_star": 1.0, "detach_gamma": False,
+        "stein_bandwidth": 4.0, "stein_ridge": 0.1,
+        "M_Q": 100.0, "M_D": 30.0, "c1": 0.01, "c2": 0.01,
+        "hidden": [10, 10, 10],
+        "use_shortcut": False, "n_rbf": 8,
+    },
+    "generate": {
+        "n_stories": 5, "duration": 3.0, "dt": 0.01, "noise_ratio": 1.0,
+        "perturbation_cov": 0.1, "ground_std": 1.0, "observed_dofs": None,
+        "k0": 20000000.0, "c0": 60000.0, "mass": 200000.0, "sigma0": 1.0,
+    },
+    "compare": ["am-sghmc", "sghmc"],
+}
+
+
+def test_default_resolved_config_is_pinned():
+    """Every report embeds this document, so its keys, their order and the
+    defaults are part of the output format."""
+    resolved = harness.ExperimentConfig().resolved()
+    assert resolved == DEFAULT_RESOLVED
+    assert json.dumps(resolved) == json.dumps(DEFAULT_RESOLVED)
+
+
 def test_canonical_sampler_names():
     assert harness.canonical_sampler("am-sghmc") == "amsghmc"
     assert harness.canonical_sampler("AMSGHMC") == "amsghmc"
