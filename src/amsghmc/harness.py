@@ -6,8 +6,14 @@ one problem, ``sample`` runs any engine and stores the trace, ``evaluate``
 turns a stored trace into metrics and plot data, and ``compare`` runs two
 engines on the same data and emits a side-by-side table.
 
-Configuration is a JSON document with explicit keys; unknown keys are
-rejected so a misspelled constant cannot silently fall back to a default.
+Configuration is a JSON document with explicit keys.  Its sections are
+the library configs: ``run`` is ``samplers.RunConfig``, ``training`` is
+``training.TrainingConfig`` and ``generate`` is ``structural.DatasetConfig``;
+keys follow the method's symbols (K, T, T_T, M, ...), and each class
+validates its own values.  Unknown keys are rejected so a misspelled
+constant cannot silently fall back to a default, and every configuration
+error is raised before a stage writes anything.
+
 Every report embeds the resolved configuration and seed.  Reports are
 deterministic given the seed; wall-clock timing lives in separate files
 (``timing.json``, ``metrics.json``) because it can never be.
@@ -25,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, samplers, structural, target, training
-from . import strategy as sn
 
 STAGES = ("generate", "train", "sample", "evaluate", "compare")
 
@@ -62,167 +67,30 @@ def canonical_sampler(name: str) -> str:
 
 
 def _build(cls, data, where: str):
-    """Dataclass from a mapping, rejecting keys the class does not declare."""
+    """Dataclass from a mapping, rejecting keys the class does not declare.
+
+    A field whose default is a dataclass is a section, built from its own
+    mapping; JSON lists become tuples.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    kwargs = {}
+    for key, value in data.items():
+        section = fields[key].default_factory
+        if dataclasses.is_dataclass(section):
+            kwargs[key] = _build(section, value, f"config section {key!r}")
+        else:
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class GenerateSettings:
-    """Synthetic-dataset stage: building family and measurement setup."""
-
-    n_stories: int = 5
-    duration: float = 3.0
-    dt: float = 0.01
-    noise_ratio: float = 1.0
-    perturbation_cov: float = 0.10
-    ground_std: float = 1.0
-    observed_dofs: tuple | None = None
-    k0: float = 2.0e7
-    c0: float = 6.0e4
-    mass: float = 2.0e5
-    sigma0: float = 1.0
-
-    def __post_init__(self):
-        if self.n_stories < 1:
-            raise ConfigError("n_stories must be at least 1")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ConfigError("duration and dt must be positive")
-        if self.noise_ratio < 0:
-            raise ConfigError("noise_ratio must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Sampling-run parameters; keys follow the symbols of the method."""
-
-    K: int = 32
-    T: int = 9000
-    burn_in: int = 3000
-    tau: int = 1
-    eta: float = samplers.DEFAULT_ETA
-    window: tuple = (300, 2800)
-    betas_theta: tuple = (0.99, 0.995)
-    betas_u: tuple = (0.99, 0.998)
-    v0_scale: float = 1.0
-    sghmc_G: float = 1.0
-    sghmc_C: float = 1.0
-    hmc_step0: float = 0.1
-    hmc_leapfrog: int = 10
-    hmc_target_accept: float = 0.7
-    hmc_adapt: bool = True
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ConfigError("K must be at least 1")
-        if not 0 <= self.burn_in < self.T:
-            raise ConfigError("need 0 <= burn_in < T")
-        if self.tau < 1:
-            raise ConfigError("tau must be at least 1")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.v0_scale <= 0:
-            raise ConfigError("v0_scale must be positive")
-        lo, hi = self.window
-        if not 0 <= lo <= hi:
-            raise ConfigError("window must satisfy 0 <= start <= end")
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    """Meta-training parameters; keys follow the symbols of the method."""
-
-    K0: int = 64
-    K: int = 10
-    epochs: int = 100
-    sub_epochs: int = 10
-    steps_per_sub_epoch: int = 90
-    T_T: int = 15
-    tau: int = 1
-    M: int = 3
-    eta: float = samplers.DEFAULT_ETA
-    lr: float = 0.01
-    betas: tuple = (0.5, 0.75)
-    grad_clip: float = 10.0
-    replay_prob: float = 0.2
-    replay_capacity: int = 10000
-    adapt_epochs: int = 50
-    adapt_last: int = 6
-    betas_theta: tuple = (0.99, 0.999)
-    betas_u: tuple = (0.99, 0.998)
-    v0_star: float = 1.0
-    detach_gamma: bool = False
-    stein_bandwidth: float = 4.0
-    stein_ridge: float = 0.1
-    M_Q: float = 100.0
-    M_D: float = 30.0
-    c1: float = 0.01
-    c2: float = 0.01
-    hidden: tuple = (10, 10, 10)
-    use_shortcut: bool = False
-    n_rbf: int = 8
-
-    def __post_init__(self):
-        for name in ("K0", "K", "epochs", "sub_epochs", "steps_per_sub_epoch",
-                     "T_T", "tau"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.K > self.K0:
-            raise ConfigError("K cannot exceed K0")
-        if self.eta <= 0 or self.lr <= 0:
-            raise ConfigError("eta and lr must be positive")
-        if not 0 <= self.replay_prob <= 1:
-            raise ConfigError("replay_prob must lie in [0, 1]")
-
-    def to_training_config(self) -> training.TrainingConfig:
-        scfg = sn.StrategyConfig(
-            m_q=self.M_Q,
-            m_d=self.M_D,
-            c1=self.c1,
-            c2=self.c2,
-            hidden=tuple(self.hidden),
-            use_shortcut=self.use_shortcut,
-            n_rbf=self.n_rbf,
-        )
-        try:
-            return training.TrainingConfig(
-                k0=self.K0,
-                k_loss=self.K,
-                epochs=self.epochs,
-                sub_epochs=self.sub_epochs,
-                steps_per_sub_epoch=self.steps_per_sub_epoch,
-                t_t=self.T_T,
-                tau=self.tau,
-                m_skip=self.M,
-                eta=self.eta,
-                lr=self.lr,
-                betas=tuple(self.betas),
-                grad_clip=self.grad_clip,
-                replay_prob=self.replay_prob,
-                replay_capacity=self.replay_capacity,
-                adapt_epochs=self.adapt_epochs,
-                adapt_last=self.adapt_last,
-                stat_beta_theta=tuple(self.betas_theta),
-                stat_beta_u=tuple(self.betas_u),
-                v0_star=self.v0_star,
-                detach_gamma=self.detach_gamma,
-                stein_bandwidth=self.stein_bandwidth,
-                stein_ridge=self.stein_ridge,
-                strategy=scfg,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid training settings: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -235,9 +103,11 @@ class ExperimentConfig:
     out: str = "runs/experiment"
     checkpoint: str | None = None
     trace: str | None = None
-    run: RunSettings = field(default_factory=RunSettings)
-    training: TrainSettings = field(default_factory=TrainSettings)
-    generate: GenerateSettings = field(default_factory=GenerateSettings)
+    run: samplers.RunConfig = field(default_factory=samplers.RunConfig)
+    training: training.TrainingConfig = field(
+        default_factory=training.TrainingConfig)
+    generate: structural.DatasetConfig = field(
+        default_factory=structural.DatasetConfig)
     compare: tuple = ("am-sghmc", "sghmc")
 
     def __post_init__(self):
@@ -251,23 +121,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("configuration must be a JSON object")
-        sections = {"run": RunSettings, "training": TrainSettings,
-                    "generate": GenerateSettings}
-        scalars = {f.name for f in dataclasses.fields(cls)} - set(sections)
-        unknown = sorted(set(data) - scalars - set(sections))
-        if unknown:
-            raise ConfigError(f"unknown keys in config: {', '.join(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            if key in sections:
-                kwargs[key] = _build(sections[key], value, f"config section {key!r}")
-            elif isinstance(value, list):
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return _build(cls, data, "config")
 
     def resolved(self) -> dict:
         """Plain nested dict of every setting, for embedding in reports."""
@@ -338,6 +192,11 @@ def _preflight(stage: str, cfg: ExperimentConfig) -> dict:
     else:
         engines = []
     if "amsghmc" in engines:
+        if cfg.run.window[0] >= cfg.run.T:
+            raise ConfigError("adaptive window starts after the run ends")
+        if cfg.run.window[1] > cfg.run.burn_in:
+            warnings.warn("adaptive window extends past burn-in; kept samples "
+                          "will mix normalization regimes")
         if cfg.checkpoint is None:
             raise ConfigError("the meta-learned engine needs a checkpoint")
         loaded["checkpoint"] = _load_checkpoint(cfg.checkpoint)
@@ -371,21 +230,12 @@ def _relative(path: Path, out: Path) -> str:
 def _stage_generate(cfg: ExperimentConfig, loaded: dict, out: Path,
                     written: list) -> dict:
     g = cfg.generate
-    building = structural.nominal_building(g.n_stories, g.k0, g.c0, g.mass)
-    dcfg = structural.DatasetConfig(
-        duration=g.duration,
-        dt=g.dt,
-        noise_ratio=g.noise_ratio,
-        perturbation_cov=g.perturbation_cov,
-        ground_std=g.ground_std,
-        observed_dofs=g.observed_dofs,
-    )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    dataset, truth = structural.generate_dataset(building, dcfg, rng)
+    dataset, truth = structural.generate_dataset(g, rng)
     dataset_path = out / "dataset.csv"
     structural.save_dataset(dataset_path, dataset, truth)
     written += [dataset_path, Path(str(dataset_path) + ".meta.json")]
-    problem = target.default_problem(building, dataset, sigma0=g.sigma0)
+    problem = target.default_problem(g.building, dataset, sigma0=g.sigma0)
     problem_path = out / "problem.json"
     target.save_problem(problem_path, problem, "dataset.csv")
     written.append(problem_path)
@@ -405,9 +255,9 @@ def _stage_generate(cfg: ExperimentConfig, loaded: dict, out: Path,
 def _stage_train(cfg: ExperimentConfig, loaded: dict, out: Path,
                  written: list) -> dict:
     problem = loaded["problem"]
-    tcfg = cfg.training.to_training_config()
     history_path = out / "history.csv"
-    result = training.train(problem, tcfg, seed=cfg.seed, log_path=history_path)
+    result = training.train(problem, cfg.training, seed=cfg.seed,
+                            log_path=history_path)
     written.append(history_path)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "checkpoint.npz"
     training.save_checkpoint(
@@ -424,7 +274,7 @@ def _stage_train(cfg: ExperimentConfig, loaded: dict, out: Path,
     written.append(ckpt_path)
     last = result.history[-1]
     summary = {
-        "epochs": tcfg.epochs,
+        "epochs": cfg.training.epochs,
         "updates": len(result.history),
         "final_loss_energy": last["loss_energy"],
         "final_loss_entropy": last["loss_entropy"],
@@ -440,44 +290,21 @@ def _run_sampler(cfg: ExperimentConfig, problem, checkpoint, name: str,
     """One timed sampling run; returns (trace, wall seconds, summary)."""
     engine = canonical_sampler(name)
     run = cfg.run
-    rcfg = samplers.RunConfig(
-        eta=run.eta,
-        sghmc_g=run.sghmc_G,
-        sghmc_c=run.sghmc_C,
-        hmc_step0=run.hmc_step0,
-        hmc_leapfrog=run.hmc_leapfrog,
-        hmc_target_accept=run.hmc_target_accept,
-        hmc_adapt=run.hmc_adapt,
-    )
     kwargs = {}
     if engine == "amsghmc":
         nets, train_stats, extra = checkpoint
-        if run.window[0] >= run.T:
-            raise ConfigError("adaptive window starts after the run ends")
-        if run.window[1] > run.burn_in:
-            warnings.warn("adaptive window extends past burn-in; kept samples "
-                          "will mix normalization regimes")
-        v0_star: float | tuple = run.v0_scale
+        kwargs["nets"] = nets
         if train_stats is not None and "categories" in extra:
             v0 = samplers.v0_from_training(train_stats.sigma_i,
                                            extra["categories"],
                                            problem.categories,
                                            scale=run.v0_scale)
-            v0_star = tuple(float(v) for v in v0)
+            kwargs["v0_star"] = tuple(float(v) for v in v0)
         else:
             warnings.warn("checkpoint lacks training scales or categories; "
                           "seeding test-time variances at v0_scale")
-        kwargs["nets"] = nets
-        kwargs["stats_config"] = samplers.StatsConfig(
-            window=tuple(int(v) for v in run.window),
-            beta_theta=run.betas_theta,
-            beta_u=run.betas_u,
-            v0_star=v0_star,
-            mode="testing",
-        )
     start = time.perf_counter()
-    trace = samplers.run_chains(engine, problem, run.K, run.T, run.burn_in,
-                                run.tau, seed=cfg.seed, config=rcfg, **kwargs)
+    trace = samplers.run_chains(engine, problem, run, seed=cfg.seed, **kwargs)
     wall = time.perf_counter() - start
     trace.meta["problem"] = str(cfg.problem)
     trace.meta["sampler_label"] = name

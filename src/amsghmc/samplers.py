@@ -529,15 +529,43 @@ class DualAveraging:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Engine knobs for run_chains."""
+    """One sampling run: K chains advance T steps, and every tau-th state
+    after burn_in is kept.  AM-SGHMC estimates its normalization
+    statistics over ``window`` with the decays ``betas_theta``/``betas_u``;
+    ``sghmc_G``/``sghmc_C`` are SGHMC's constant coefficients and
+    ``hmc_*`` set the HMC step size, its adaptation and the leapfrog
+    count."""
 
+    K: int = 32
+    T: int = 9000
+    burn_in: int = 3000
+    tau: int = 1
     eta: float = DEFAULT_ETA
-    sghmc_g: float = 1.0
-    sghmc_c: float = 1.0
+    window: tuple = (300, 2800)
+    betas_theta: tuple = (0.99, 0.995)
+    betas_u: tuple = (0.99, 0.998)
+    v0_scale: float = 1.0
+    sghmc_G: float = 1.0
+    sghmc_C: float = 1.0
     hmc_step0: float = 0.1
     hmc_leapfrog: int = 10
     hmc_target_accept: float = 0.7
     hmc_adapt: bool = True
+
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be at least 1")
+        if not 0 <= self.burn_in < self.T:
+            raise ValueError("need 0 <= burn_in < T")
+        if self.tau < 1:
+            raise ValueError("tau must be at least 1")
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+        if self.v0_scale <= 0:
+            raise ValueError("v0_scale must be positive")
+        lo, hi = self.window
+        if not 0 <= lo <= hi:
+            raise ValueError("window must satisfy 0 <= start <= end")
 
 
 @dataclass
@@ -565,21 +593,21 @@ class Trace:
 SAMPLER_NAMES = ("amsghmc", "sghmc", "hmc")
 
 
-def run_chains(sampler: str, problem, k_chains: int, n_steps: int,
-               burn_in: int, thin: int = 1, *, seed: int = 0, nets=None,
-               stats: AdaptiveStats | None = None,
-               stats_config: StatsConfig | None = None,
-               config: RunConfig | None = None,
+def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
+               nets=None, stats: AdaptiveStats | None = None,
+               v0_star: float | tuple | None = None,
                theta0=None, p0=None) -> Trace:
-    """Advance K chains for n_steps and collect every thin-th post-burn-in
-    state; diverged chains are dropped from the result."""
+    """Advance ``config.K`` chains for ``config.T`` steps and collect every
+    tau-th post-burn-in state; diverged chains are dropped from the result.
+
+    The meta-learned engine estimates fresh statistics unless ``stats`` is
+    given; their variances start at ``v0_star``, ``config.v0_scale`` when
+    None.
+    """
     if sampler not in SAMPLER_NAMES:
         raise ValueError(f"unknown sampler {sampler!r}")
-    if not 0 <= burn_in < n_steps:
-        raise ValueError("need 0 <= burn_in < n_steps")
-    if thin < 1:
-        raise ValueError("thinning interval must be >= 1")
-    config = config if config is not None else RunConfig()
+    k_chains, n_steps = config.K, config.T
+    burn_in, thin = config.burn_in, config.tau
     gens = chain_generators(seed, k_chains)
     state = initialize_chains(problem, k_chains, gens, theta0, p0)
 
@@ -587,7 +615,10 @@ def run_chains(sampler: str, problem, k_chains: int, n_steps: int,
         if nets is None:
             raise ValueError("the meta-learned engine needs strategy networks")
         if stats is None:
-            stats = AdaptiveStats(state.dim, stats_config)
+            stats = AdaptiveStats(state.dim, StatsConfig(
+                window=config.window, beta_theta=config.betas_theta,
+                beta_u=config.betas_u,
+                v0_star=config.v0_scale if v0_star is None else v0_star))
     else:
         stats = None
 
@@ -606,8 +637,8 @@ def run_chains(sampler: str, problem, k_chains: int, n_steps: int,
                 stats.update(t, state.theta[state.alive], state.u[state.alive])
             state = am_sghmc_step(state, config.eta, nets, stats, problem, gens)
         elif sampler == "sghmc":
-            state = sghmc_step(state, config.eta, config.sghmc_g,
-                               config.sghmc_c, problem, gens)
+            state = sghmc_step(state, config.eta, config.sghmc_G,
+                               config.sghmc_C, problem, gens)
         else:
             state, accepted = hmc_step(state, eta_hmc, config.hmc_leapfrog,
                                        problem, gens)

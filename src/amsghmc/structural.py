@@ -75,14 +75,39 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Synthetic-data generation settings."""
+    """Synthetic dataset: the nominal building family, the measurement
+    setup, and the prior scale ``sigma0`` of the updating problem."""
 
-    duration: float
+    n_stories: int = 5
+    duration: float = 3.0
     dt: float = 0.01
     noise_ratio: float = 1.0
     perturbation_cov: float = 0.10
     ground_std: float = 1.0
     observed_dofs: tuple | None = None
+    k0: float = 2.0e7
+    c0: float = 6.0e4
+    mass: float = 2.0e5
+    sigma0: float = 1.0
+
+    def __post_init__(self):
+        if self.n_stories < 1:
+            raise ValueError("n_stories must be at least 1")
+        if self.duration <= 0 or self.dt <= 0:
+            raise ValueError("duration and dt must be positive")
+        if self.n_steps < 1 or abs(self.duration / self.dt - self.n_steps) > 1e-9:
+            raise ValueError("duration must be a positive multiple of dt")
+        if self.noise_ratio < 0:
+            raise ValueError("noise_ratio must be nonnegative")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.duration / self.dt))
+
+    @property
+    def building(self) -> ShearBuilding:
+        """The nominal building the true one is drawn around."""
+        return nominal_building(self.n_stories, self.k0, self.c0, self.mass)
 
 
 def nominal_building(
@@ -317,8 +342,8 @@ def simulate_accelerations(b: ShearBuilding, d: Dataset) -> np.ndarray:
     return y[0, list(d.observed_dofs), :]
 
 
-def generate_dataset(b_nominal: ShearBuilding, cfg: DatasetConfig, rng: np.random.Generator):
-    """Synthetic dataset with ground truth drawn near the nominal building.
+def generate_dataset(cfg: DatasetConfig, rng: np.random.Generator):
+    """Synthetic dataset with ground truth drawn near ``cfg.building``.
 
     Ground motion is i.i.d. zero-mean Gaussian per step. True stiffness and
     damping are nominal times (1 + cov * z) with independent standard
@@ -326,11 +351,9 @@ def generate_dataset(b_nominal: ShearBuilding, cfg: DatasetConfig, rng: np.rando
     Measurement noise is i.i.d. Gaussian with standard deviation equal to
     the channel-averaged rms of the clean response times noise_ratio.
     """
-    steps = cfg.duration / cfg.dt
-    nt = int(round(steps))
-    if abs(steps - nt) > 1e-9 or nt <= 0:
-        raise ValueError("duration must be a positive multiple of dt")
-    n = b_nominal.n_stories
+    b_nominal = cfg.building
+    nt = cfg.n_steps
+    n = cfg.n_stories
     obs = cfg.observed_dofs if cfg.observed_dofs is not None else (0, n - 1)
     obs = tuple(sorted(set(int(i) for i in obs)))
 

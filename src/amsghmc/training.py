@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,16 +157,22 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Schedule and hyperparameters of one training run."""
+    """Schedule and hyperparameters of one training run.
 
-    k0: int = 64
-    k_loss: int = 10
+    K0 chains advance in segments of T_T steps; every tau-th state of K of
+    them enters the loss, whose density term skips the first M of those.
+    ``M_Q``, ``M_D``, ``c1``, ``c2``, ``hidden``, ``use_shortcut`` and
+    ``n_rbf`` shape the strategy networks (``strategy``).
+    """
+
+    K0: int = 64
+    K: int = 10
     epochs: int = 100
     sub_epochs: int = 10
     steps_per_sub_epoch: int = 90
-    t_t: int = 15
+    T_T: int = 15
     tau: int = 1
-    m_skip: int = 3
+    M: int = 3
     eta: float = samplers.DEFAULT_ETA
     lr: float = 0.01
     betas: tuple = (0.5, 0.75)
@@ -175,33 +181,51 @@ class TrainingConfig:
     replay_capacity: int = 10000
     adapt_epochs: int = 50
     adapt_last: int = 6
-    stat_beta_theta: tuple = (0.99, 0.999)
-    stat_beta_u: tuple = (0.99, 0.998)
+    betas_theta: tuple = (0.99, 0.999)
+    betas_u: tuple = (0.99, 0.998)
     v0_star: float = 1.0
     detach_gamma: bool = False
     stein_bandwidth: float = 4.0
     stein_ridge: float = 0.1
-    strategy: sn.StrategyConfig = field(default_factory=sn.StrategyConfig)
+    M_Q: float = 100.0
+    M_D: float = 30.0
+    c1: float = 0.01
+    c2: float = 0.01
+    hidden: tuple = (10, 10, 10)
+    use_shortcut: bool = False
+    n_rbf: int = 8
 
     def __post_init__(self):
-        if self.k0 < 1 or not 1 <= self.k_loss <= self.k0:
-            raise ValueError("need 1 <= k_loss <= k0")
-        if min(self.epochs, self.sub_epochs, self.t_t, self.tau) < 1:
-            raise ValueError("epochs, sub_epochs, t_t, and tau must be positive")
-        if self.steps_per_sub_epoch % self.t_t != 0:
-            raise ValueError("steps_per_sub_epoch must be a multiple of t_t")
-        if self.t_t < self.tau:
-            raise ValueError("a segment must cover at least one recorded state")
-        if self.m_skip < 0:
-            raise ValueError("m_skip must be nonnegative")
+        for name in ("K0", "K", "epochs", "sub_epochs", "steps_per_sub_epoch",
+                     "T_T", "tau"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.K > self.K0:
+            raise ValueError("K cannot exceed K0")
+        if self.steps_per_sub_epoch % self.T_T != 0:
+            raise ValueError("steps_per_sub_epoch must be a multiple of T_T")
+        if self.T_T < self.tau:
+            raise ValueError("T_T must be at least tau, so a segment records "
+                             "a state")
+        if self.M < 0:
+            raise ValueError("M must be nonnegative")
         if self.adapt_last > self.sub_epochs:
             raise ValueError("adapt_last cannot exceed sub_epochs")
         if self.eta <= 0 or self.lr <= 0:
             raise ValueError("eta and lr must be positive")
+        if not 0 <= self.replay_prob <= 1:
+            raise ValueError("replay_prob must lie in [0, 1]")
+
+    @property
+    def strategy(self) -> sn.StrategyConfig:
+        return sn.StrategyConfig(m_q=self.M_Q, m_d=self.M_D, c1=self.c1,
+                                 c2=self.c2, hidden=tuple(self.hidden),
+                                 use_shortcut=self.use_shortcut,
+                                 n_rbf=self.n_rbf)
 
     @property
     def samples_per_segment(self) -> int:
-        return self.t_t // self.tau
+        return self.T_T // self.tau
 
 
 # --- one differentiable segment ---------------------------------------------------
@@ -331,7 +355,7 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
                 t0: int = 0) -> SegmentResult:
     """Advance every chain through one segment and differentiate its loss.
 
-    ``xi_seq`` is the (t_t, K, D) noise block, one row per chain per
+    ``xi_seq`` is the (T_T, K0, D) noise block, one row per chain per
     step, drawn by the caller so the segment itself is deterministic.
     ``tape_slots`` lists the chains whose recorded states carry weight
     gradients.  Chains that go non-finite freeze at their last state and
@@ -444,10 +468,10 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
         cots[s_idx] = (cot, rows)
 
     loss_entropy = 0.0
-    n_dens = s_total - cfg.m_skip
+    n_dens = s_total - cfg.M
     if n_dens >= 1:
         try:
-            terms = entropy_terms(samples_theta[:, survivors], cfg.m_skip,
+            terms = entropy_terms(samples_theta[:, survivors], cfg.M,
                                   bandwidth_scale=cfg.stein_bandwidth,
                                   ridge=cfg.stein_ridge)
         except (ValueError, np.linalg.LinAlgError):
@@ -530,7 +554,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
           log_path=None) -> TrainResult:
     """Full training run of the strategy networks on one problem.
 
-    The chain population advances in segments of ``t_t`` steps; each
+    The chain population advances in segments of ``T_T`` steps; each
     segment contributes one loss gradient and one optimizer update is
     applied per sub-epoch from their average.  Normalization statistics
     update during the last ``adapt_last`` sub-epochs of the first
@@ -544,16 +568,16 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
     fn = samplers.energy_fn(problem)
     oh = sn.one_hot(problem.categories, cfg.strategy.n_categories)
 
-    gens = samplers.chain_generators(seed, cfg.k0 + 1)
-    chain_gens, driver = gens[: cfg.k0], gens[cfg.k0]
+    gens = samplers.chain_generators(seed, cfg.K0 + 1)
+    chain_gens, driver = gens[: cfg.K0], gens[cfg.K0]
     if nets is None:
         nets = sn.init_strategy(cfg.strategy, driver)
 
     stats = samplers.AdaptiveStats(d, samplers.StatsConfig(
-        window=(0, 10**9), beta_theta=cfg.stat_beta_theta,
-        beta_u=cfg.stat_beta_u, v0_star=cfg.v0_star, mode="training"))
+        window=(0, 10**9), beta_theta=cfg.betas_theta,
+        beta_u=cfg.betas_u, v0_star=cfg.v0_star, mode="training"))
 
-    state = samplers.initialize_chains(problem, cfg.k0, chain_gens)
+    state = samplers.initialize_chains(problem, cfg.K0, chain_gens)
     theta, p = state.theta, state.p
     u, grad = state.u, state.grad
     # One unconditional update so the scales are sane from the start.
@@ -562,7 +586,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
     buffer = ReplayBuffer(cfg.replay_capacity)
     adam = AdamState.zeros(sn.get_trainable_flat(nets).size)
     history: list = []
-    n_segments = cfg.steps_per_sub_epoch // cfg.t_t
+    n_segments = cfg.steps_per_sub_epoch // cfg.T_T
     global_step = 0
     events_total = 0
     skipped_segments = 0
@@ -572,8 +596,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
         for sub in range(1, cfg.sub_epochs + 1):
             in_window = (epoch <= cfg.adapt_epochs
                          and sub > cfg.sub_epochs - cfg.adapt_last)
-            if (in_window and cfg.strategy.use_shortcut
-                    and nets.q_shortcut is None):
+            if in_window and cfg.use_shortcut and nets.q_shortcut is None:
                 _init_shortcuts(nets, theta, p, u, grad, stats, oh, driver)
                 adam = AdamState.zeros(sn.get_trainable_flat(nets).size)
 
@@ -582,14 +605,14 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
             h_losses = []
             sub_diverged = 0
             for _ in range(n_segments):
-                slots = np.sort(driver.choice(cfg.k0, size=cfg.k_loss,
+                slots = np.sort(driver.choice(cfg.K0, size=cfg.K,
                                               replace=False))
                 xi_seq = np.stack([samplers._draw_noise(chain_gens, d)
-                                   for _ in range(cfg.t_t)])
+                                   for _ in range(cfg.T_T)])
                 res = run_segment(theta, p, u, grad, xi_seq, nets, stats,
                                   oh, fn, cfg, slots,
                                   update_stats=in_window, t0=global_step)
-                global_step += cfg.t_t
+                global_step += cfg.T_T
                 theta, p, u, grad = res.theta, res.p, res.u, res.grad
                 for i in np.flatnonzero(res.diverged):
                     events_total += 1
@@ -652,7 +675,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
                 f"training unstable")
 
         if len(buffer):
-            for i in range(cfg.k0):
+            for i in range(cfg.K0):
                 if driver.uniform() < cfg.replay_prob:
                     theta[i], p[i], u[i], grad[i] = buffer.sample(driver)
 

@@ -67,10 +67,24 @@ def test_config_rejects_unknown_keys():
     ("run", "window", [10, 2]),
     ("generate", "n_stories", 0),
     ("generate", "dt", 0.0),
+    ("generate", "duration", 0.015),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(harness.ConfigError):
         harness.ExperimentConfig.from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("training,named", [
+    ({"steps_per_sub_epoch": 91}, "steps_per_sub_epoch must be a multiple of T_T"),
+    ({"adapt_last": 11}, "adapt_last cannot exceed sub_epochs"),
+    ({"T_T": 2, "tau": 3, "steps_per_sub_epoch": 2}, "T_T must be at least tau"),
+    ({"M": -1}, "M must be nonnegative"),
+])
+def test_training_schedule_errors_name_the_users_keys(training, named):
+    with pytest.raises(harness.ConfigError, match=named) as info:
+        harness.ExperimentConfig.from_dict({"training": training})
+    for internal in ("t_t", "m_skip", "k_loss"):
+        assert internal not in str(info.value)
 
 
 def test_config_rejects_bad_top_level_values():
@@ -142,6 +156,55 @@ def test_default_resolved_config_is_pinned():
     resolved = harness.ExperimentConfig().resolved()
     assert resolved == DEFAULT_RESOLVED
     assert json.dumps(resolved) == json.dumps(DEFAULT_RESOLVED)
+
+
+NON_DEFAULT = {
+    "problem": "p.json",
+    "sampler": "hmc",
+    "seed": 9,
+    "out": "o",
+    "checkpoint": "c.npz",
+    "trace": "t",
+    "run": {
+        "K": 4, "T": 60, "burn_in": 20, "tau": 2, "eta": 1e-4,
+        "window": [2, 15], "betas_theta": [0.9, 0.99], "betas_u": [0.95, 0.99],
+        "v0_scale": 0.5, "sghmc_G": 0.7, "sghmc_C": 1.5, "hmc_step0": 0.2,
+        "hmc_leapfrog": 4, "hmc_target_accept": 0.8, "hmc_adapt": False,
+    },
+    "training": {
+        "K0": 8, "K": 4, "epochs": 3, "sub_epochs": 4,
+        "steps_per_sub_epoch": 12, "T_T": 6, "tau": 2, "M": 1, "eta": 1e-3,
+        "lr": 0.02, "betas": [0.6, 0.8], "grad_clip": 5.0, "replay_prob": 0.3,
+        "replay_capacity": 500, "adapt_epochs": 2, "adapt_last": 3,
+        "betas_theta": [0.9, 0.99], "betas_u": [0.95, 0.99], "v0_star": 2.0,
+        "detach_gamma": True, "stein_bandwidth": 3.0, "stein_ridge": 0.2,
+        "M_Q": 50.0, "M_D": 20.0, "c1": 0.02, "c2": 0.03, "hidden": [8, 6],
+        "use_shortcut": True, "n_rbf": 4,
+    },
+    "generate": {
+        "n_stories": 2, "duration": 1.0, "dt": 0.02, "noise_ratio": 0.5,
+        "perturbation_cov": 0.05, "ground_std": 2.0, "observed_dofs": [0, 1],
+        "k0": 1.0e7, "c0": 5.0e4, "mass": 1.0e5, "sigma0": 0.5,
+    },
+    "compare": ["hmc", "sghmc"],
+}
+
+
+def test_config_round_trips_through_resolved():
+    default = harness.ExperimentConfig()
+    assert harness.ExperimentConfig.from_dict(default.resolved()) == default
+    cfg = harness.ExperimentConfig.from_dict(NON_DEFAULT)
+    assert cfg.resolved() == NON_DEFAULT
+    for key, value in NON_DEFAULT.items():
+        if isinstance(value, dict):
+            for name, setting in value.items():
+                assert setting != DEFAULT_RESOLVED[key][name], (key, name)
+        else:
+            assert value != DEFAULT_RESOLVED[key], key
+    assert harness.ExperimentConfig.from_dict(cfg.resolved()) == cfg
+    assert cfg.training.strategy == sn.StrategyConfig(
+        m_q=50.0, m_d=20.0, c1=0.02, c2=0.03, hidden=(8, 6),
+        use_shortcut=True, n_rbf=4)
 
 
 def test_canonical_sampler_names():
@@ -349,19 +412,27 @@ def test_compare_stage(two_story, checkpoint, tmp_path):
 # --- failure handling --------------------------------------------------------------
 
 
-def test_preflight_failures_create_no_output(two_story, tmp_path):
+def test_preflight_failures_create_no_output(two_story, checkpoint, tmp_path):
+    problem = str(two_story["problem"])
     cases = [
         ("train", {"out": str(tmp_path / "a")}),
-        ("sample", {"out": str(tmp_path / "b"),
-                    "problem": str(two_story["problem"]),
+        ("sample", {"out": str(tmp_path / "b"), "problem": problem,
                     "sampler": "am-sghmc"}),
         ("sample", {"out": str(tmp_path / "c"), "problem": "no/such/file.json"}),
         ("evaluate", {"out": str(tmp_path / "d")}),
+        ("train", {"out": str(tmp_path / "e"), "problem": problem,
+                   "training": {"steps_per_sub_epoch": 91}}),
+        # The default window opens at step 300, after this run ends.
+        ("sample", {"out": str(tmp_path / "f"), "problem": problem,
+                    "sampler": "am-sghmc", "checkpoint": str(checkpoint),
+                    "run": {"K": 2, "T": 20, "burn_in": 5}}),
+        ("compare", {"out": str(tmp_path / "g"), "problem": problem,
+                     "checkpoint": str(checkpoint),
+                     "run": {"K": 2, "T": 20, "burn_in": 5}}),
     ]
     for stage, payload in cases:
-        cfg = harness.ExperimentConfig.from_dict(payload)
         with pytest.raises(harness.ConfigError):
-            harness.run_experiment(stage, cfg)
+            harness.run_experiment(stage, harness.ExperimentConfig.from_dict(payload))
         assert not (tmp_path / payload["out"]).exists()
     with pytest.raises(harness.ConfigError, match="unknown stage"):
         harness.run_experiment("simulate", harness.ExperimentConfig())
@@ -417,6 +488,21 @@ def test_cli_generate_and_errors(tmp_path, capsys):
     assert cli.main(["simulate"]) == 2
     assert cli.main(["generate", "--seed", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_bad_schedule_before_writing(two_story, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "problem": str(two_story["problem"]),
+        "training": {"steps_per_sub_epoch": 91},
+    }))
+    out = tmp_path / "trn"
+    code = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert "steps_per_sub_epoch" in payload["message"]
+    assert not out.exists()
 
 
 def test_cli_reports_stage_failures(two_story, tmp_path, capsys, monkeypatch):

@@ -202,11 +202,11 @@ def test_am_with_zero_nets_matches_sghmc_bitwise():
     stats = sp.AdaptiveStats.fixed(np.ones(3), 0.0, 1.0)
     g_const = 1.0 * (cfg.c1 + cfg.m_q * 0.5)
     c_const = cfg.c2 + cfg.m_d * 0.5
-    run = dict(k_chains=4, n_steps=400, burn_in=50, seed=123)
-    conf = sp.RunConfig(eta=1e-3, sghmc_g=g_const, sghmc_c=c_const)
-    tr_am = sp.run_chains("amsghmc", quad, nets=nets, stats=stats,
-                          config=conf, **run)
-    tr_sg = sp.run_chains("sghmc", quad, config=conf, **run)
+    conf = sp.RunConfig(K=4, T=400, burn_in=50, eta=1e-3, sghmc_G=g_const,
+                        sghmc_C=c_const)
+    tr_am = sp.run_chains("amsghmc", quad, conf, seed=123, nets=nets,
+                          stats=stats)
+    tr_sg = sp.run_chains("sghmc", quad, conf, seed=123)
     np.testing.assert_array_equal(tr_am.samples, tr_sg.samples)
     np.testing.assert_array_equal(tr_am.potentials, tr_sg.potentials)
 
@@ -216,9 +216,9 @@ def test_am_with_zero_nets_matches_sghmc_bitwise():
 
 def test_sghmc_gaussian_moments():
     quad = Quadratic(2)
-    conf = sp.RunConfig(eta=0.05, sghmc_g=1.0, sghmc_c=1.0)
-    tr = sp.run_chains("sghmc", quad, k_chains=8, n_steps=6000, burn_in=1000,
-                       seed=5, config=conf)
+    conf = sp.RunConfig(K=8, T=6000, burn_in=1000, eta=0.05, sghmc_G=1.0,
+                        sghmc_C=1.0)
+    tr = sp.run_chains("sghmc", quad, conf, seed=5)
     flat = tr.flat()
     assert np.all(np.abs(flat.mean(axis=0)) < 0.08)
     assert np.all(np.abs(flat.var(axis=0) - 1.0) < 0.15)
@@ -226,9 +226,9 @@ def test_sghmc_gaussian_moments():
 
 def test_hmc_gaussian_moments_and_acceptance():
     quad = Quadratic(2, scale=[1.0, 4.0])
-    conf = sp.RunConfig(hmc_step0=0.3, hmc_leapfrog=10)
-    tr = sp.run_chains("hmc", quad, k_chains=4, n_steps=1500, burn_in=300,
-                       seed=9, config=conf)
+    conf = sp.RunConfig(K=4, T=1500, burn_in=300, hmc_step0=0.3,
+                        hmc_leapfrog=10)
+    tr = sp.run_chains("hmc", quad, conf, seed=9)
     flat = tr.flat()
     assert np.all(np.abs(flat.mean(axis=0)) < 0.1)
     np.testing.assert_allclose(flat.var(axis=0), [1.0, 0.25], rtol=0.2)
@@ -272,8 +272,8 @@ def test_dual_averaging_direction():
 
 def test_run_chains_thinning_and_consistency():
     quad = Quadratic(3)
-    tr = sp.run_chains("sghmc", quad, k_chains=2, n_steps=100, burn_in=40,
-                       thin=3, seed=1, config=sp.RunConfig(eta=0.02))
+    conf = sp.RunConfig(K=2, T=100, burn_in=40, tau=3, eta=0.02)
+    tr = sp.run_chains("sghmc", quad, conf, seed=1)
     assert tr.samples.shape == (2, 20, 3)
     assert tr.potentials.shape == (2, 20)
     assert tr.meta["steps"][0] == 43 and tr.meta["steps"][-1] == 100
@@ -283,17 +283,14 @@ def test_run_chains_thinning_and_consistency():
 
 def test_run_chains_deterministic_and_prefix_stable():
     quad = Quadratic(2)
-    conf = sp.RunConfig(eta=0.02)
-    a = sp.run_chains("sghmc", quad, k_chains=2, n_steps=60, burn_in=10,
-                      seed=4, config=conf)
-    b = sp.run_chains("sghmc", quad, k_chains=2, n_steps=60, burn_in=10,
-                      seed=4, config=conf)
+    conf = sp.RunConfig(K=2, T=60, burn_in=10, eta=0.02)
+    a = sp.run_chains("sghmc", quad, conf, seed=4)
+    b = sp.run_chains("sghmc", quad, conf, seed=4)
     np.testing.assert_array_equal(a.samples, b.samples)
-    wide = sp.run_chains("sghmc", quad, k_chains=5, n_steps=60, burn_in=10,
-                         seed=4, config=conf)
+    wide = sp.run_chains("sghmc", quad, sp.RunConfig(K=5, T=60, burn_in=10,
+                                                     eta=0.02), seed=4)
     np.testing.assert_array_equal(wide.samples[:2], a.samples)
-    other = sp.run_chains("sghmc", quad, k_chains=2, n_steps=60, burn_in=10,
-                          seed=5, config=conf)
+    other = sp.run_chains("sghmc", quad, conf, seed=5)
     assert not np.array_equal(other.samples, a.samples)
 
 
@@ -301,9 +298,8 @@ def test_run_chains_drops_diverged_chain():
     prob = DriftWall()
     theta0 = np.array([[0.0], [995.0]])
     p0 = np.array([[0.0], [60.0]])
-    tr = sp.run_chains("sghmc", prob, k_chains=2, n_steps=60, burn_in=10,
-                       seed=0, config=sp.RunConfig(eta=0.1),
-                       theta0=theta0, p0=p0)
+    conf = sp.RunConfig(K=2, T=60, burn_in=10, eta=0.1)
+    tr = sp.run_chains("sghmc", prob, conf, seed=0, theta0=theta0, p0=p0)
     assert tr.meta["diverged"] == [1]
     assert tr.samples.shape == (1, 50, 1)
     assert np.all(tr.samples < 1000.0)
@@ -312,20 +308,21 @@ def test_run_chains_drops_diverged_chain():
 def test_run_chains_raises_when_all_diverge():
     unstable = Quadratic(2, scale=1e4)
     with pytest.raises(RuntimeError):
-        sp.run_chains("sghmc", unstable, k_chains=3, n_steps=200, burn_in=10,
-                      seed=0, config=sp.RunConfig(eta=5.0))
+        sp.run_chains("sghmc", unstable,
+                      sp.RunConfig(K=3, T=200, burn_in=10, eta=5.0), seed=0)
 
 
 def test_run_chains_argument_validation():
     quad = Quadratic(2)
+    conf = sp.RunConfig(K=1, T=10, burn_in=0)
     with pytest.raises(ValueError):
-        sp.run_chains("nuts", quad, k_chains=1, n_steps=10, burn_in=0)
+        sp.run_chains("nuts", quad, conf)
     with pytest.raises(ValueError):
-        sp.run_chains("sghmc", quad, k_chains=1, n_steps=10, burn_in=10)
+        sp.RunConfig(K=1, T=10, burn_in=10)
     with pytest.raises(ValueError):
-        sp.run_chains("sghmc", quad, k_chains=1, n_steps=10, burn_in=0, thin=0)
+        sp.RunConfig(K=1, T=10, burn_in=0, tau=0)
     with pytest.raises(ValueError):
-        sp.run_chains("amsghmc", quad, k_chains=1, n_steps=10, burn_in=0)
+        sp.run_chains("amsghmc", quad, conf)
 
 
 def test_advance_marks_nonfinite_rows_dead():
@@ -344,9 +341,9 @@ def test_initialize_chains_prior_start():
     from amsghmc import structural
 
     rng = np.random.default_rng(100)
-    b = structural.nominal_building(2)
-    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
-    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    cfg = structural.DatasetConfig(n_stories=2, duration=1.0, dt=0.01, noise_ratio=1.0)
+    b = cfg.building
+    dataset, _ = structural.generate_dataset(cfg, rng)
     problem = target.default_problem(b, dataset)
     gens = sp.chain_generators(0, 6)
     state = sp.initialize_chains(problem, 6, gens)
@@ -360,8 +357,8 @@ def test_initialize_chains_prior_start():
 
 def test_trace_save_load_roundtrip(tmp_path):
     quad = Quadratic(2)
-    tr = sp.run_chains("sghmc", quad, k_chains=3, n_steps=40, burn_in=10,
-                       thin=2, seed=6, config=sp.RunConfig(eta=0.02))
+    conf = sp.RunConfig(K=3, T=40, burn_in=10, tau=2, eta=0.02)
+    tr = sp.run_chains("sghmc", quad, conf, seed=6)
     sp.save_trace(tr, tmp_path / "out")
     back = sp.load_trace(tmp_path / "out")
     np.testing.assert_array_equal(back.samples, tr.samples)
@@ -405,12 +402,11 @@ def test_am_sghmc_scale_invariance():
 
     theta0 = rng.standard_normal((4, d))
     p0 = rng.standard_normal((4, d))
-    run = dict(k_chains=4, n_steps=300, burn_in=0, seed=31,
-               config=sp.RunConfig(eta=sp.DEFAULT_ETA))
-    tr = sp.run_chains("amsghmc", base, nets=nets, stats=stats,
-                       theta0=theta0, p0=p0, **run)
-    tr_s = sp.run_chains("amsghmc", scaled, nets=nets, stats=stats_s,
-                         theta0=lam * theta0 + b, p0=p0, **run)
+    conf = sp.RunConfig(K=4, T=300, burn_in=0)
+    tr = sp.run_chains("amsghmc", base, conf, seed=31, nets=nets, stats=stats,
+                       theta0=theta0, p0=p0)
+    tr_s = sp.run_chains("amsghmc", scaled, conf, seed=31, nets=nets,
+                         stats=stats_s, theta0=lam * theta0 + b, p0=p0)
     expect = lam * tr.samples + b
     scale = np.maximum(np.abs(expect), 1.0)
     assert np.max(np.abs(tr_s.samples - expect) / scale) < 1e-8

@@ -279,9 +279,9 @@ def test_default_cond_limit_keeps_near_defective_gradients_accurate():
 
 def test_generate_dataset_zero_noise_equals_clean():
     rng = np.random.default_rng(1)
-    b = sb.nominal_building(2)
-    cfg = sb.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=0.0)
-    d, truth = sb.generate_dataset(b, cfg, rng)
+    cfg = sb.DatasetConfig(n_stories=2, duration=1.0, dt=0.01, noise_ratio=0.0)
+    b = cfg.building
+    d, truth = sb.generate_dataset(cfg, rng)
     b_true = sb.ShearBuilding(truth["stiffness"], truth["damping"], b.mass)
     clean = sb.simulate_accelerations(b_true, d)
     np.testing.assert_array_equal(d.measurements, clean)
@@ -289,9 +289,9 @@ def test_generate_dataset_zero_noise_equals_clean():
 
 def test_generate_dataset_full_noise_matches_rms():
     rng = np.random.default_rng(2)
-    b = sb.nominal_building(2)
-    cfg = sb.DatasetConfig(duration=100.0, dt=0.01, noise_ratio=1.0)
-    d, truth = sb.generate_dataset(b, cfg, rng)
+    cfg = sb.DatasetConfig(n_stories=2, duration=100.0, dt=0.01, noise_ratio=1.0)
+    b = cfg.building
+    d, truth = sb.generate_dataset(cfg, rng)
     b_true = sb.ShearBuilding(truth["stiffness"], truth["damping"], b.mass)
     clean = sb.simulate_accelerations(b_true, d)
     noise_std = np.std(d.measurements - clean)
@@ -299,10 +299,9 @@ def test_generate_dataset_full_noise_matches_rms():
 
 
 def test_generate_dataset_is_deterministic():
-    b = sb.nominal_building(3)
-    cfg = sb.DatasetConfig(duration=2.0, dt=0.01)
-    d1, t1 = sb.generate_dataset(b, cfg, np.random.default_rng(42))
-    d2, t2 = sb.generate_dataset(b, cfg, np.random.default_rng(42))
+    cfg = sb.DatasetConfig(n_stories=3, duration=2.0, dt=0.01)
+    d1, t1 = sb.generate_dataset(cfg, np.random.default_rng(42))
+    d2, t2 = sb.generate_dataset(cfg, np.random.default_rng(42))
     np.testing.assert_array_equal(d1.measurements, d2.measurements)
     np.testing.assert_array_equal(d1.ground_accel, d2.ground_accel)
     np.testing.assert_array_equal(t1["stiffness"], t2["stiffness"])
@@ -310,9 +309,8 @@ def test_generate_dataset_is_deterministic():
 
 def test_dataset_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
-    b = sb.nominal_building(2)
-    cfg = sb.DatasetConfig(duration=0.5, dt=0.01)
-    d, truth = sb.generate_dataset(b, cfg, rng)
+    cfg = sb.DatasetConfig(n_stories=2, duration=0.5, dt=0.01)
+    d, truth = sb.generate_dataset(cfg, rng)
     path = tmp_path / "data.csv"
     sb.save_dataset(path, d, truth)
     d2, truth2 = sb.load_dataset(path)

@@ -15,9 +15,9 @@ def wide_transform(d=1):
 @pytest.fixture(scope="module")
 def small_problem():
     rng = np.random.default_rng(100)
-    b = structural.nominal_building(2)
-    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
-    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    cfg = structural.DatasetConfig(n_stories=2, duration=1.0, dt=0.01, noise_ratio=1.0)
+    b = cfg.building
+    dataset, _ = structural.generate_dataset(cfg, rng)
     return target.default_problem(b, dataset)
 
 
@@ -304,9 +304,9 @@ def test_joint_prior_sampling_shape_and_determinism(small_problem):
 @pytest.fixture(scope="module")
 def five_story_problem():
     rng = np.random.default_rng(2604)
-    b = structural.nominal_building(5)
-    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
-    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    cfg = structural.DatasetConfig(n_stories=5, duration=1.0, dt=0.01, noise_ratio=1.0)
+    b = cfg.building
+    dataset, _ = structural.generate_dataset(cfg, rng)
     return target.default_problem(b, dataset)
 
 
@@ -372,9 +372,9 @@ def test_repeated_observed_dof_counts_every_channel():
     # into one channel; a dataset built directly may still observe dof 0
     # twice, and both channels must enter the energy and its gradient.
     rng = np.random.default_rng(7)
-    b = structural.nominal_building(1)
-    cfg = structural.DatasetConfig(duration=1.0, dt=0.01, noise_ratio=1.0)
-    dataset, _ = structural.generate_dataset(b, cfg, rng)
+    cfg = structural.DatasetConfig(n_stories=1, duration=1.0, dt=0.01, noise_ratio=1.0)
+    b = cfg.building
+    dataset, _ = structural.generate_dataset(cfg, rng)
     assert dataset.observed_dofs == (0,)
     second = dataset.measurements[0] + rng.normal(0.0, 0.5, dataset.n_steps)
     twice = dataclasses.replace(dataset, observed_dofs=(0, 0),

@@ -39,8 +39,8 @@ class NanStrip:
 
 
 def small_cfg(**kw):
-    base = dict(k0=4, k_loss=4, epochs=1, sub_epochs=1, steps_per_sub_epoch=3,
-                t_t=3, m_skip=5, adapt_epochs=1, adapt_last=1)
+    base = dict(K0=4, K=4, epochs=1, sub_epochs=1, steps_per_sub_epoch=3,
+                T_T=3, M=5, adapt_epochs=1, adapt_last=1)
     base.update(kw)
     return tr.TrainingConfig(**base)
 
@@ -195,7 +195,7 @@ def seeded_setup(problem, k, seed=0):
 
 def test_smallest_segment_loss_decomposition():
     problem = Quadratic(2)
-    cfg = small_cfg(k0=1, k_loss=1, steps_per_sub_epoch=1, t_t=1, m_skip=0)
+    cfg = small_cfg(K0=1, K=1, steps_per_sub_epoch=1, T_T=1, M=0)
     state, gens = seeded_setup(problem, 1)
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(1))
     stats = fixed_stats(2)
@@ -214,7 +214,7 @@ def test_smallest_segment_loss_decomposition():
 
 def test_segment_energy_gradient_matches_finite_differences():
     problem = Quadratic(2, scale=[1.0, 2.5])
-    cfg = small_cfg(k0=3, k_loss=3, steps_per_sub_epoch=1, t_t=1, m_skip=2)
+    cfg = small_cfg(K0=3, K=3, steps_per_sub_epoch=1, T_T=1, M=2)
     state, gens = seeded_setup(problem, 3, seed=5)
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(2))
     stats = fixed_stats(2, sigma=1.3, mu_u=0.5, sigma_u=0.8)
@@ -247,7 +247,7 @@ def test_segment_energy_gradient_matches_finite_differences():
 
 def test_segment_gradient_is_sum_of_single_step_gradients():
     problem = Quadratic(2)
-    cfg = small_cfg(k0=2, k_loss=2, t_t=3, steps_per_sub_epoch=3, m_skip=5)
+    cfg = small_cfg(K0=2, K=2, T_T=3, steps_per_sub_epoch=3, M=5)
     state, gens = seeded_setup(problem, 2, seed=9)
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(4))
     stats = fixed_stats(2)
@@ -358,9 +358,9 @@ def test_segment_gradient_with_moving_stats_matches_tape():
     import amsghmc.autodiff as ad
 
     problem = Quadratic(2, scale=[1.0, 3.0])
-    scfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
-    cfg = small_cfg(k0=3, k_loss=3, t_t=3, steps_per_sub_epoch=3, m_skip=1,
-                    eta=0.05, strategy=scfg)
+    cfg = small_cfg(K0=3, K=3, T_T=3, steps_per_sub_epoch=3, M=1,
+                    eta=0.05, use_shortcut=True, n_rbf=4)
+    scfg = cfg.strategy
     state, gens = seeded_setup(problem, 3, seed=13)
     nets = shortcut_nets(scfg, np.random.default_rng(8), frozen=False)
     nets.d_shortcut.frozen = True
@@ -378,7 +378,7 @@ def test_segment_gradient_with_moving_stats_matches_tape():
     # Replay the statistics step by step; every chain survives, so the
     # recorded slots are the whole population in order.
     ref = before
-    terms = tr.entropy_terms(res.samples_theta, cfg.m_skip)
+    terms = tr.entropy_terms(res.samples_theta, cfg.M)
     total = np.zeros_like(res.grad_flat)
     sigmas = []
     for s in (1, 2, 3):
@@ -405,7 +405,7 @@ def test_segment_aborts_on_nonfinite_network_output():
     # still moves to a finite state, but the differentiated step is not
     # finite and the segment must give no gradient.
     problem = Quadratic(2)
-    cfg = small_cfg(k0=2, k_loss=2, t_t=3, steps_per_sub_epoch=3, m_skip=5)
+    cfg = small_cfg(K0=2, K=2, T_T=3, steps_per_sub_epoch=3, M=5)
     state, gens = seeded_setup(problem, 2, seed=9)
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(4))
     nets.q_layers[-1][1][:] = np.inf
@@ -420,7 +420,7 @@ def test_segment_aborts_on_nonfinite_network_output():
 def test_segment_gradient_invariant_to_potential_offset():
     base = Quadratic(3)
     lifted = Quadratic(3, offset=100.0)
-    cfg = small_cfg(k0=2, k_loss=2, t_t=3, steps_per_sub_epoch=3, m_skip=1)
+    cfg = small_cfg(K0=2, K=2, T_T=3, steps_per_sub_epoch=3, M=1)
     state, gens = seeded_setup(base, 2, seed=11)
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(6))
     oh = sn.one_hot(base.categories, 3)
@@ -444,7 +444,7 @@ def test_segment_gradient_invariant_to_potential_offset():
 
 def test_segment_masks_diverged_slot_and_renormalizes():
     problem = NanStrip(1)
-    cfg = small_cfg(k0=2, k_loss=2, t_t=4, steps_per_sub_epoch=4, m_skip=9)
+    cfg = small_cfg(K0=2, K=2, T_T=4, steps_per_sub_epoch=4, M=9)
     theta = np.array([[0.0], [19.9]])
     p = np.array([[0.0], [500.0]])
     u, grad = problem.potential_energy_batch(theta)
@@ -463,7 +463,7 @@ def test_segment_masks_diverged_slot_and_renormalizes():
 
 def test_segment_returns_no_gradient_when_all_slots_die():
     problem = NanStrip(1)
-    cfg = small_cfg(k0=1, k_loss=1, t_t=2, steps_per_sub_epoch=2, m_skip=9)
+    cfg = small_cfg(K0=1, K=1, T_T=2, steps_per_sub_epoch=2, M=9)
     theta = np.array([[19.9]])
     p = np.array([[500.0]])
     u, grad = problem.potential_energy_batch(theta)
@@ -479,11 +479,11 @@ def test_segment_returns_no_gradient_when_all_slots_die():
 
 def test_training_config_validation():
     with pytest.raises(ValueError):
-        tr.TrainingConfig(k_loss=9, k0=4)
+        tr.TrainingConfig(K=9, K0=4)
     with pytest.raises(ValueError):
         tr.TrainingConfig(steps_per_sub_epoch=91)
     with pytest.raises(ValueError):
-        tr.TrainingConfig(t_t=2, tau=3, steps_per_sub_epoch=2)
+        tr.TrainingConfig(T_T=2, tau=3, steps_per_sub_epoch=2)
     with pytest.raises(ValueError):
         tr.TrainingConfig(adapt_last=11)
     assert tr.TrainingConfig().samples_per_segment == 15
@@ -495,8 +495,8 @@ def test_training_config_validation():
 @pytest.mark.filterwarnings("ignore:near-singular")
 def test_train_smoke_history_and_stats_freeze(tmp_path):
     problem = Quadratic(2)
-    cfg = tr.TrainingConfig(k0=6, k_loss=3, epochs=2, sub_epochs=2,
-                            steps_per_sub_epoch=6, t_t=3, m_skip=1,
+    cfg = tr.TrainingConfig(K0=6, K=3, epochs=2, sub_epochs=2,
+                            steps_per_sub_epoch=6, T_T=3, M=1,
                             adapt_epochs=1, adapt_last=1, eta=0.01)
     log = tmp_path / "history.csv"
     result = tr.train(problem, cfg, seed=0, log_path=log)
@@ -512,8 +512,8 @@ def test_train_smoke_history_and_stats_freeze(tmp_path):
 @pytest.mark.filterwarnings("ignore:near-singular")
 def test_train_is_deterministic():
     problem = Quadratic(2)
-    cfg = tr.TrainingConfig(k0=4, k_loss=2, epochs=1, sub_epochs=2,
-                            steps_per_sub_epoch=6, t_t=3, m_skip=1,
+    cfg = tr.TrainingConfig(K0=4, K=2, epochs=1, sub_epochs=2,
+                            steps_per_sub_epoch=6, T_T=3, M=1,
                             adapt_epochs=1, adapt_last=1, eta=0.01)
     r1 = tr.train(problem, cfg, seed=3)
     r2 = tr.train(problem, cfg, seed=3)
@@ -527,11 +527,10 @@ def test_train_is_deterministic():
 @pytest.mark.filterwarnings("ignore:near-singular")
 def test_train_shortcut_lifecycle():
     problem = Quadratic(2)
-    scfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
-    cfg = tr.TrainingConfig(k0=4, k_loss=2, epochs=2, sub_epochs=2,
-                            steps_per_sub_epoch=6, t_t=3, m_skip=1,
+    cfg = tr.TrainingConfig(K0=4, K=2, epochs=2, sub_epochs=2,
+                            steps_per_sub_epoch=6, T_T=3, M=1,
                             adapt_epochs=1, adapt_last=1, eta=0.01,
-                            strategy=scfg)
+                            use_shortcut=True, n_rbf=4)
     result = tr.train(problem, cfg, seed=1)
     assert result.nets.q_shortcut is not None
     assert result.nets.q_shortcut.frozen and result.nets.d_shortcut.frozen
@@ -540,8 +539,8 @@ def test_train_shortcut_lifecycle():
 @pytest.mark.filterwarnings("ignore:near-singular")
 def test_checkpoint_roundtrip_and_dimension_portability(tmp_path):
     problem = Quadratic(2)
-    cfg = tr.TrainingConfig(k0=4, k_loss=2, epochs=1, sub_epochs=1,
-                            steps_per_sub_epoch=3, t_t=3, m_skip=1,
+    cfg = tr.TrainingConfig(K0=4, K=2, epochs=1, sub_epochs=1,
+                            steps_per_sub_epoch=3, T_T=3, M=1,
                             adapt_epochs=1, adapt_last=1, eta=0.01)
     result = tr.train(problem, cfg, seed=2)
     path = tmp_path / "ckpt.npz"
@@ -594,8 +593,8 @@ class NanBox:
 
 def test_train_rejects_unstable_population():
     problem = NanBox(1)
-    cfg = tr.TrainingConfig(k0=4, k_loss=2, epochs=1, sub_epochs=1,
-                            steps_per_sub_epoch=3, t_t=3, m_skip=5,
+    cfg = tr.TrainingConfig(K0=4, K=2, epochs=1, sub_epochs=1,
+                            steps_per_sub_epoch=3, T_T=3, M=5,
                             adapt_epochs=1, adapt_last=1,
                             eta=1000.0)
     with pytest.raises(RuntimeError, match="no usable segment gradient"):
