@@ -55,6 +55,27 @@ def test_first_step_prior_weighting():
     assert est.mean == pytest.approx(2.0, abs=1e-15)
     assert est.variance == pytest.approx(3.43, abs=1e-12)
     assert est.variance == pytest.approx(0.9**2 * 4.0 + (1 - 0.9**2) * 1.0)
+    # A second batch (4, 6) moves the mean, so the drift term
+    # d2 = (m_hat - m_hat_prev)^2 enters both the carried variance and the
+    # batch scatter: v2 = b2 (d2 + v1) + (1 - b2) (d2 + scatter) / 2, read
+    # back as v2 + b2^2 (v2 - v0*).  Testing: m_hat = 3.5 / 0.75 = 4,
+    # d2 = (4 - 2)^2 = 4, v1 = 3.7, v2 = 0.9 * 7.7 + 0.1 * (4 + 4) / 2
+    # = 7.33, variance 7.33 + 0.81 * 3.33 = 10.0273.
+    est.update(np.array([4.0, 6.0]))
+    assert est.mean == pytest.approx(4.0, abs=1e-14)
+    assert est.variance == pytest.approx(10.0273, abs=1e-12)
+    # Training: m_hat = 1 * 1.5 = 1.5, scatter 0.25 + 2.25, v1 = 3.6 + 0.125
+    # = 3.725, variance 3.725 + 0.9 * (3.725 - 4) = 3.4775; then m = 3,
+    # m_hat = 3 * 1.25 = 3.75, d2 = 2.25^2 = 5.0625, scatter 0.0625 + 5.0625,
+    # v2 = 0.9 * 8.7875 + 0.1 * 10.1875 / 2 = 8.418125, variance
+    # 8.418125 + 0.81 * 4.418125 = 11.99680625.
+    est = MomentEstimator((), 0.5, 0.9, mode="training", v0_star=4.0)
+    est.update(np.array([1.0, 3.0]))
+    assert est.mean == pytest.approx(1.5, abs=1e-15)
+    assert est.variance == pytest.approx(3.4775, abs=1e-12)
+    est.update(np.array([4.0, 6.0]))
+    assert est.mean == pytest.approx(3.75, abs=1e-14)
+    assert est.variance == pytest.approx(11.99680625, abs=1e-12)
 
 
 def test_constant_stream_converges_to_zero_variance():
