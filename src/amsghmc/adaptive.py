@@ -6,58 +6,26 @@ of the batch mean and of the centered second moment, including the
 mean-drift cross term that keeps the variance recurrence consistent when
 the mean itself is still moving.
 
-Decay rates may be constants in [0, 1) or the string ``"exact"``.  Exact
-rates use the step-dependent values
-
-    beta1(t) = (t - 1) / t,
-    beta2(t) = (t*K - K - 1) / (t*K - 1),
-
-which make the accumulators reproduce the pooled mean and the
-Bessel-corrected variance of the entire stream seen so far.
-
-Bias correction of the returned estimates depends on configuration.  Exact
-rates return the accumulators untouched (they are already the direct
-statistics, so the geometric corrections for constant rates do not apply).
-Constant rates in testing mode divide by (1 - beta^t); training mode
-multiplies the mean by (1 + beta1^t) instead, which biases early estimates
-toward the zero initializer rather than amplifying them.  Supplying a prior
-variance ``v0_star`` seeds the second-moment accumulator and switches its
-correction to v + beta2^t * (v - v0_star), which starts at the prior and
-fades to the plain estimate as the stream grows.
+Decay rates are constants in [0, 1).  Bias correction of the returned
+estimates depends on the mode: testing mode divides by (1 - beta^t);
+training mode multiplies the mean by (1 + beta1^t) instead, which biases
+early estimates toward the zero initializer rather than amplifying them.
+Supplying a prior variance ``v0_star`` seeds the second-moment accumulator
+and switches its correction to v + beta2^t * (v - v0_star), which starts
+at the prior and fades to the plain estimate as the stream grows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-EXACT = "exact"
 
-
-def exact_mean_rate(t: int) -> float:
-    """Step-dependent first-moment decay that yields the pooled mean."""
-    return (t - 1.0) / t
-
-
-def exact_variance_rate(t: int, k: int) -> float:
-    """Step-dependent second-moment decay that yields the pooled variance.
-
-    Undefined at t = 1 with a single chain (a lone sample has no
-    variance); the estimator pins that case to zero instead of calling
-    this.
-    """
-    n = t * k
-    if n <= 1:
-        raise ValueError("variance rate undefined for a single total sample")
-    return (n - k - 1.0) / (n - 1.0)
-
-
-def _check_rate(rate, name: str):
-    if rate == EXACT:
-        return rate
-    rate = float(rate)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1) or be 'exact'")
-    return rate
+def check_rates(rates, name: str) -> tuple:
+    """The decay rates (beta1, beta2) as floats, each in [0, 1)."""
+    rates = tuple(float(r) for r in rates)
+    if len(rates) != 2 or not all(0.0 <= r < 1.0 for r in rates):
+        raise ValueError(f"{name} must be two rates in [0, 1)")
+    return rates
 
 
 class MomentEstimator:
@@ -69,15 +37,14 @@ class MomentEstimator:
     bias-corrected estimates for the current step count.
     """
 
-    def __init__(self, shape=(), beta1=EXACT, beta2=EXACT, *,
-                 mode: str = "testing", v0_star=None):
+    def __init__(self, shape, beta1, beta2, *, mode: str = "testing",
+                 v0_star=None):
         if mode not in ("training", "testing"):
             raise ValueError("mode must be 'training' or 'testing'")
         if isinstance(shape, int):
             shape = (shape,)
         self.shape = tuple(shape)
-        self.beta1 = _check_rate(beta1, "beta1")
-        self.beta2 = _check_rate(beta2, "beta2")
+        self.beta1, self.beta2 = check_rates((beta1, beta2), "beta1, beta2")
         self.mode = mode
         if v0_star is None:
             self.v0_star = None
@@ -104,30 +71,19 @@ class MomentEstimator:
             raise ValueError("batch must contain at least one chain")
         t = self.t + 1
 
-        b1 = exact_mean_rate(t) if self.beta1 == EXACT else self.beta1
-        ybar = batch.mean(axis=0)
-        m = b1 * self.m + (1.0 - b1) * ybar
+        b1, b2 = self.beta1, self.beta2
+        m = b1 * self.m + (1.0 - b1) * batch.mean(axis=0)
         m_hat = self._correct_mean(m, t)
         m_hat_prev = m_hat if t == 1 else self._m_hat
         drift2 = (m_hat - m_hat_prev) ** 2
-
-        if self.beta2 == EXACT and t * k == 1:
-            v = np.zeros(self.shape)
-        else:
-            b2 = (exact_variance_rate(t, k) if self.beta2 == EXACT
-                  else self.beta2)
-            v_carry = drift2 + self.v
-            ybar2 = (drift2 + ((batch - m_hat) ** 2).sum(axis=0)) / k
-            v = b2 * v_carry + (1.0 - b2) * ybar2
+        ybar2 = (drift2 + ((batch - m_hat) ** 2).sum(axis=0)) / k
 
         self.m = m
-        self.v = v
+        self.v = b2 * (drift2 + self.v) + (1.0 - b2) * ybar2
         self._m_hat = m_hat
         self.t = t
 
     def _correct_mean(self, m, t):
-        if self.beta1 == EXACT:
-            return m
         if self.mode == "training":
             return m * (1.0 + self.beta1 ** t)
         return m / (1.0 - self.beta1 ** t)
@@ -144,8 +100,6 @@ class MomentEstimator:
     def variance(self):
         """Bias-corrected centered second moment (prior seed before updates)."""
         if self.t == 0:
-            out = self.v
-        elif self.beta2 == EXACT:
             out = self.v
         elif self.v0_star is not None:
             w = self.beta2 ** self.t
@@ -171,12 +125,8 @@ class MomentEstimator:
 
     @classmethod
     def from_state(cls, state: dict) -> "MomentEstimator":
-        def _rate(x):
-            return EXACT if str(x) == EXACT else float(x)
-
         est = cls(tuple(int(n) for n in np.atleast_1d(state["shape"])),
-                  _rate(state["beta1"]), _rate(state["beta2"]),
-                  mode=str(state["mode"]),
+                  state["beta1"], state["beta2"], mode=str(state["mode"]),
                   v0_star=state.get("v0_star"))
         est.m = np.asarray(state["m"], dtype=float).reshape(est.shape)
         est.v = np.asarray(state["v"], dtype=float).reshape(est.shape)

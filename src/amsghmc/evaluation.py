@@ -197,17 +197,14 @@ def effective_sample_size(chain) -> EssResult:
     return EssResult(ess, degenerate)
 
 
-def aggregate_ess(samples, chain_reduce: str = "mean",
-                  dim_reduce: str = "min"):
-    """One scalar per run from (K, T, D) samples; default is the mean over
-    chains of the per-chain minimum over dimensions."""
+def aggregate_ess(samples):
+    """One scalar per run from (K, T, D) samples: the mean over chains of
+    the per-chain minimum over dimensions, plus the (K, D) per-chain ESS."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3:
         raise ValueError("expected (chains, steps, dimensions) samples")
-    reducers = {"mean": np.mean, "min": np.min, "median": np.median}
     per_chain = np.stack([effective_sample_size(c).ess for c in samples])
-    inner = reducers[dim_reduce](per_chain, axis=1)
-    return float(reducers[chain_reduce](inner)), per_chain
+    return float(per_chain.min(axis=1).mean()), per_chain
 
 
 # --- principal directions ----------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import strategy as sn
 from . import target
-from .adaptive import MomentEstimator
+from .adaptive import MomentEstimator, check_rates
 
 DEFAULT_ETA = float(np.sqrt(0.001))
 
@@ -54,9 +54,7 @@ class AdaptiveStats:
     """Per-dimension parameter scales and potential-energy normalizers.
 
     Estimates update only while the step counter sits inside the
-    configured window, then freeze for the rest of the run.  ``fixed``
-    builds an instance pinned to given values, used when reusing frozen
-    training statistics or checking covariance properties.
+    configured window, then freeze for the rest of the run.
     """
 
     def __init__(self, d: int, config: StatsConfig | None = None):
@@ -68,13 +66,16 @@ class AdaptiveStats:
             mode=c.mode, v0_star=c.v0_star)
         self.u_est = MomentEstimator((), c.beta_u[0], c.beta_u[1], mode=c.mode)
         self.frozen = False
-        self._fixed = None
 
     @classmethod
     def fixed(cls, sigma_i, mu_u: float, sigma_u: float) -> "AdaptiveStats":
+        """Statistics that read back the given values: the estimators are
+        seeded at t = 0 (variances sigma_i**2 and sigma_u**2, energy mean
+        mu_u) and frozen."""
         sigma_i = np.asarray(sigma_i, dtype=float)
-        obj = cls(sigma_i.size)
-        obj._fixed = (sigma_i.copy(), float(mu_u), float(sigma_u))
+        obj = cls(sigma_i.size, StatsConfig(v0_star=sigma_i ** 2))
+        obj.u_est.m = np.array(float(mu_u))
+        obj.u_est.v = np.array(float(sigma_u) ** 2)
         obj.frozen = True
         return obj
 
@@ -114,8 +115,7 @@ class AdaptiveStats:
         merely conventional sigma cannot starve the update.  Smaller
         batches offer no majority to trust, so they are screened against
         the running estimates, and only once those have ingested real
-        data; fixed scales are normalization conventions, not measured
-        spreads, and never gate anything on their own.
+        data.
         """
         theta_batch = np.asarray(theta_batch, dtype=float)
         u_batch = np.asarray(u_batch, dtype=float)
@@ -129,11 +129,8 @@ class AdaptiveStats:
             keep &= (np.abs(theta_batch - med_th) <= cap_th).all(axis=1)
             med_u = np.median(uu)
             mad_u = np.median(np.abs(uu - med_u))
-            warm_u = self._fixed is None and self.u_est.t >= 1
-            scale_u = max(self.sigma_u if warm_u else 0.0, mad_u)
+            scale_u = max(self.sigma_u if self.u_est.t >= 1 else 0.0, mad_u)
             keep &= np.abs(u_batch - med_u) <= GUARD_FACTOR * scale_u
-            return keep
-        if self._fixed is not None:
             return keep
         if self.theta_est.t >= 1:
             cap = GUARD_FACTOR * self.sigma_i
@@ -148,37 +145,26 @@ class AdaptiveStats:
 
     @property
     def sigma_i(self) -> np.ndarray:
-        if self._fixed is not None:
-            return self._fixed[0]
         var = np.maximum(np.asarray(self.theta_est.variance), 0.0)
         return np.maximum(np.sqrt(var), self.config.floor)
 
     @property
     def mu_u(self) -> float:
-        if self._fixed is not None:
-            return self._fixed[1]
         return float(self.u_est.mean)
 
     @property
     def sigma_u(self) -> float:
-        if self._fixed is not None:
-            return self._fixed[2]
         var = max(float(self.u_est.variance), 0.0)
         return max(np.sqrt(var), self.config.floor)
 
     def state(self) -> dict:
-        s = {
+        return {
             "d": self.d,
             "frozen": self.frozen,
             "config": asdict(self.config),
             "theta_est": self.theta_est.state(),
             "u_est": self.u_est.state(),
         }
-        if self._fixed is not None:
-            s["fixed_sigma_i"] = self._fixed[0]
-            s["fixed_mu_u"] = self._fixed[1]
-            s["fixed_sigma_u"] = self._fixed[2]
-        return s
 
     @classmethod
     def from_state(cls, state: dict) -> "AdaptiveStats":
@@ -187,7 +173,7 @@ class AdaptiveStats:
             window=tuple(int(x) for x in cfg["window"]),
             beta_theta=tuple(float(x) for x in cfg["beta_theta"]),
             beta_u=tuple(float(x) for x in cfg["beta_u"]),
-            v0_star=None if cfg["v0_star"] is None else cfg["v0_star"],
+            v0_star=cfg["v0_star"],
             floor=float(cfg["floor"]),
             mode=str(cfg["mode"]),
         )
@@ -195,12 +181,6 @@ class AdaptiveStats:
         obj.theta_est = MomentEstimator.from_state(state["theta_est"])
         obj.u_est = MomentEstimator.from_state(state["u_est"])
         obj.frozen = bool(state["frozen"])
-        if "fixed_sigma_i" in state:
-            obj._fixed = (
-                np.asarray(state["fixed_sigma_i"], dtype=float),
-                float(state["fixed_mu_u"]),
-                float(state["fixed_sigma_u"]),
-            )
         return obj
 
 
@@ -566,6 +546,8 @@ class RunConfig:
         lo, hi = self.window
         if not 0 <= lo <= hi:
             raise ValueError("window must satisfy 0 <= start <= end")
+        check_rates(self.betas_theta, "betas_theta")
+        check_rates(self.betas_u, "betas_u")
 
 
 @dataclass

@@ -99,6 +99,11 @@ class DatasetConfig:
             raise ValueError("duration must be a positive multiple of dt")
         if self.noise_ratio < 0:
             raise ValueError("noise_ratio must be nonnegative")
+        obs = self.observed_dofs
+        if obs is not None and not (obs and all(0 <= i < self.n_stories
+                                                for i in obs)):
+            raise ValueError("observed_dofs must be a non-empty list of "
+                             "dofs in [0, n_stories)")
 
     @property
     def n_steps(self) -> int:

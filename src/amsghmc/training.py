@@ -32,6 +32,7 @@ from . import evaluation
 from . import samplers
 from . import strategy as sn
 from . import target
+from .adaptive import check_rates
 
 
 # --- kernelized score estimation ---------------------------------------------
@@ -215,6 +216,10 @@ class TrainingConfig:
             raise ValueError("eta and lr must be positive")
         if not 0 <= self.replay_prob <= 1:
             raise ValueError("replay_prob must lie in [0, 1]")
+        for name in ("betas", "betas_theta", "betas_u"):
+            check_rates(getattr(self, name), name)
+        if self.v0_star is not None and self.v0_star < 0:
+            raise ValueError("v0_star must be nonnegative")
 
     @property
     def strategy(self) -> sn.StrategyConfig:

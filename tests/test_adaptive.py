@@ -3,47 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amsghmc.adaptive import (
-    EXACT,
-    MomentEstimator,
-    exact_mean_rate,
-    exact_variance_rate,
-)
-
-
-def pooled_stats(stream):
-    """Direct mean and Bessel-corrected variance over all samples so far.
-
-    ``stream`` has shape (t, K) + value_shape; this is the definition the
-    exact step-dependent decay rates must reproduce.
-    """
-    t, k = stream.shape[:2]
-    flat = stream.reshape(t * k, *stream.shape[2:])
-    return flat.mean(axis=0), flat.var(axis=0, ddof=1)
-
-
-def test_exact_rates_match_pooled_statistics():
-    rng = np.random.default_rng(7)
-    stream = rng.normal(2.0, 3.0, size=(50, 7, 3))
-    est = MomentEstimator((3,))
-    for t in range(1, 51):
-        est.update(stream[t - 1])
-        mean, var = pooled_stats(stream[:t])
-        np.testing.assert_allclose(est.mean, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(est.variance, var, rtol=1e-10)
-
-
-def test_exact_rates_single_chain():
-    rng = np.random.default_rng(11)
-    ys = rng.normal(size=20)
-    est = MomentEstimator(())
-    est.update(ys[:1].reshape(1))
-    assert est.variance == 0.0
-    assert est.mean == ys[0]
-    for t in range(2, 21):
-        est.update(ys[t - 1 : t])
-        assert est.mean == pytest.approx(ys[:t].mean(), abs=1e-12)
-        assert est.variance == pytest.approx(ys[:t].var(ddof=1), rel=1e-10)
+from amsghmc.adaptive import MomentEstimator
 
 
 def test_first_step_prior_weighting():
@@ -143,7 +103,7 @@ def test_initial_estimates_before_any_update():
     est = MomentEstimator((2,), 0.9, 0.99, v0_star=np.array([1.0, 4.0]))
     np.testing.assert_array_equal(est.mean, [0.0, 0.0])
     np.testing.assert_array_equal(est.variance, [1.0, 4.0])
-    bare = MomentEstimator(())
+    bare = MomentEstimator((), 0.9, 0.99)
     assert bare.mean == 0.0 and bare.variance == 0.0
 
 
@@ -161,32 +121,16 @@ def test_state_roundtrip_continues_identically():
     np.testing.assert_array_equal(a.variance, b.variance)
 
 
-def test_exact_state_roundtrip():
-    a = MomentEstimator(())
-    a.update(np.array([1.0, 2.0]))
-    b = MomentEstimator.from_state(a.state())
-    a.update(np.array([0.0, 4.0]))
-    b.update(np.array([0.0, 4.0]))
-    assert a.mean == b.mean and a.variance == b.variance
-    assert b.beta1 == EXACT and b.beta2 == EXACT
-
-
 def test_rate_helpers_and_validation():
-    assert exact_mean_rate(1) == 0.0
-    assert exact_mean_rate(4) == pytest.approx(0.75)
-    assert exact_variance_rate(2, 1) == 0.0
-    assert exact_variance_rate(1, 3) == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        exact_variance_rate(1, 1)
     with pytest.raises(ValueError):
         MomentEstimator((), 1.0, 0.9)
     with pytest.raises(ValueError):
         MomentEstimator((), 0.9, -0.1)
     with pytest.raises(ValueError):
-        MomentEstimator((), mode="sampling")
+        MomentEstimator((), 0.9, 0.99, mode="sampling")
     with pytest.raises(ValueError):
-        MomentEstimator((), v0_star=-1.0)
-    est = MomentEstimator((3,))
+        MomentEstimator((), 0.9, 0.99, v0_star=-1.0)
+    est = MomentEstimator((3,), 0.9, 0.99)
     with pytest.raises(ValueError):
         est.update(np.zeros((4, 2)))
     with pytest.raises(ValueError):

@@ -68,9 +68,18 @@ def test_config_rejects_unknown_keys():
     ("generate", "n_stories", 0),
     ("generate", "dt", 0.0),
     ("generate", "duration", 0.015),
+    ("generate", "observed_dofs", [0, 7]),
+    ("generate", "observed_dofs", []),
+    ("generate", "observed_dofs", [-1]),
+    ("run", "betas_theta", [1.0, 0.99]),
+    ("run", "betas_u", [0.9]),
+    ("training", "betas_theta", [1.0, 0.99]),
+    ("training", "betas_u", [0.9]),
+    ("training", "betas", [1.0, 0.9]),
+    ("training", "v0_star", -1),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError, match=key):
         harness.ExperimentConfig.from_dict({section: {key: value}})
 
 
@@ -429,6 +438,8 @@ def test_preflight_failures_create_no_output(two_story, checkpoint, tmp_path):
         ("compare", {"out": str(tmp_path / "g"), "problem": problem,
                      "checkpoint": str(checkpoint),
                      "run": {"K": 2, "T": 20, "burn_in": 5}}),
+        ("train", {"out": str(tmp_path / "h"), "problem": problem,
+                   "training": {"v0_star": -1}}),
     ]
     for stage, payload in cases:
         with pytest.raises(harness.ConfigError):

@@ -91,10 +91,15 @@ def test_adaptive_stats_floor_and_fixed():
     assert stats.sigma_u == stats.config.floor
     bare = sp.AdaptiveStats(3, sp.StatsConfig(v0_star=None))
     assert np.all(bare.sigma_i == bare.config.floor)
-    fixed = sp.AdaptiveStats.fixed(np.array([1.0, 2.0, 3.0]), -4.0, 0.5)
-    assert fixed.frozen
-    np.testing.assert_array_equal(fixed.sigma_i, [1.0, 2.0, 3.0])
-    assert fixed.mu_u == -4.0 and fixed.sigma_u == 0.5
+    # Pinned values read back bitwise, before and after a state round trip,
+    # also at magnitudes far from 1.
+    for sig, mu_u, sig_u in (([1.0, 2.0, 3.0], -4.0, 0.5),
+                             ([1e-7 * np.pi, 0.3, 3.3e5], -1234.5678, 7e-3)):
+        fixed = sp.AdaptiveStats.fixed(np.array(sig), mu_u, sig_u)
+        for s in (fixed, sp.AdaptiveStats.from_state(fixed.state())):
+            assert s.frozen
+            np.testing.assert_array_equal(s.sigma_i, sig)
+            assert s.mu_u == mu_u and s.sigma_u == sig_u
 
 
 def test_adaptive_stats_state_roundtrip():
