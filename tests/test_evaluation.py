@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from amsghmc import evaluation as ev
 
@@ -62,6 +63,111 @@ def test_kde_integrates_to_one_2d():
     dens = np.exp(kde.log_density(pts)).reshape(gx.shape)
     step = axis[1] - axis[0]
     assert abs(dens.sum() * step * step - 1.0) < 0.02
+
+
+def test_fit_cop_edge_maximum_stays_in_bracket():
+    # Ten copies of each point: the leave-one-out objective keeps rising as
+    # the bandwidth shrinks, so its maximum sits at the bracket's lower edge.
+    rng = np.random.default_rng(4)
+    samples = np.repeat(rng.standard_normal((20, 3)), 10, axis=0)
+    a = ev.fit_cop(samples)
+    b = ev.fit_cop(samples)
+    assert np.exp(-7.0) <= a.c_op <= np.exp(7.0)
+    assert a.c_op == b.c_op
+    dens = a.log_density(samples)
+    assert np.isfinite(dens).all()
+    np.testing.assert_array_equal(dens, b.log_density(samples))
+
+
+def _broadcast_log_density(kde, queries):
+    """log q-bar by the plain broadcast difference tensor and scipy."""
+    chol = np.linalg.cholesky(kde.base_cov)
+    wq = np.linalg.solve(chol, np.atleast_2d(queries).T).T
+    wc = np.linalg.solve(chol, kde.centers.T).T
+    d2 = ((wq[:, None, :] - wc[None, :, :]) ** 2).sum(axis=2)
+    n, d = kde.centers.shape
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    norm = -0.5 * (d * np.log(2.0 * np.pi * kde.c_op) + logdet) - np.log(n)
+    return logsumexp(-d2 / (2.0 * kde.c_op), axis=1) + norm
+
+
+def test_log_density_matches_broadcast_reference():
+    rng = np.random.default_rng(10)
+    mix = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0],
+                    [0.0, -0.5, 2.0, 0.0], [0.1, 0.2, 0.3, 0.05]])
+    centers = 40.0 + rng.standard_normal((300, 4)) @ mix.T
+    kde = ev.KdeModel(centers, np.cov(centers, rowvar=False), 0.3)
+    chol = np.linalg.cholesky(kde.base_cov)
+    unit = rng.standard_normal((20, 4))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    far = centers.mean(axis=0) + 1e3 * unit @ chol.T
+    near = centers.mean(axis=0) + rng.standard_normal((150, 4)) @ chol.T
+    queries = np.vstack([near, centers[:30], far])
+    got = kde.log_density(queries, chunk=64)
+    want = _broadcast_log_density(kde, queries)
+    assert np.isfinite(want).all() and want[-20:].max() < -1e5
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# --- golden values on a trace shaped like the evaluate workload ----------------
+
+# Pinned with the golden-section search (tolerance 1e-3 in log c) before
+# the bandwidth search changed.
+AR1_C_OP = 0.28387891552630984
+AR1_LOO_OBJECTIVE = -16.603368022986245
+AR1_NAIVE_LOSS = -7.937679924497556
+
+
+def _ar1_trace(seed=2604, k=32, s=130, d=11, phi=0.9):
+    """(K*S, D) samples and their potentials: K scaled AR(1) chains."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-1.0, 1.0, d))
+    x = np.empty((k, s, d))
+    x[:, 0] = rng.standard_normal((k, d))
+    noise = rng.standard_normal((k, s, d))
+    for t in range(1, s):
+        x[:, t] = phi * x[:, t - 1] + np.sqrt(1.0 - phi**2) * noise[:, t]
+    return (x * scale).reshape(-1, d), 0.5 * (x**2).sum(axis=2).reshape(-1)
+
+
+def _loo_objective(centers, base_cov, c, block=256):
+    """Leave-one-out mean log density by the plain broadcast formula."""
+    n, d = centers.shape
+    chol = np.linalg.cholesky(base_cov)
+    white = np.linalg.solve(chol, centers.T).T
+    rows = []
+    for start in range(0, n, block):
+        part = white[start:start + block]
+        sq = ((part[:, None, :] - white[None, :, :]) ** 2).sum(axis=2)
+        sq[np.arange(len(part)), np.arange(start, start + len(part))] = np.inf
+        rows.append(logsumexp(-sq / (2.0 * c), axis=1))
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    norm = -0.5 * (d * np.log(2.0 * np.pi * c) + logdet) - np.log(n - 1)
+    return float(np.concatenate(rows).mean() + norm)
+
+
+def test_fit_cop_golden_ar1_bandwidth():
+    flat, _ = _ar1_trace()
+    kde = ev.fit_cop(flat)
+    assert len(kde.centers) == 2080
+    pinned = _loo_objective(kde.centers, kde.base_cov, AR1_C_OP)
+    assert pinned == pytest.approx(AR1_LOO_OBJECTIVE, rel=1e-12)
+    assert abs(np.log(kde.c_op) - np.log(AR1_C_OP)) <= 1e-3
+    assert _loo_objective(kde.centers, kde.base_cov, kde.c_op) >= pinned - 1e-12
+
+
+def test_naive_loss_golden_ar1():
+    flat, pots = _ar1_trace()
+    kde = ev.fit_cop(flat)
+    at_pinned = ev.KdeModel(kde.centers, kde.base_cov, AR1_C_OP)
+    assert ev.naive_loss(flat, pots, at_pinned) == pytest.approx(AR1_NAIVE_LOSS,
+                                                                 rel=1e-12)
+    # The fitted factor may move within the old search tolerance, so the
+    # loss must lie between its values at log c_pinned -/+ 1e-3.
+    ends = [ev.naive_loss(flat, pots, ev.KdeModel(kde.centers, kde.base_cov,
+                                                  AR1_C_OP * np.exp(step)))
+            for step in (-1e-3, 1e-3)]
+    assert min(ends) <= ev.naive_loss(flat, pots, kde) <= max(ends)
 
 
 def test_regularize_covariance_warns_on_singular():
