@@ -1,6 +1,7 @@
 """Sample-quality diagnostics.
 
-Kernel density fit with bandwidth-factor selection, the order-independent
+Kernel density fit with bandwidth-factor selection (a safeguarded Newton
+search on log c over BLAS-form squared distances), the order-independent
 ELBO-style loss, effective sample size with the truncated autocorrelation
 sum, principal directions, and conditional-mean surfaces for visualizing
 nonlinear parameter couplings.  Everything here is read-only over sample
@@ -16,27 +17,6 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal objective."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -64,6 +44,29 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
 # --- kernel density -----------------------------------------------------------
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of a and b.
+
+    Uses the BLAS form |a|^2 + |b|^2 - 2 a b^T, clamped at 0, so no
+    (n, m, D) difference tensor is formed.  The cancellation error grows
+    with the norms, so callers center their points first.
+    """
+    out = a @ b.T
+    out *= -2.0
+    out += (a * a).sum(axis=1)[:, None]
+    out += (b * b).sum(axis=1)[None, :]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """log sum exp along the rows of z, shifted by the row max; z is
+    overwritten."""
+    top = z.max(axis=1)
+    z -= top[:, None]
+    np.exp(z, out=z)
+    return top + np.log(z.sum(axis=1))
+
+
 @dataclass
 class KdeModel:
     """Equal-weight Gaussian mixture with shared covariance c_op * base_cov."""
@@ -71,45 +74,105 @@ class KdeModel:
     centers: np.ndarray
     base_cov: np.ndarray
     c_op: float
+    _mean: np.ndarray = field(init=False, repr=False)
     _chol: np.ndarray = field(init=False, repr=False)
-    _white: np.ndarray = field(init=False, repr=False)
+    _scaled: np.ndarray = field(init=False, repr=False)
+    _offset: np.ndarray = field(init=False, repr=False)
     _log_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.centers = _as_matrix(self.centers)
         self.base_cov = np.atleast_2d(np.asarray(self.base_cov, dtype=float))
         n, d = self.centers.shape
+        self._mean = self.centers.mean(axis=0)
         self._chol = cholesky(self.base_cov, lower=True)
-        self._white = solve_triangular(self._chol, self.centers.T, lower=True).T
+        white = self._whiten(self.centers)
+        # -|q - w|^2 / 2c = q.(w/c) - |w|^2/2c - |q|^2/2c; the last term is
+        # the same along a query's row, so it is added after the reduction.
+        self._scaled = white / self.c_op
+        self._offset = -0.5 * (white * self._scaled).sum(axis=1)
         logdet = 2.0 * np.log(np.diag(self._chol)).sum()
-        self._log_norm = -0.5 * (d * np.log(2.0 * np.pi * self.c_op) + logdet)
+        self._log_norm = (-0.5 * (d * np.log(2.0 * np.pi * self.c_op) + logdet)
+                          - np.log(n))
 
     @property
     def cov(self) -> np.ndarray:
         return self.c_op * self.base_cov
 
+    def _whiten(self, points: np.ndarray) -> np.ndarray:
+        return solve_triangular(self._chol, (points - self._mean).T,
+                                lower=True).T
+
     def log_density(self, queries, chunk: int = 1024) -> np.ndarray:
         """log q-bar at each query point."""
-        queries = _as_matrix(queries)
-        out = np.empty(len(queries))
-        wq = solve_triangular(self._chol, queries.T, lower=True).T
-        wc = self._white
-        c2 = 2.0 * self.c_op
-        for start in range(0, len(queries), chunk):
-            block = wq[start:start + chunk]
-            d2 = ((block[:, None, :] - wc[None, :, :]) ** 2).sum(axis=2)
-            out[start:start + chunk] = logsumexp(-d2 / c2, axis=1)
-        return out + self._log_norm - np.log(len(wc))
+        wq = self._whiten(_as_matrix(queries))
+        out = np.empty(len(wq))
+        for start in range(0, len(wq), chunk):
+            z = wq[start:start + chunk] @ self._scaled.T
+            z += self._offset
+            out[start:start + chunk] = _logsumexp_rows(z)
+        out -= 0.5 * (wq * wq).sum(axis=1) / self.c_op
+        return out + self._log_norm
 
 
-def fit_cop(samples, *, log_bracket=(-7.0, 7.0), tol: float = 1e-3,
+def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
+                   tol: float) -> float:
+    """log c in [lo, hi] maximizing the leave-one-out objective
+
+        f(l) = mean_i log sum_{j != i} exp(-e_ij) - (D/2) l + const,
+        e_ij = |w_i - w_j|^2 / 2c,  c = exp(l).
+
+    With p the softmax weights of row i, f' = mean_i E_p[e] - D/2 and
+    f'' = mean_i (Var_p[e] - E_p[e]), so both come from the one exp pass
+    over the rows.  A Newton step taken where f'' >= 0 or leaving the
+    bracket becomes a bisection on the sign of f'; the search stops when
+    a step is shorter than tol.
+    """
+    n, d = white.shape
+    sq = sq_distances(white, white)
+    np.fill_diagonal(sq, np.inf)
+    near = sq.min(axis=1)
+    # Shifted rows keep exp's largest term at 1: e_ij = (sq_ij + near_i)/2c.
+    sq -= near[:, None]
+    np.fill_diagonal(sq, 0.0)
+    w = np.empty_like(sq)
+    # Scott's rule factor for whitened data as the starting point.
+    log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
+    for _ in range(200):
+        inv = 0.5 * np.exp(-log_c)
+        np.multiply(sq, -inv, out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)
+        total = w.sum(axis=1)
+        w *= sq
+        m1 = w.sum(axis=1) / total
+        w *= sq
+        m2 = w.sum(axis=1) / total
+        mean_e = (m1 + near) * inv
+        grad = mean_e.mean() - 0.5 * d
+        curv = ((m2 - m1 * m1) * inv * inv - mean_e).mean()
+        if grad > 0:
+            lo = log_c
+        else:
+            hi = log_c
+        step = log_c - grad / curv if curv < 0 else np.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - log_c) < tol:
+            return step
+        log_c = step
+    return log_c
+
+
+def fit_cop(samples, *, log_bracket=(-7.0, 7.0), tol: float = 1e-6,
             max_centers: int = 4000) -> KdeModel:
     """Bandwidth-factor selection for the shared-covariance mixture.
 
     The factor maximizes the leave-one-out mean log density of the
-    samples themselves, searched by golden section over log c.  Exact
-    self-contributions are excluded by index only; duplicated points
-    remain legitimate neighbors of each other.
+    samples themselves, found by a safeguarded Newton search on log c
+    inside ``log_bracket`` that stops once a step is shorter than
+    ``tol``.  Exact self-contributions are excluded by index only;
+    duplicated points remain legitimate neighbors of each other.
     """
     samples = _as_matrix(samples)
     if len(samples) < 2:
@@ -117,21 +180,11 @@ def fit_cop(samples, *, log_bracket=(-7.0, 7.0), tol: float = 1e-3,
     if len(samples) > max_centers:
         stride = int(np.ceil(len(samples) / max_centers))
         samples = samples[::stride]
-    n, d = samples.shape
     base = regularize_covariance(np.cov(samples, rowvar=False, ddof=1))
     chol = cholesky(base, lower=True)
-    white = solve_triangular(chol, samples.T, lower=True).T
-    sq = ((white[:, None, :] - white[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(sq, np.inf)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-
-    def objective(log_c):
-        c = np.exp(log_c)
-        rows = logsumexp(-sq / (2.0 * c), axis=1)
-        norm = -0.5 * (d * np.log(2.0 * np.pi * c) + logdet) - np.log(n - 1)
-        return float(rows.mean() + norm)
-
-    log_c = _golden_max(objective, log_bracket[0], log_bracket[1], tol)
+    white = solve_triangular(chol, (samples - samples.mean(axis=0)).T,
+                             lower=True).T
+    log_c = _loo_max_log_c(white, log_bracket[0], log_bracket[1], tol)
     return KdeModel(samples, base, float(np.exp(log_c)))
 
 

@@ -53,7 +53,9 @@ def stein_gradient(samples: np.ndarray, *, bandwidth_scale: float = 4.0,
     if x.ndim != 2 or len(x) < 2:
         raise ValueError("need a (n, d) sample matrix with n >= 2")
     n = len(x)
-    sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    centered = x - x.mean(axis=0)
+    sq = evaluation.sq_distances(centered, centered)
+    np.fill_diagonal(sq, 0.0)
     med = float(np.median(np.sqrt(sq[~np.eye(n, dtype=bool)])))
     h2 = bandwidth_scale * med**2 if med > 0 else 1.0
     kern = np.exp(-sq / (2.0 * h2))
