@@ -548,6 +548,13 @@ class RunConfig:
             raise ValueError("window must satisfy 0 <= start <= end")
         check_rates(self.betas_theta, "betas_theta")
         check_rates(self.betas_u, "betas_u")
+        for key in ("sghmc_G", "sghmc_C", "hmc_step0"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
+        if self.hmc_leapfrog < 1:
+            raise ValueError("hmc_leapfrog must be at least 1")
+        if not 0 < self.hmc_target_accept < 1:
+            raise ValueError("hmc_target_accept must lie in (0, 1)")
 
 
 @dataclass

@@ -65,6 +65,13 @@ def test_config_rejects_unknown_keys():
     ("run", "eta", 0.0),
     ("run", "v0_scale", 0.0),
     ("run", "window", [10, 2]),
+    ("run", "sghmc_G", 0.0),
+    ("run", "sghmc_C", -1.0),
+    ("run", "hmc_step0", 0.0),
+    ("run", "hmc_leapfrog", 0),
+    ("run", "hmc_target_accept", 0.0),
+    ("run", "hmc_target_accept", 1.0),
+    ("run", "hmc_target_accept", 1.5),
     ("generate", "n_stories", 0),
     ("generate", "dt", 0.0),
     ("generate", "duration", 0.015),
