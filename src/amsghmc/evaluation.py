@@ -103,7 +103,7 @@ class KdeModel:
         return solve_triangular(self._chol, (points - self._mean).T,
                                 lower=True).T
 
-    def log_density(self, queries, chunk: int = 1024) -> np.ndarray:
+    def log_density(self, queries, chunk: int = 64) -> np.ndarray:
         """log q-bar at each query point."""
         wq = self._whiten(_as_matrix(queries))
         out = np.empty(len(wq))
