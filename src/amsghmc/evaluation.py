@@ -58,15 +58,6 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    """log sum exp along the rows of z, shifted by the row max; z is
-    overwritten."""
-    top = z.max(axis=1)
-    z -= top[:, None]
-    np.exp(z, out=z)
-    return top + np.log(z.sum(axis=1))
-
-
 @dataclass
 class KdeModel:
     """Equal-weight Gaussian mixture with shared covariance c_op * base_cov."""
@@ -110,7 +101,10 @@ class KdeModel:
         for start in range(0, len(wq), chunk):
             z = wq[start:start + chunk] @ self._scaled.T
             z += self._offset
-            out[start:start + chunk] = _logsumexp_rows(z)
+            top = z.max(axis=1)
+            z -= top[:, None]
+            np.exp(z, out=z)
+            out[start:start + chunk] = top + np.log(z.sum(axis=1))
         out -= 0.5 * (wq * wq).sum(axis=1) / self.c_op
         return out + self._log_norm
 
@@ -132,7 +126,8 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     sq = sq_distances(white, white)
     np.fill_diagonal(sq, np.inf)
     near = sq.min(axis=1)
-    # Shifted rows keep exp's largest term at 1: e_ij = (sq_ij + near_i)/2c.
+    # Each row is shifted by its nearest-neighbor distance, so the largest
+    # exp term is 1; in the shifted sq, e_ij = (sq_ij + near_i) / 2c.
     sq -= near[:, None]
     np.fill_diagonal(sq, 0.0)
     w = np.empty_like(sq)
@@ -155,12 +150,12 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
             lo = log_c
         else:
             hi = log_c
-        step = log_c - grad / curv if curv < 0 else np.nan
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - log_c) < tol:
-            return step
-        log_c = step
+        nxt = log_c - grad / curv if curv < 0 else np.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - log_c) < tol:
+            return nxt
+        log_c = nxt
     return log_c
 
 
