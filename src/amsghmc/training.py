@@ -111,6 +111,19 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
+def clip_by_norm(grad: np.ndarray, limit: float):
+    """(grad scaled down to norm ``limit`` if it is longer and limit > 0,
+    the norm of grad).  A finite gradient whose sum of squares overflows
+    still gets its finite norm, so it is scaled down, not zeroed."""
+    norm = float(np.linalg.norm(grad))
+    if np.isinf(norm) and np.isfinite(grad).all():
+        top = float(np.abs(grad).max())
+        norm = top * float(np.linalg.norm(grad / top))
+    if limit > 0 and norm > limit:
+        grad = grad * (limit / norm)
+    return grad, norm
+
+
 def adam_step(params, grad, state: AdamState, lr: float, betas,
               eps: float = 1e-8, mask=None):
     """One bias-corrected moment update; masked-out entries keep both
@@ -644,10 +657,8 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
 
             grad_norm = float("nan")
             if seg_grads:
-                g = np.mean(seg_grads, axis=0)
-                grad_norm = float(np.linalg.norm(g))
-                if cfg.grad_clip > 0 and grad_norm > cfg.grad_clip:
-                    g = g * (cfg.grad_clip / grad_norm)
+                g, grad_norm = clip_by_norm(np.mean(seg_grads, axis=0),
+                                            cfg.grad_clip)
                 mask = None
                 if not in_window:
                     sc_mask = _shortcut_mask(nets)

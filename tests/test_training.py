@@ -102,6 +102,21 @@ def test_stein_ridge_escalates_when_solve_degenerates(monkeypatch):
 # --- optimizer ---------------------------------------------------------------
 
 
+def test_clip_by_norm_survives_overflowing_sum_of_squares():
+    small, norm = tr.clip_by_norm(np.array([3.0, 4.0]), 10.0)
+    np.testing.assert_array_equal(small, [3.0, 4.0])
+    assert norm == 5.0
+    _, norm = tr.clip_by_norm(np.array([3.0, 4.0]), 0.0)
+    assert norm == 5.0
+    # Each square overflows; the vector and its norm (5e160) do not.
+    big = np.array([3e160, -4e160])
+    clipped, norm = tr.clip_by_norm(big, 10.0)
+    assert norm == pytest.approx(5e160, rel=1e-15)
+    np.testing.assert_allclose(clipped, [6.0, -8.0], rtol=1e-15)
+    _, norm = tr.clip_by_norm(np.array([np.inf, 1.0]), 10.0)
+    assert norm == np.inf
+
+
 def test_adam_zero_gradient_moves_nothing():
     params = np.array([1.0, -2.0, 3.0])
     state = tr.AdamState.zeros(3)
