@@ -115,7 +115,8 @@ def clip_by_norm(grad: np.ndarray, limit: float):
     """(grad scaled down to norm ``limit`` if it is longer and limit > 0,
     the norm of grad).  A finite gradient whose sum of squares overflows
     still gets its finite norm, so it is scaled down, not zeroed."""
-    norm = float(np.linalg.norm(grad))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
     if np.isinf(norm) and np.isfinite(grad).all():
         top = float(np.abs(grad).max())
         norm = top * float(np.linalg.norm(grad / top))
