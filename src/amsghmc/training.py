@@ -55,7 +55,7 @@ def stein_gradient(samples: np.ndarray, *, bandwidth_scale: float = 4.0,
     n = len(x)
     centered = x - x.mean(axis=0)
     sq = evaluation.sq_distances(centered, centered)
-    np.fill_diagonal(sq, 0.0)
+    np.fill_diagonal(sq, 0.0)  # the BLAS form leaves rounding there
     med = float(np.median(np.sqrt(sq[~np.eye(n, dtype=bool)])))
     h2 = bandwidth_scale * med**2 if med > 0 else 1.0
     kern = np.exp(-sq / (2.0 * h2))

@@ -65,13 +65,6 @@ def test_config_rejects_unknown_keys():
     ("run", "eta", 0.0),
     ("run", "v0_scale", 0.0),
     ("run", "window", [10, 2]),
-    ("run", "sghmc_G", 0.0),
-    ("run", "sghmc_C", -1.0),
-    ("run", "hmc_step0", 0.0),
-    ("run", "hmc_leapfrog", 0),
-    ("run", "hmc_target_accept", 0.0),
-    ("run", "hmc_target_accept", 1.0),
-    ("run", "hmc_target_accept", 1.5),
     ("generate", "n_stories", 0),
     ("generate", "dt", 0.0),
     ("generate", "duration", 0.015),
@@ -84,6 +77,13 @@ def test_config_rejects_unknown_keys():
     ("training", "betas_u", [0.9]),
     ("training", "betas", [1.0, 0.9]),
     ("training", "v0_star", -1),
+    ("run", "sghmc_G", 0.0),
+    ("run", "sghmc_C", -1.0),
+    ("run", "hmc_step0", 0.0),
+    ("run", "hmc_leapfrog", 0),
+    ("run", "hmc_target_accept", 0.0),
+    ("run", "hmc_target_accept", 1.0),
+    ("run", "hmc_target_accept", 1.5),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(harness.ConfigError, match=key):
