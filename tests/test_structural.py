@@ -253,6 +253,26 @@ def test_response_vjp_fallback_and_near_repeated_rows():
     assert_matches_fd(grad[:2], dense, ks[:2], cs[:2], 1e-7)
 
 
+def test_response_vjp_overdamped_and_negative_damping_rows():
+    # An overdamped row (150x nominal damping: four real eigenvalues), a
+    # negatively damped one (growing modes, |e| up to 1.0017) and an
+    # ordinary one, in one batch.
+    n = 2
+    mass = np.full(n, 2e5)
+    rng = np.random.default_rng(19)
+    ks = 2e7 * np.vstack([[1.0, 1.0], [1.0, 1.0], rng.uniform(0.6, 1.6, n)])
+    cs = 6e4 * np.vstack([[150.0, 150.0], [-0.5, -0.4], rng.uniform(0.6, 1.6, n)])
+    ground = rng.normal(0, 1, 150)
+    cot = rng.normal(size=(3, n, 150))
+    disc = sb.discretize_batch(mass, ks, cs, 0.01)
+    assert np.all(disc.lam[0].imag == 0.0)
+    assert 1.001 < np.abs(disc.e[1]).max() < 1.002
+    grad = vjp(mass, ks, cs, ground, cot)
+    assert_matches_fd(grad, fd_response_gradient(mass, ks, cs, ground, cot), ks, cs, 1e-6)
+    dense = vjp(mass, ks, cs, ground, cot, cond_limit=0.0)
+    assert_matches_fd(grad, dense, ks, cs, 1e-8)
+
+
 def test_default_cond_limit_keeps_near_defective_gradients_accurate():
     n = 2
     mass = np.full(n, 2e5)

@@ -367,6 +367,26 @@ def test_five_story_batch_gradient_matches_finite_differences(five_story_problem
         assert np.linalg.norm(grad[row] - fd[row]) <= 1e-5 * np.linalg.norm(fd[row])
 
 
+def test_ten_story_batch_gradient_matches_finite_differences():
+    rng = np.random.default_rng(2610)
+    cfg = structural.DatasetConfig(n_stories=10, duration=1.0, dt=0.01, noise_ratio=1.0)
+    dataset, _ = structural.generate_dataset(cfg, rng)
+    prob = target.default_problem(cfg.building, dataset)
+    w = target.sample_prior_ratios(prob.priors, np.random.default_rng(43), 2)
+    thetas = target.map_params_to_state(w, prob.transform)
+    _, grad = target.potential_energy_batch(thetas, prob)
+    h = 1e-6
+    fd = np.empty_like(thetas)
+    for i in range(thetas.shape[1]):
+        step = np.zeros(thetas.shape[1])
+        step[i] = h
+        up, _ = target.potential_energy_batch(thetas + step, prob)
+        um, _ = target.potential_energy_batch(thetas - step, prob)
+        fd[:, i] = (up - um) / (2 * h)
+    for row in range(thetas.shape[0]):
+        assert np.linalg.norm(grad[row] - fd[row]) <= 1e-5 * np.linalg.norm(fd[row])
+
+
 def test_repeated_observed_dof_counts_every_channel():
     # generate_dataset folds the default (0, n - 1) of a 1-story building
     # into one channel; a dataset built directly may still observe dof 0
