@@ -1,0 +1,151 @@
+"""Time the posterior energy and gradient on source trees and write BENCH_energy.json.
+
+    python3 scripts/bench_energy.py --tree before=PATH --tree after=. \
+        [--repeats 3] [--calls 40] [--seed 1] [--out BENCH_energy.json]
+
+Each ``--tree LABEL=PATH`` names a checkout whose ``src/`` is imported.
+For every size (stories, chains) and every repeat, each tree runs in its
+own process with BLAS pinned to one thread; the trees alternate which
+goes first.  A run generates a default-settings dataset (3 s record,
+dt 0.01, observed dofs (0, n-1)) for the size's building, draws the
+chain states from the prior, makes one untimed warm-up call of
+``target.potential_energy_batch`` and then times ``--calls`` more.  Each
+call is split into ``structural.discretize_batch``, ``run_batch`` (the
+march and readout) and ``response_vjp`` (the adjoint) by wrapping them;
+the rest of the call is the prior, transform and residual.  Per-call
+figures are medians over the calls.  Only the labels, never the paths,
+go into the output file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = {"5x32": (5, 32), "2x64": (2, 64), "10x32": (10, 32), "5x1": (5, 1)}
+LAYERS = ("discretize_batch", "run_batch", "response_vjp")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _timed(owner, name: str, spent: dict) -> None:
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+
+    setattr(owner, name, wrapper)
+
+
+def measure(src: str, size: str, seed: int, calls: int) -> dict:
+    """Time energy-and-gradient calls on the tree at ``src``, in this process."""
+    sys.path.insert(0, src)
+    import numpy as np
+    from amsghmc import structural, target
+
+    n_stories, k = SIZES[size]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n_stories, k]))
+    cfg = structural.DatasetConfig(n_stories=n_stories)
+    dataset, _ = structural.generate_dataset(cfg, rng)
+    problem = target.default_problem(cfg.building, dataset)
+    w = target.sample_prior_ratios(problem.priors, rng, k)
+    thetas = target.map_params_to_state(w, problem.transform)
+    u, grad = target.potential_energy_batch(thetas, problem)
+
+    spent = dict.fromkeys(LAYERS, 0.0)
+    for name in LAYERS:
+        _timed(structural, name, spent)
+    per_call = {name: [] for name in ("total",) + LAYERS}
+    for _ in range(calls):
+        before = dict(spent)
+        start = time.perf_counter()
+        target.potential_energy_batch(thetas, problem)
+        per_call["total"].append(time.perf_counter() - start)
+        for name in LAYERS:
+            per_call[name].append(spent[name] - before[name])
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    result = {f"{name}_ms": 1e3 * statistics.median(ts)
+              for name, ts in per_call.items()}
+    result["peak_rss_mb"] = rss_kb / 1024.0
+    result["energy_sum"] = float(np.sum(u))
+    result["grad_norm"] = float(np.linalg.norm(grad))
+    return result
+
+
+def run_tree(path: Path, size: str, seed: int, calls: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure",
+         str(path / "src"), "--size", size, "--seed", str(seed),
+         "--calls", str(calls)],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(runs: list) -> dict:
+    return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[],
+                        help="LABEL=PATH of a checkout to measure")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--calls", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_energy.json"))
+    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--size", choices=SIZES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    # Before numpy is imported here or in a measuring process.
+    os.environ.update({var: "1" for var in BLAS_VARS})
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.size, args.seed, args.calls)))
+        return 0
+    if not args.tree:
+        parser.error("give at least one --tree LABEL=PATH")
+    trees = [spec.split("=", 1) for spec in args.tree]
+    runs = {label: {size: [] for size in SIZES} for label, _ in trees}
+    for size in SIZES:
+        for rep in range(args.repeats):
+            order = trees if rep % 2 == 0 else trees[::-1]
+            for label, path in order:
+                result = run_tree(Path(path).resolve(), size, args.seed, args.calls)
+                runs[label][size].append(result)
+                print(f"{size} {label} run {rep}: {result['total_ms']:.2f} ms",
+                      file=sys.stderr)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import environment
+
+    doc = {
+        "what": "target.potential_energy_batch (energy and gradient) at the "
+                "default 3 s record, one process per tree, size and repeat, "
+                "BLAS pinned to one thread; per-call medians over --calls "
+                "calls, then medians over repeats",
+        "command": "python3 scripts/bench_energy.py " + " ".join(
+            f"--tree {label}=..." for label, _ in trees)
+            + f" --repeats {args.repeats} --calls {args.calls} --seed {args.seed}",
+        "environment": environment(),
+        "sizes": {size: {"n_stories": n, "chains": k}
+                  for size, (n, k) in SIZES.items()},
+        "trees": {label: {size: {"median": summarize(rs), "runs": rs}
+                          for size, rs in by_size.items()}
+                  for label, by_size in runs.items()},
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -339,12 +339,14 @@ def compute_metrics(trace: samplers.Trace, wall_time_s: float | None) -> dict:
     per_hour = None
     if wall_time_s is not None and wall_time_s > 0:
         per_hour = agg / wall_time_s * 3600.0
+    q05, q50, q95 = np.quantile(pots, [0.05, 0.5, 0.95])
     return {
         "naive_loss": float(loss),
         "ess_per_dim": [float(v) for v in per_dim],
         "ess_aggregate": float(agg),
         "wall_time_s": wall_time_s,
         "ess_per_hour": per_hour,
+        "energy_quantiles": {"q05": float(q05), "q50": float(q50), "q95": float(q95)},
     }
 
 
@@ -400,6 +402,7 @@ def _stage_evaluate(cfg: ExperimentConfig, loaded: dict, out: Path,
         "naive_loss": metrics["naive_loss"],
         "ess_aggregate": metrics["ess_aggregate"],
         "ess_per_dim": metrics["ess_per_dim"],
+        "energy_quantiles": metrics["energy_quantiles"],
     }
     return {"outputs": outputs, "summary": summary}
 

@@ -9,10 +9,14 @@ The simulation core is batched: a stack of buildings sharing the same
 mass vector and time step but differing in stiffness and damping is
 discretized and integrated together, which is what the posterior-gradient
 path needs when many MCMC chains move in parallel. Each building steps in
-its diagonal modal basis, and the gradient of a weighted sum of its
-response over story stiffness and damping costs one reverse march in the
-same basis; buildings whose eigenbasis is ill-conditioned step through
-matrix exponentials in the physical basis instead.
+its diagonal modal basis. The state matrix is real, so the modes of a
+conjugate pair carry conjugate amplitudes and only one of them is
+marched: the physical state is twice the real part of the marched modes
+(see Discretized). Accelerations are read out only at the requested
+floors, and the gradient of a weighted sum of them over story stiffness
+and damping costs one reverse march in the same slots. Buildings whose
+eigenbasis is ill-conditioned step through matrix exponentials in the
+physical basis instead, inside the same march.
 """
 
 from __future__ import annotations
@@ -160,15 +164,27 @@ def assemble_system(b: ShearBuilding):
 class Discretized:
     """Exact one-step propagators for a batch of buildings at fixed dt.
 
-    Row b's continuous state matrix is a[b] = vec[b] @ diag(lam[b]) @ vinv[b],
-    and its last n_floors rows map the physical state to total floor
-    accelerations. In modal coordinates z = vinv[b] @ x one zero-order-hold
-    step is z <- e * z + beta * a_j, with e = exp(lam * dt) and
-    beta = (e - 1) / lam * (vinv[b] @ b_in) for the ground-input vector
-    b_in. The rows listed in dense have an ill-conditioned eigenbasis: their
-    vec and vinv are the identity, so their state is the physical one, and
-    they step by x <- ad[i] @ x + beta * a_j (i their position in dense),
-    with ad[i] and beta from matrix exponentials.
+    Row b's continuous state matrix a[b] (2n square for n floors) has the
+    eigenvalues lam[b], ordered as [upper members of the conjugate pairs
+    (Im > 0), real eigenvalues, lower members in the order of their
+    partners]; its last n rows map the physical state x to total floor
+    accelerations. A row's state z has one complex slot per conjugate pair
+    and one per real eigenvalue, w >= n slots in all (w = n when every
+    mode is underdamped); a row needing fewer slots leaves the rest empty,
+    with zero vec columns, vinv rows and beta. vec[b] (2n x w) holds the
+    slots' eigenvectors, halved for real eigenvalues, and vinv[b]
+    (w x 2n) the matching rows of the inverse, so that x = 2 Re(vec[b] @ z)
+    and z = vinv[b] @ x. One zero-order-hold step is
+    z <- e * z + beta * a_j, with e = exp(lam[:w] dt) and
+    beta = (e - 1) / lam[:w] * (vinv[b] @ b_in) for the ground-input
+    vector b_in.
+
+    The rows listed in dense have an ill-conditioned eigenbasis. They
+    store their physical state in the first n slots, z.view(float)[:2n]
+    = x, which their vec and vinv express by the same two formulas, and
+    step by x <- ad[i] @ x + bd * a_j (i their position in dense) with
+    ad[i] and bd = beta[b].view(float)[:2n] from matrix exponentials;
+    their e is zero.
     """
 
     dt: float
@@ -214,15 +230,47 @@ def discretize_batch(
     a[:, n:, n:] = -minv[None, :, None] * cmat
 
     lam, vec = np.linalg.eig(a)
+    lam, vec = lam.astype(complex), vec.astype(complex)  # all-real spectra
+    # LAPACK lists each conjugate pair together, Im > 0 first, with exactly
+    # conjugate eigenvalues and eigenvectors. A stable sort on the sign of
+    # Im gives [upper members, real eigenvalues, lower members], the lower
+    # ones in the order of their partners.
+    order = np.argsort(np.sign(-lam.imag), axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     vinv = np.linalg.inv(vec)
     cond1 = np.abs(vec).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
     dense = np.nonzero(~(cond1 <= cond_limit))[0]
-    e = np.exp(lam * dt)
-    beta = (e - 1.0) / lam * -vinv[:, :, n:].sum(axis=2)  # vinv @ b_in
+    # One slot per conjugate pair (its upper member) and per real
+    # eigenvalue, then empty slots up to the widest row.
+    n_up = (lam.imag > 0.0).sum(axis=1, keepdims=True)
+    n_slots = 2 * n - n_up
+    w = int(n_slots.max())
+    slot = np.arange(w)
+    used = slot < n_slots
+    real = used & (slot >= n_up)
+    vec = vec[:, :, :w] * np.where(real, 0.5, used)[:, None, :]
+    # The two computed rows of the inverse for a pair carry their own
+    # rounding. Their conjugate mean (a real eigenvalue's row with itself)
+    # keeps the reconstruction x = 2 Re(vec vinv x) as exact as the full
+    # inverse's.
+    partner = np.where(slot < n_up, slot + n_slots, slot)[:, :, None]
+    partner_rows = np.take_along_axis(vinv, partner, axis=1)
+    vinv = 0.5 * used[:, :, None] * (vinv[:, :w] + partner_rows.conj())
+    e = np.exp(lam[:, :w] * dt)
+    beta = (e - 1.0) / lam[:, :w] * -vinv[:, :, n:].sum(axis=2)  # vinv @ b_in
     ad = np.empty((dense.size, 2 * n, 2 * n))
+    # x = 2 Re(vec z) and z = vinv x for z.view(float)[:2n] = x.
+    pack = np.zeros((2 * n, w), dtype=complex)
+    pack[0::2, :n] = 0.5 * np.eye(n)
+    pack[1::2, :n] = -0.5j * np.eye(n)
     for i, row in enumerate(dense):
-        ad[i], beta[row] = _discretize_expm(a[row], dt)
-        vec[row] = vinv[row] = np.eye(2 * n)
+        ad[i], bd = _discretize_expm(a[row], dt)
+        beta[row] = 0.0
+        beta[row, :n] = bd[0::2] + 1j * bd[1::2]
+        vec[row] = pack
+        vinv[row] = 2.0 * pack.T.conj()
+        e[row] = 0.0
     return Discretized(dt=dt, mass=mass, a=a, lam=lam, vec=vec, vinv=vinv, e=e,
                        beta=beta, dense=dense, ad=ad)
 
@@ -262,78 +310,125 @@ def _expm_adjoint(a, dt, s, q):
 def _march(disc: Discretized, inputs: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Every s of s <- P s + inputs[j] from s = 0, over j = 0, 1, ...
 
-    inputs is (n_steps, batch, 2 n_floors). P is diag(e) for modal rows and
-    ad for dense rows; reverse runs j backwards with P^T, the adjoint march.
+    inputs is (n_steps, batch, slots) complex, one slot per mode (see
+    Discretized); the march overwrites it with the states and returns it.
+    P multiplies a modal row by e and a dense row's float view by ad.
+    reverse runs j backwards with the transpose of P on the float view,
+    the adjoint march: conj(e) and ad^T.
     """
-    out = np.empty(inputs.shape, dtype=inputs.dtype)
-    prev = np.zeros(inputs.shape[1:], dtype=inputs.dtype)
+    e = disc.e.conj() if reverse else disc.e
     ad = disc.ad.transpose(0, 2, 1) if reverse else disc.ad
+    m = ad.shape[-1]
     steps = range(inputs.shape[0])
+    prev = None
     for j in reversed(steps) if reverse else steps:
-        cur = out[j]
-        np.multiply(disc.e, prev, out=cur)
-        if disc.dense.size:
-            cur[disc.dense] = np.einsum("bij,bj->bi", ad, prev[disc.dense])
-        cur += inputs[j]
+        cur = inputs[j]
+        if prev is not None:
+            cur += e * prev  # e is 0 on dense rows
+            if disc.dense.size:
+                cur.view(float)[disc.dense, :m] += np.einsum(
+                    "bij,bj->bi", ad, prev.view(float)[disc.dense, :m])
         prev = cur
-    return out
+    return inputs
 
 
-def run_batch(disc: Discretized, ground: np.ndarray):
+def _readout(disc: Discretized, dofs) -> np.ndarray:
+    """Real R, (batch, len(dofs), 2 slots), with y = R @ z.view(float).
+
+    y = 2 Re(c @ vec @ z) for the acceleration rows c of a at the floors
+    dofs, every floor for None.
+    """
+    n = disc.mass.size
+    rows = n + (np.arange(n) if dofs is None else np.asarray(dofs, dtype=int))
+    return 2.0 * (disc.a[:, rows] @ disc.vec).conj().view(float)
+
+
+def run_batch(disc: Discretized, ground: np.ndarray, dofs=None):
     """March the discretized batch over the ground-motion record.
 
-    Returns (y, states): total accelerations y with shape (batch, n_floors,
-    n_steps), and the state after every step in each row's basis (see
-    Discretized), shaped (n_steps, batch, 2 n_floors), for response_vjp.
-    Measurement j is the state after step j, i.e. at time (j+1) dt.
+    Returns (y, states): total accelerations y at the floors dofs (every
+    floor for None, a repeated dof giving a repeated row) with shape
+    (batch, len(dofs), n_steps), and the state after every step in each
+    row's slots (see Discretized), shaped (n_steps, batch, slots), for
+    response_vjp. Measurement j is the state after step j, i.e. at time
+    (j+1) dt.
     """
     states = _march(disc, disc.beta * np.asarray(ground, dtype=float)[:, None, None])
-    y = np.real(disc.a[:, disc.mass.size :] @ disc.vec @ states.transpose(1, 2, 0))
+    y = _readout(disc, dofs) @ states.view(float).transpose(1, 2, 0)
     return y, states
 
 
 def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
-                 cotangent: np.ndarray) -> np.ndarray:
+                 cotangent: np.ndarray, dofs=None) -> np.ndarray:
     """Gradient of sum(cotangent * y) over story stiffness and damping.
 
-    y and states come from run_batch(disc, ground); cotangent has y's shape.
-    Returns (batch, 2 n_floors): every story stiffness, then every story
-    damping. The adjoint nu_j = P^T nu_{j+1} + (c vec)^T cotangent_j, with c
-    the acceleration rows of a, marches back in each row's basis. With
-    S = sum_j nu_j z_j^T and q = sum_j nu_j a_j, z_j the state entering
-    step j, a modal row's gradient over its continuous state matrix is
-    vinv^T (L * S + Psi * q (vinv b_in)^T) vec^T, where L and Psi hold the
-    divided differences of exp(lam dt) and (exp(lam dt) - 1) / lam over
-    pairs of eigenvalues (Najfeld & Havel 1995); dense rows take it from
-    _expm_adjoint. The output map adds sum_j cotangent_j x_{j+1}^T.
+    y and states come from run_batch(disc, ground, dofs); cotangent has y's
+    shape. Returns (batch, 2 n_floors): every story stiffness, then every
+    story damping. The march is real-linear on the float view of the
+    state, so its adjoint xi_j = P^T xi_{j+1} + R^T cotangent_j (R from
+    _readout) marches back in the same slots. Over the full spectrum, let
+    S = sum_j nu_j z_j^T and q = sum_j nu_j a_j, with z_j the modal state
+    entering step j and nu_j the modal adjoint: conj(xi_j) / 2 for the
+    upper member of a pair and its conjugate for the lower one,
+    conj(xi_j) for a real eigenvalue. A modal row's gradient over its
+    continuous state matrix is then
+    Re(V^-T (L * S + Psi * q (V^-1 b_in)^T) V^T), where V is the
+    eigenvector matrix and L and Psi hold the divided differences of
+    exp(lam dt) and (exp(lam dt) - 1) / lam over pairs of eigenvalues
+    (Najfeld & Havel 1995). The rows of a lower member are the conjugates
+    of its partner's, so only the slots' rows are formed, against the
+    columns [slots, conjugate slots]; a real eigenvalue's column appears
+    in both halves with half its eigenvector. Dense rows take the
+    gradient from _expm_adjoint. The output map adds
+    sum_j cotangent_j x_{j+1}^T at the dofs rows.
     """
-    n = disc.mass.size
+    n, w = disc.mass.size, disc.e.shape[1]
     ground = np.asarray(ground, dtype=float)
-    cv = disc.a[:, n:] @ disc.vec
-    nu = _march(disc, (cv.transpose(0, 2, 1) @ cotangent).transpose(2, 0, 1), reverse=True)
-    # nu[j] meets the state entering step j: states[j - 1], or zero for j = 0.
-    s = nu[1:].transpose(1, 2, 0) @ states[:-1].transpose(1, 0, 2)
-    q = np.tensordot(ground, nu, axes=1)
+    dofs = np.arange(n) if dofs is None else np.asarray(dofs, dtype=int)
+    readout = _readout(disc, dofs)
+    # Laid out per step, as the march reads it.
+    inputs = np.empty((cotangent.shape[2],) + readout.shape[::2])
+    np.matmul(cotangent.transpose(0, 2, 1), readout, out=inputs.transpose(1, 0, 2))
+    xi = _march(disc, inputs.view(complex), reverse=True).view(float)
+    zf = states.view(float)
+    # xi[j] meets the state entering step j: states[j - 1], or zero for j = 0.
+    sf = xi[1:].transpose(1, 2, 0) @ zf[:-1].transpose(1, 0, 2)
+    qf = np.tensordot(ground, xi, axes=1)
 
-    lam, dt = disc.lam, disc.dt
-    half = 0.5 * dt * (lam[:, :, None] - lam[:, None, :])
+    # The slots' rows of S against [slots, conjugate slots] and of q;
+    # twice over for pairs, whose conjugate rows are not formed.
+    blocks = sf.reshape(sf.shape[0], w, 2, w, 2)
+    rr, ri, ir, ii = (blocks[:, :, u, :, v] for u in (0, 1) for v in (0, 1))
+    s = np.concatenate([(rr + ii) + 1j * (ri - ir), (rr - ii) - 1j * (ri + ir)], axis=2)
+    q = qf.view(complex).conj()
+
+    dt = disc.dt
+    up = disc.lam[:, :w]
+    lam = np.concatenate([up, up.conj()], axis=1)
+    half = 0.5 * dt * (up[:, :, None] - lam[:, None, :])
     # e_k - e_l = 2 exp(dt (lam_k + lam_l) / 2) sinh(half) loses no digits
     # as lam_k -> lam_l; near the confluent limit the series of
-    # sinh(half) / half is exact to rounding.
+    # sinh(half) / half is exact to rounding. Near critical damping the
+    # closest pairs are (lam, conj(lam)), in the upper-lower block.
     confluent = np.abs(half) < 1e-4
     sinhc = np.where(confluent, 1.0 + half**2 / 6.0,
                      np.sinh(half) / np.where(confluent, 1.0, half))
-    l_dd = dt * np.exp(0.5 * dt * (lam[:, :, None] + lam[:, None, :])) * sinhc
+    l_dd = dt * np.exp(0.5 * dt * (up[:, :, None] + lam[:, None, :])) * sinhc
     # Leibniz rule on lam * psi = e - 1 gives psi's divided difference.
-    psi = (disc.e - 1.0) / lam
-    psi_dd = (l_dd - psi[:, None, :]) / lam[:, :, None]
-    vinv_low = disc.vinv[:, :, n:]  # vinv @ b_in = -vinv_low.sum(axis=2)
-    g = l_dd * s - psi_dd * (q[:, :, None] * vinv_low.sum(axis=2)[:, None, :])
+    psi = (np.exp(lam * dt) - 1.0) / lam
+    psi_dd = (l_dd - psi[:, None, :]) / up[:, :, None]
+    vinv_low = disc.vinv[:, :, n:]
+    vinv_b = -vinv_low.sum(axis=2)  # vinv @ b_in
+    vinv_b = np.concatenate([vinv_b, vinv_b.conj()], axis=1)
+    g = l_dd * s + psi_dd * (q[:, :, None] * vinv_b[:, None, :])
+    vec_t = np.concatenate([disc.vec, disc.vec.conj()], axis=2).transpose(0, 2, 1)
     # Only the acceleration rows of the state matrix depend on parameters.
-    h = np.real(vinv_low.transpose(0, 2, 1) @ g @ disc.vec.transpose(0, 2, 1))
+    h = np.real(vinv_low.transpose(0, 2, 1) @ g @ vec_t)
     for row in disc.dense:
-        h[row] = _expm_adjoint(disc.a[row], dt, s[row].real, q[row].real)[n:]
-    h += np.real(cotangent @ states.transpose(1, 0, 2) @ disc.vec.transpose(0, 2, 1))
+        h[row] = _expm_adjoint(disc.a[row], dt, sf[row, :2 * n, :2 * n], qf[row, :2 * n])[n:]
+    out_map = 2.0 * np.real((cotangent @ zf.transpose(1, 0, 2)).view(complex)
+                            @ disc.vec.transpose(0, 2, 1))
+    np.add.at(h, (slice(None), dofs), out_map)
     h *= -1.0 / disc.mass[:, None]
     pats = story_patterns(n)
     return np.concatenate([np.einsum("sij,bij->bs", pats, h[:, :, :n]),
@@ -343,8 +438,8 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
 def simulate_accelerations(b: ShearBuilding, d: Dataset) -> np.ndarray:
     """Clean total accelerations at the observed dofs, (n_obs, n_steps)."""
     disc = discretize_batch(b.mass, b.stiffness[None, :], b.damping[None, :], d.dt)
-    y, _ = run_batch(disc, d.ground_accel)
-    return y[0, list(d.observed_dofs), :]
+    y, _ = run_batch(disc, d.ground_accel, d.observed_dofs)
+    return y[0]
 
 
 def generate_dataset(cfg: DatasetConfig, rng: np.random.Generator):
@@ -376,10 +471,10 @@ def generate_dataset(cfg: DatasetConfig, rng: np.random.Generator):
     c_true = perturb(b_nominal.damping)
     b_true = ShearBuilding(stiffness=k_true, damping=c_true, mass=b_nominal.mass)
 
-    clean_all, _ = run_batch(
-        discretize_batch(b_true.mass, k_true[None, :], c_true[None, :], cfg.dt), ground
+    clean, _ = run_batch(
+        discretize_batch(b_true.mass, k_true[None, :], c_true[None, :], cfg.dt), ground, obs
     )
-    clean = clean_all[0, list(obs), :]
+    clean = clean[0]
     rms = float(np.mean(np.sqrt(np.mean(clean**2, axis=1))))
     noise_std = rms * cfg.noise_ratio
     noisy = clean + rng.normal(0.0, 1.0, clean.shape) * noise_std

@@ -320,18 +320,15 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
         raise ValueError("noise scale must be positive")
 
     disc = structural.discretize_batch(problem.building.mass, k_phys, c_phys, d.dt)
-    y, states = structural.run_batch(disc, d.ground_accel)
-    obs = list(d.observed_dofs)
-    resid = d.measurements[None, :, :] - y[:, obs, :]
+    y, states = structural.run_batch(disc, d.ground_accel, d.observed_dofs)
+    resid = d.measurements[None, :, :] - y
     s = np.einsum("bnt,bnt->b", resid, resid)
-    # A dof observed twice gets both channels' residuals.
-    cot = np.zeros_like(y)
-    np.add.at(cot, (slice(None), obs), resid)
     count = d.n_obs * d.n_steps
 
     ll = -0.5 * count * np.log(2.0 * np.pi * sigma**2) - s / (2.0 * sigma**2)
     grad = np.empty_like(w)
-    dldp = structural.response_vjp(disc, d.ground_accel, states, cot) / sigma[:, None] ** 2
+    dldp = structural.response_vjp(disc, d.ground_accel, states, resid,
+                                   d.observed_dofs) / sigma[:, None] ** 2
     grad[:, :n] = dldp[:, :n] * k_nom
     grad[:, n : 2 * n] = dldp[:, n:] * c_nom
     grad[:, 2 * n] = (-count / sigma + s / sigma**3) * problem.sigma0

@@ -308,13 +308,14 @@ def test_sample_then_evaluate_sghmc(two_story, tmp_path):
     ev = harness.run_experiment("evaluate", cfg)
     doc = json.loads((out / "metrics.json").read_text())
     assert set(doc["metrics"]) == {"naive_loss", "ess_per_dim", "ess_aggregate",
-                                   "wall_time_s", "ess_per_hour"}
+                                   "wall_time_s", "ess_per_hour", "energy_quantiles"}
     assert len(doc["metrics"]["ess_per_dim"]) == 5
     assert doc["metrics"]["wall_time_s"] > 0
     assert doc["metrics"]["ess_per_hour"] > 0
     assert (out / "projection.csv").exists()
     assert (out / "surface.csv").exists()
     assert ev["summary"]["naive_loss"] == doc["metrics"]["naive_loss"]
+    assert ev["summary"]["energy_quantiles"] == doc["metrics"]["energy_quantiles"]
 
     # trace unchanged, so a second evaluate reproduces every byte
     metric_bytes = (out / "metrics.json").read_bytes()
@@ -322,6 +323,16 @@ def test_sample_then_evaluate_sghmc(two_story, tmp_path):
     harness.run_experiment("evaluate", cfg)
     assert (out / "metrics.json").read_bytes() == metric_bytes
     assert (out / "report.json").read_bytes() == eval_report
+
+
+def test_compute_metrics_energy_quantiles():
+    # Potentials 0..119 in shuffled order: linear interpolation puts the
+    # 5%, 50% and 95% quantiles at 0.05, 0.5 and 0.95 of 119.
+    rng = np.random.default_rng(8)
+    pots = rng.permutation(120).astype(float).reshape(3, 40)
+    trace = sp.Trace(rng.normal(size=(3, 40, 2)), pots, {"sampler": "synthetic"})
+    quantiles = harness.compute_metrics(trace, None)["energy_quantiles"]
+    assert quantiles == pytest.approx({"q05": 5.95, "q50": 59.5, "q95": 113.05}, abs=1e-12)
 
 
 def test_sample_hmc_reports_acceptance(two_story, tmp_path):
@@ -416,7 +427,7 @@ def test_compare_stage(two_story, checkpoint, tmp_path):
     assert set(doc["table"]) == {"am-sghmc", "sghmc"}
     for metrics in doc["table"].values():
         assert set(metrics) == {"naive_loss", "ess_per_dim", "ess_aggregate",
-                                "wall_time_s", "ess_per_hour"}
+                                "wall_time_s", "ess_per_hour", "energy_quantiles"}
     assert {"ess_aggregate_ratio", "ess_per_hour_ratio",
             "naive_loss_rel_gap"} <= set(doc["ratios"])
     for name in ("am-sghmc", "sghmc"):

@@ -267,10 +267,35 @@ def test_response_vjp_overdamped_and_negative_damping_rows():
     disc = sb.discretize_batch(mass, ks, cs, 0.01)
     assert np.all(disc.lam[0].imag == 0.0)
     assert 1.001 < np.abs(disc.e[1]).max() < 1.002
+    # The overdamped row steps modally, with one slot per real eigenvalue.
+    assert disc.dense.size == 0 and disc.e.shape[1] == 4
     grad = vjp(mass, ks, cs, ground, cot)
     assert_matches_fd(grad, fd_response_gradient(mass, ks, cs, ground, cot), ks, cs, 1e-6)
     dense = vjp(mass, ks, cs, ground, cot, cond_limit=0.0)
     assert_matches_fd(grad, dense, ks, cs, 1e-8)
+
+
+@pytest.mark.parametrize("cond_limit", [1e5, 0.0])
+def test_readout_and_vjp_at_chosen_dofs_match_every_floor(cond_limit):
+    rng = np.random.default_rng(29)
+    n = 5
+    ks = 2e7 * rng.uniform(0.6, 1.6, (3, n))
+    cs = 6e4 * rng.uniform(0.6, 1.6, (3, n))
+    mass = np.full(n, 2e5)
+    ground = rng.normal(0, 1, 120)
+    dofs = (4, 0, 4)
+    disc = sb.discretize_batch(mass, ks, cs, 0.01, cond_limit=cond_limit)
+    y_all, states = sb.run_batch(disc, ground)
+    y, _ = sb.run_batch(disc, ground, dofs)
+    assert np.abs(y - y_all[:, list(dofs)]).max() <= 1e-12 * np.abs(y_all).max()
+    # A repeated dof's cotangent rows add up on its floor.
+    cot = rng.normal(size=(3, len(dofs), 120))
+    scattered = np.zeros_like(y_all)
+    np.add.at(scattered, (slice(None), list(dofs)), cot)
+    grad = sb.response_vjp(disc, ground, states, cot, dofs)
+    every = sb.response_vjp(disc, ground, states, scattered)
+    for row in range(3):
+        assert np.linalg.norm(grad[row] - every[row]) <= 1e-12 * np.linalg.norm(every[row])
 
 
 def test_default_cond_limit_keeps_near_defective_gradients_accurate():
