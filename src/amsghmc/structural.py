@@ -230,14 +230,16 @@ def discretize_batch(
     a[:, n:, n:] = -minv[None, :, None] * cmat
 
     lam, vec = np.linalg.eig(a)
-    lam, vec = lam.astype(complex), vec.astype(complex)  # all-real spectra
+    # numpy returns real arrays when every eigenvalue of the batch is real.
+    lam, vec = lam.astype(complex, copy=False), vec.astype(complex, copy=False)
     # LAPACK lists each conjugate pair together, Im > 0 first, with exactly
     # conjugate eigenvalues and eigenvectors. A stable sort on the sign of
     # Im gives [upper members, real eigenvalues, lower members], the lower
     # ones in the order of their partners.
+    rows = np.arange(nb)[:, None]
     order = np.argsort(np.sign(-lam.imag), axis=1, kind="stable")
-    lam = np.take_along_axis(lam, order, axis=1)
-    vec = np.take_along_axis(vec, order[:, None, :], axis=2)
+    lam = lam[rows, order]
+    vec = vec.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
     vinv = np.linalg.inv(vec)
     cond1 = np.abs(vec).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
     dense = np.nonzero(~(cond1 <= cond_limit))[0]
@@ -254,9 +256,8 @@ def discretize_batch(
     # rounding. Their conjugate mean (a real eigenvalue's row with itself)
     # keeps the reconstruction x = 2 Re(vec vinv x) as exact as the full
     # inverse's.
-    partner = np.where(slot < n_up, slot + n_slots, slot)[:, :, None]
-    partner_rows = np.take_along_axis(vinv, partner, axis=1)
-    vinv = 0.5 * used[:, :, None] * (vinv[:, :w] + partner_rows.conj())
+    partner = vinv[rows, np.where(slot < n_up, slot + n_slots, slot)]
+    vinv = 0.5 * used[:, :, None] * (vinv[:, :w] + partner.conj())
     e = np.exp(lam[:, :w] * dt)
     beta = (e - 1.0) / lam[:, :w] * -vinv[:, :, n:].sum(axis=2)  # vinv @ b_in
     ad = np.empty((dense.size, 2 * n, 2 * n))
