@@ -247,7 +247,7 @@ def discretize_batch(
     # eigenvalue, then empty slots up to the widest row.
     n_up = (lam.imag > 0.0).sum(axis=1, keepdims=True)
     n_slots = 2 * n - n_up
-    w = int(n_slots.max())
+    w = int(n_slots.max(initial=n))
     slot = np.arange(w)
     used = slot < n_slots
     real = used & (slot >= n_up)

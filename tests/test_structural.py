@@ -298,6 +298,13 @@ def test_readout_and_vjp_at_chosen_dofs_match_every_floor(cond_limit):
         assert np.linalg.norm(grad[row] - every[row]) <= 1e-12 * np.linalg.norm(every[row])
 
 
+def test_empty_batch_gives_empty_results():
+    disc = sb.discretize_batch(np.full(2, 2e5), np.zeros((0, 2)), np.zeros((0, 2)), 0.01)
+    y, states = sb.run_batch(disc, np.ones(10), (1,))
+    assert y.shape == (0, 1, 10)
+    assert sb.response_vjp(disc, np.ones(10), states, y, (1,)).shape == (0, 4)
+
+
 def test_default_cond_limit_keeps_near_defective_gradients_accurate():
     n = 2
     mass = np.full(n, 2e5)
