@@ -12,9 +12,15 @@ chain states from the prior, makes one untimed warm-up call of
 ``target.potential_energy_batch`` and then times ``--calls`` more.  Each
 call is split into ``structural.discretize_batch``, ``run_batch`` (the
 march and readout) and ``response_vjp`` (the adjoint) by wrapping them;
-the rest of the call is the prior, transform and residual.  Per-call
-figures are medians over the calls.  Only the labels, never the paths,
-go into the output file.
+the rest of the call is the prior, transform and residual.  Next to
+each time, the minor page faults the process took in that span
+(``ru_minflt`` deltas) are recorded: a record-sized array that is freed
+and allocated anew every call shows up there.  Per-call figures are
+medians over the calls.  The host's speed drifts from one process to
+the next, so for every tree after the first the file also gives
+``total_ms_ratio``: the median over repeats of its total time over the
+first tree's in the same repeat, which run back to back.  Only the
+labels, never the paths, go into the output file.
 """
 
 from __future__ import annotations
@@ -35,15 +41,21 @@ LAYERS = ("discretize_batch", "run_batch", "response_vjp")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _timed(owner, name: str, spent: dict) -> None:
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _timed(owner, name: str, spent: dict, faults: dict) -> None:
     fn = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
+        first = _minflt()
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             spent[name] += time.perf_counter() - start
+            faults[name] += _minflt() - first
 
     setattr(owner, name, wrapper)
 
@@ -64,19 +76,27 @@ def measure(src: str, size: str, seed: int, calls: int) -> dict:
     u, grad = target.potential_energy_batch(thetas, problem)
 
     spent = dict.fromkeys(LAYERS, 0.0)
+    faults = dict.fromkeys(LAYERS, 0)
     for name in LAYERS:
-        _timed(structural, name, spent)
-    per_call = {name: [] for name in ("total",) + LAYERS}
+        _timed(structural, name, spent, faults)
+    names = ("total",) + LAYERS
+    per_call = {name: [] for name in names}
+    faults_per_call = {name: [] for name in names}
     for _ in range(calls):
-        before = dict(spent)
+        before, faults_before = dict(spent), dict(faults)
+        first = _minflt()
         start = time.perf_counter()
         target.potential_energy_batch(thetas, problem)
         per_call["total"].append(time.perf_counter() - start)
+        faults_per_call["total"].append(_minflt() - first)
         for name in LAYERS:
             per_call[name].append(spent[name] - before[name])
+            faults_per_call[name].append(faults[name] - faults_before[name])
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    result = {f"{name}_ms": 1e3 * statistics.median(ts)
-              for name, ts in per_call.items()}
+    result = {}
+    for name in names:
+        result[f"{name}_ms"] = 1e3 * statistics.median(per_call[name])
+        result[f"{name}_minflt"] = statistics.median(faults_per_call[name])
     result["peak_rss_mb"] = rss_kb / 1024.0
     result["energy_sum"] = float(np.sum(u))
     result["grad_norm"] = float(np.linalg.norm(grad))
@@ -92,8 +112,13 @@ def run_tree(path: Path, size: str, seed: int, calls: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list) -> dict:
-    return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+def summarize(runs: list, first: list) -> dict:
+    doc = {"median": {key: statistics.median(r[key] for r in runs) for key in runs[0]}}
+    if runs is not first:
+        doc["total_ms_ratio"] = statistics.median(
+            r["total_ms"] / f["total_ms"] for r, f in zip(runs, first))
+    doc["runs"] = runs
+    return doc
 
 
 def main(argv=None) -> int:
@@ -132,14 +157,15 @@ def main(argv=None) -> int:
         "what": "target.potential_energy_batch (energy and gradient) at the "
                 "default 3 s record, one process per tree, size and repeat, "
                 "BLAS pinned to one thread; per-call medians over --calls "
-                "calls, then medians over repeats",
+                "calls, then medians over repeats; *_minflt are minor page "
+                "faults per call",
         "command": "python3 scripts/bench_energy.py " + " ".join(
             f"--tree {label}=..." for label, _ in trees)
             + f" --repeats {args.repeats} --calls {args.calls} --seed {args.seed}",
         "environment": environment(),
         "sizes": {size: {"n_stories": n, "chains": k}
                   for size, (n, k) in SIZES.items()},
-        "trees": {label: {size: {"median": summarize(rs), "runs": rs}
+        "trees": {label: {size: summarize(rs, runs[trees[0][0]][size])
                           for size, rs in by_size.items()}
                   for label, by_size in runs.items()},
     }

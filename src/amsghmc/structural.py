@@ -11,22 +11,27 @@ discretized and integrated together, which is what the posterior-gradient
 path needs when many MCMC chains move in parallel. Each building steps in
 its diagonal modal basis. The state matrix is real, so the modes of a
 conjugate pair carry conjugate amplitudes and only one of them is
-marched: the physical state is twice the real part of the marched modes
-(see Discretized). Accelerations are read out only at the requested
+kept: the physical state is twice the real part of the modal state
+(see Discretized). The forward response has no per-step loop: the
+ground record enters every mode through the same scalar input, so each
+state is one matrix product of the record's recent window against the
+powers of the mode's step factor, plus a carry from one window earlier
+(see run_batch). Accelerations are read out only at the requested
 floors, and the gradient of a weighted sum of them over story stiffness
 and damping costs one reverse march in the same slots. Buildings whose
 eigenbasis is ill-conditioned step through matrix exponentials in the
-physical basis instead, inside the same march.
+physical basis instead, step by step after the product.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm, expm_frechet, toeplitz
 
 
 @dataclass(frozen=True)
@@ -177,14 +182,17 @@ class Discretized:
     and z = vinv[b] @ x. One zero-order-hold step is
     z <- e * z + beta * a_j, with e = exp(lam[:w] dt) and
     beta = (e - 1) / lam[:w] * (vinv[b] @ b_in) for the ground-input
-    vector b_in.
+    vector b_in, so the state after step j is
+    z_j = sum_{k <= j} beta e^k a_{j-k}, which run_batch forms by windows
+    of the record.
 
     The rows listed in dense have an ill-conditioned eigenbasis. They
     store their physical state in the first n slots, z.view(float)[:2n]
     = x, which their vec and vinv express by the same two formulas, and
     step by x <- ad[i] @ x + bd * a_j (i their position in dense) with
     ad[i] and bd = beta[b].view(float)[:2n] from matrix exponentials;
-    their e is zero.
+    their e is zero, so the windowed sum leaves them bd * a_j and the
+    ad steps follow one by one.
     """
 
     dt: float
@@ -308,28 +316,26 @@ def _expm_adjoint(a, dt, s, q):
     return expm_frechet(_input_block(a).T * dt, w * dt, compute_expm=False)[:m, :m]
 
 
-def _march(disc: Discretized, inputs: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Every s of s <- P s + inputs[j] from s = 0, over j = 0, 1, ...
+def _march(disc: Discretized, inputs: np.ndarray) -> np.ndarray:
+    """The adjoint march: every xi of xi <- P^T xi + inputs[j] from xi = 0,
+    over j = n_steps - 1, ..., 0.
 
     inputs is (n_steps, batch, slots) complex, one slot per mode (see
-    Discretized); the march overwrites it with the states and returns it.
-    P multiplies a modal row by e and a dense row's float view by ad.
-    reverse runs j backwards with the transpose of P on the float view,
-    the adjoint march: conj(e) and ad^T.
+    Discretized); the march overwrites it with the adjoint states and
+    returns it. P is one forward step on the float view of the state, so
+    P^T multiplies a modal row by conj(e) and a dense row's float view by
+    ad^T. Each row's input is its own, so unlike the forward march there
+    is no shared record to window; the march stays one step at a time.
     """
-    e = disc.e.conj() if reverse else disc.e
-    ad = disc.ad.transpose(0, 2, 1) if reverse else disc.ad
-    m = ad.shape[-1]
-    steps = range(inputs.shape[0])
-    prev = None
-    for j in reversed(steps) if reverse else steps:
-        cur = inputs[j]
-        if prev is not None:
-            cur += e * prev  # e is 0 on dense rows
-            if disc.dense.size:
-                cur.view(float)[disc.dense, :m] += np.einsum(
-                    "bij,bj->bi", ad, prev.view(float)[disc.dense, :m])
-        prev = cur
+    e = disc.e.conj()
+    adt = disc.ad.transpose(0, 2, 1)
+    m = adt.shape[-1]
+    for j in range(inputs.shape[0] - 2, -1, -1):
+        cur, prev = inputs[j], inputs[j + 1]
+        cur += e * prev  # e is 0 on dense rows
+        if disc.dense.size:
+            cur.view(float)[disc.dense, :m] += np.einsum(
+                "bij,bj->bi", adt, prev.view(float)[disc.dense, :m])
     return inputs
 
 
@@ -344,23 +350,52 @@ def _readout(disc: Discretized, dofs) -> np.ndarray:
     return 2.0 * (disc.a[:, rows] @ disc.vec).conj().view(float)
 
 
-def run_batch(disc: Discretized, ground: np.ndarray, dofs=None):
-    """March the discretized batch over the ground-motion record.
+def run_batch(disc: Discretized, ground: np.ndarray, dofs=None, out=None):
+    """Drive the discretized batch with the ground-motion record.
 
     Returns (y, states): total accelerations y at the floors dofs (every
     floor for None, a repeated dof giving a repeated row) with shape
     (batch, len(dofs), n_steps), and the state after every step in each
     row's slots (see Discretized), shaped (n_steps, batch, slots), for
     response_vjp. Measurement j is the state after step j, i.e. at time
-    (j+1) dt.
+    (j+1) dt. states is written into out when given (a C-contiguous
+    complex array of that shape), otherwise into a new array.
+
+    Every mode sees the same scalar input a_j, so with windows of L steps
+    z_j = sum_{k<L} beta e^k a_{j-k} + e^L z_{j-L}. The sums are one
+    product of the (n_steps, L) matrix of windows a_{j-k} against the
+    (L, batch * slots) powers beta e^k; the carry then runs window by
+    window, n_steps / L times. L = ceil(sqrt(n_steps)) balances the
+    product's width against the carry's count. Dense rows have e = 0, so
+    the product leaves them bd * a_j and their ad steps follow.
     """
-    states = _march(disc, disc.beta * np.asarray(ground, dtype=float)[:, None, None])
+    ground = np.asarray(ground, dtype=float)
+    nt = ground.size
+    nb, w = disc.e.shape
+    states = np.empty((nt, nb, w), dtype=complex) if out is None else out
+    span = math.isqrt(max(nt - 1, 0)) + 1
+    powers = np.empty((span, nb, w), dtype=complex)
+    powers[0] = disc.beta
+    powers[1:] = disc.e
+    np.cumprod(powers, axis=0, out=powers)
+    np.matmul(toeplitz(ground, np.zeros(span)), powers.view(float).reshape(span, 2 * nb * w),
+              out=states.view(float).reshape(nt, 2 * nb * w, copy=False))
+    carry = disc.e**span
+    for start in range(span, nt, span):
+        cur = states[start:start + span]
+        cur += carry * states[start - span:start - span + len(cur)]
+    if disc.dense.size:
+        m = disc.ad.shape[-1]
+        x = states.view(float)[:, disc.dense, :m]  # a copy, written back below
+        for j in range(1, nt):
+            x[j] += np.einsum("bij,bj->bi", disc.ad, x[j - 1])
+        states.view(float)[:, disc.dense, :m] = x
     y = _readout(disc, dofs) @ states.view(float).transpose(1, 2, 0)
     return y, states
 
 
 def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
-                 cotangent: np.ndarray, dofs=None) -> np.ndarray:
+                 cotangent: np.ndarray, dofs=None, out=None) -> np.ndarray:
     """Gradient of sum(cotangent * y) over story stiffness and damping.
 
     y and states come from run_batch(disc, ground, dofs); cotangent has y's
@@ -381,16 +416,18 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
     columns [slots, conjugate slots]; a real eigenvalue's column appears
     in both halves with half its eigenvector. Dense rows take the
     gradient from _expm_adjoint. The output map adds
-    sum_j cotangent_j x_{j+1}^T at the dofs rows.
+    sum_j cotangent_j x_{j+1}^T at the dofs rows. The adjoint march runs
+    in out when given, a C-contiguous float array shaped
+    (n_steps, batch, 2 slots), otherwise in a new array.
     """
     n, w = disc.mass.size, disc.e.shape[1]
     ground = np.asarray(ground, dtype=float)
     dofs = np.arange(n) if dofs is None else np.asarray(dofs, dtype=int)
     readout = _readout(disc, dofs)
     # Laid out per step, as the march reads it.
-    inputs = np.empty((cotangent.shape[2],) + readout.shape[::2])
+    inputs = np.empty((cotangent.shape[2],) + readout.shape[::2]) if out is None else out
     np.matmul(cotangent.transpose(0, 2, 1), readout, out=inputs.transpose(1, 0, 2))
-    xi = _march(disc, inputs.view(complex), reverse=True).view(float)
+    xi = _march(disc, inputs.view(complex)).view(float)
     zf = states.view(float)
     # xi[j] meets the state entering step j: states[j - 1], or zero for j = 0.
     sf = xi[1:].transpose(1, 2, 0) @ zf[:-1].transpose(1, 0, 2)
@@ -429,7 +466,8 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
         h[row] = _expm_adjoint(disc.a[row], dt, sf[row, :2 * n, :2 * n], qf[row, :2 * n])[n:]
     out_map = 2.0 * np.real((cotangent @ zf.transpose(1, 0, 2)).view(complex)
                             @ disc.vec.transpose(0, 2, 1))
-    np.add.at(h, (slice(None), dofs), out_map)
+    # A repeated dof's rows add up on its floor.
+    h += (np.arange(n)[:, None] == dofs).astype(float) @ out_map
     h *= -1.0 / disc.mass[:, None]
     pats = story_patterns(n)
     return np.concatenate([np.einsum("sij,bij->bs", pats, h[:, :, :n]),

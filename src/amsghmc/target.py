@@ -11,8 +11,9 @@ the samplers consume.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -219,22 +220,32 @@ class PriorSpec:
     def n_categories(self) -> int:
         return max(self.categories) + 1
 
+    @functools.cached_property
+    def families(self) -> tuple:
+        """(prior, columns) per prior class, in order of first appearance:
+        one instance whose fields are arrays over the class's columns, so
+        that its methods score all of them in one call."""
+        columns = {}
+        for i, pr in enumerate(self.priors):
+            columns.setdefault(type(pr), []).append(i)
+        return tuple(
+            (cls(**{f.name: np.array([getattr(self.priors[i], f.name) for i in cols])
+                    for f in fields(cls)}), np.array(cols))
+            for cls, cols in columns.items())
+
 
 def log_prior(w: np.ndarray, priors: PriorSpec):
     """Sum of unnormalized truncated log densities; -inf outside bounds."""
-    w = np.asarray(w, dtype=float)
-    total = np.zeros(w.shape[:-1])
-    for i, pr in enumerate(priors.priors):
-        total = total + pr.log_density(w[..., i])
+    total, _ = _prior_terms(np.asarray(w, dtype=float), priors)
     return float(total) if np.ndim(total) == 0 else total
 
 
 def _prior_terms(w: np.ndarray, priors: PriorSpec):
     val = np.zeros(w.shape[:-1])
     grad = np.empty_like(w)
-    for i, pr in enumerate(priors.priors):
-        val = val + pr.log_density(w[..., i])
-        grad[..., i] = pr.dlog_density(w[..., i])
+    for pr, cols in priors.families:
+        val = val + pr.log_density(w[..., cols]).sum(axis=-1)
+        grad[..., cols] = pr.dlog_density(w[..., cols])
     return val, grad
 
 
@@ -307,8 +318,25 @@ def default_problem(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _record_buffers(n_steps: int, batch: int, slots: int):
+    """The forward states and the adjoint march of one likelihood call.
+
+    Freed record-sized arrays go back to the operating system and page
+    faults follow on the next call, so the last shape's pair is kept.
+    Two threads calling _likelihood_batch at once would share it; the
+    program makes its energy calls from one thread.
+    """
+    return (np.empty((n_steps, batch, slots), dtype=complex),
+            np.empty((n_steps, batch, 2 * slots)))
+
+
 def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
-    """Log likelihood and its w-gradient for a batch of parameter vectors."""
+    """Log likelihood and its w-gradient for a batch of parameter vectors.
+
+    The structural layer works in _record_buffers, so nothing it returns
+    here may be kept past the call.
+    """
     n = problem.building.n_stories
     d = problem.dataset
     k_nom = problem.building.stiffness
@@ -320,7 +348,8 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
         raise ValueError("noise scale must be positive")
 
     disc = structural.discretize_batch(problem.building.mass, k_phys, c_phys, d.dt)
-    y, states = structural.run_batch(disc, d.ground_accel, d.observed_dofs)
+    states, adjoint = _record_buffers(d.n_steps, *disc.e.shape)
+    y, _ = structural.run_batch(disc, d.ground_accel, d.observed_dofs, out=states)
     resid = d.measurements[None, :, :] - y
     s = np.einsum("bnt,bnt->b", resid, resid)
     count = d.n_obs * d.n_steps
@@ -328,7 +357,7 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
     ll = -0.5 * count * np.log(2.0 * np.pi * sigma**2) - s / (2.0 * sigma**2)
     grad = np.empty_like(w)
     dldp = structural.response_vjp(disc, d.ground_accel, states, resid,
-                                   d.observed_dofs) / sigma[:, None] ** 2
+                                   d.observed_dofs, out=adjoint) / sigma[:, None] ** 2
     grad[:, :n] = dldp[:, :n] * k_nom
     grad[:, n : 2 * n] = dldp[:, n:] * c_nom
     grad[:, 2 * n] = (-count / sigma + s / sigma**3) * problem.sigma0

@@ -298,6 +298,52 @@ def test_readout_and_vjp_at_chosen_dofs_match_every_floor(cond_limit):
         assert np.linalg.norm(grad[row] - every[row]) <= 1e-12 * np.linalg.norm(every[row])
 
 
+def stepwise_states(disc, ground):
+    """States after every step, one zero-order-hold step at a time."""
+    m = disc.ad.shape[-1]
+    z = np.zeros(disc.e.shape, dtype=complex)
+    out = np.empty((ground.size,) + z.shape, dtype=complex)
+    for j, a in enumerate(ground):
+        x = z.view(float)[disc.dense, :m].copy()
+        z = disc.e * z + disc.beta * a
+        z.view(float)[disc.dense, :m] += np.einsum("bij,bj->bi", disc.ad, x)
+        out[j] = z
+    return out
+
+
+# 18 is the window length of a 300-step record; the shorter records get
+# windows of 1, 2, 3, 5, 5, 5 and 10 steps, most with a ragged last window.
+@pytest.mark.parametrize("n_steps", [1, 2, 9, 17, 18, 19, 97, 300])
+def test_windowed_forward_matches_stepwise_march(n_steps):
+    # A modal row, an overdamped one (150x damping, four real eigenvalues)
+    # and a near-critical one that the condition limit sends to the dense
+    # steps, in one batch.
+    n = 2
+    mass = np.full(n, 2e5)
+    rng = np.random.default_rng(37)
+    k = 2e7 * np.array([1.1, 0.9])
+    kmat = np.einsum("s,sij->ij", k, sb.story_patterns(n))
+    from scipy.linalg import eigh
+
+    w1 = np.sqrt(eigh(kmat, np.diag(mass), eigvals_only=True)[0])
+    ks = np.vstack([2e7 * rng.uniform(0.6, 1.6, n), [2e7, 2e7], k])
+    cs = np.vstack([6e4 * rng.uniform(0.6, 1.6, n), [9e6, 9e6], (2.0 / w1) * (1 - 1e-12) * k])
+    disc = sb.discretize_batch(mass, ks, cs, 0.01)
+    np.testing.assert_array_equal(disc.dense, [2])
+    assert disc.e.shape[1] == 4
+    ground = rng.normal(0, 1, n_steps)
+    ref = stepwise_states(disc, ground)
+    buffer = np.empty_like(ref)
+    y, states = sb.run_batch(disc, ground, out=buffer)
+    assert states is buffer
+    x = 2.0 * np.real(np.einsum("bij,tbj->tbi", disc.vec, ref))
+    y_ref = np.einsum("bij,tbj->bit", disc.a[:, n:], x)
+    for row in range(3):
+        scale = np.abs(ref[:, row]).max()
+        assert np.abs(states[:, row] - ref[:, row]).max() <= 1e-13 * scale
+        assert np.abs(y[row] - y_ref[row]).max() <= 1e-13 * np.abs(y_ref[row]).max()
+
+
 def test_empty_batch_gives_empty_results():
     disc = sb.discretize_batch(np.full(2, 2e5), np.zeros((0, 2)), np.zeros((0, 2)), 0.01)
     y, states = sb.run_batch(disc, np.ones(10), (1,))

@@ -350,6 +350,38 @@ def test_golden_batch_energy_and_gradient(five_story_problem, monkeypatch):
     np.testing.assert_allclose(grad, GOLDEN_GRAD, rtol=1e-10)
 
 
+def test_reused_record_buffers_are_invisible(five_story_problem):
+    prob = five_story_problem
+    rng = np.random.default_rng(47)
+
+    def states(k):
+        w = target.sample_prior_ratios(prob.priors, rng, k)
+        return target.map_params_to_state(w, prob.transform)
+
+    first, second, wider = states(4), states(4), states(6)
+    no_noise = dataclasses.replace(prob, sigma0=0.0)
+    calls = [(first, prob), (second, prob), (wider, prob), (wider, no_noise), (first, prob)]
+    target._record_buffers.cache_clear()
+    warm = []
+    for thetas, p in calls:
+        try:
+            warm.append(target.potential_energy_batch(thetas, p))
+        except ValueError:
+            warm.append(None)
+    assert target._record_buffers.cache_info().hits >= 1
+    # Compared only now, so a result that shared a buffer with a later
+    # call would show.
+    for (thetas, p), got in zip(calls, warm):
+        target._record_buffers.cache_clear()
+        if got is None:
+            with pytest.raises(ValueError):
+                target.potential_energy_batch(thetas, p)
+            continue
+        u, grad = target.potential_energy_batch(thetas, p)
+        np.testing.assert_array_equal(got[0], u)
+        np.testing.assert_array_equal(got[1], grad)
+
+
 def test_five_story_batch_gradient_matches_finite_differences(five_story_problem):
     prob = five_story_problem
     w = target.sample_prior_ratios(prob.priors, np.random.default_rng(41), 4)
