@@ -350,6 +350,17 @@ def compute_metrics(trace: samplers.Trace, wall_time_s: float | None) -> dict:
     }
 
 
+def _write_metrics(path: Path, cfg: ExperimentConfig, trace: samplers.Trace,
+                   metrics: dict, written: list) -> None:
+    """metrics.json: the metrics next to the stage's config and the run
+    settings recorded in the trace itself, which may differ from the
+    stage's (``evaluate`` reads traces that other configs produced)."""
+    run = {key: trace.meta.get(key)
+           for key in ("sampler", "eta", "k_chains", "n_steps", "burn_in")}
+    _write_json(path, {"seed": cfg.seed, "config": cfg.resolved(),
+                       "trace": run, "metrics": metrics}, written)
+
+
 def _read_timing(trace_dir: Path) -> float | None:
     path = trace_dir / "timing.json"
     if not path.exists():
@@ -388,11 +399,7 @@ def _stage_evaluate(cfg: ExperimentConfig, loaded: dict, out: Path,
     trace = loaded["trace"]
     wall = _read_timing(loaded["trace_dir"])
     metrics = compute_metrics(trace, wall)
-    _write_json(out / "metrics.json", {
-        "seed": cfg.seed,
-        "config": cfg.resolved(),
-        "metrics": metrics,
-    }, written)
+    _write_metrics(out / "metrics.json", cfg, trace, metrics, written)
     outputs = {"metrics": "metrics.json"}
     outputs.update(_emit_plot_data(trace, out, written))
     summary = {
@@ -419,11 +426,7 @@ def _stage_compare(cfg: ExperimentConfig, loaded: dict, out: Path,
                                             loaded.get("checkpoint"),
                                             name, sub, written)
         metrics = compute_metrics(trace, wall)
-        _write_json(sub / "metrics.json", {
-            "seed": cfg.seed,
-            "config": cfg.resolved(),
-            "metrics": metrics,
-        }, written)
+        _write_metrics(sub / "metrics.json", cfg, trace, metrics, written)
         _emit_plot_data(trace, sub, written)
         table[name] = metrics
         runs[name] = summary

@@ -256,19 +256,20 @@ def chain_generators(seed: int, k_chains: int) -> list:
     return [np.random.default_rng(s) for s in root.spawn(k_chains)]
 
 
+def prior_draw(problem, gen) -> np.ndarray:
+    """One chain position from the prior, or standard normal for problems
+    without one."""
+    if isinstance(problem, target.UpdatingProblem):
+        w = target.sample_prior_ratios(problem.priors, gen, 1)[0]
+        return target.map_params_to_state(w, problem.transform)
+    return gen.standard_normal(problem.dimension)
+
+
 def initialize_chains(problem, k_chains: int, gens, theta0=None, p0=None) -> ChainState:
-    """Fresh chains: positions from the prior (or standard normal for
-    problems without one), momenta standard normal."""
+    """Fresh chains: positions from ``prior_draw``, momenta standard normal."""
     d = problem.dimension
     if theta0 is None:
-        rows = []
-        for g in gens:
-            if isinstance(problem, target.UpdatingProblem):
-                w = target.sample_prior_ratios(problem.priors, g, 1)[0]
-                rows.append(target.map_params_to_state(w, problem.transform))
-            else:
-                rows.append(g.standard_normal(d))
-        theta = np.stack(rows)
+        theta = np.stack([prior_draw(problem, g) for g in gens])
     else:
         theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float),
                                          (k_chains, d)))
@@ -289,24 +290,22 @@ def _draw_noise(gens, d: int) -> np.ndarray:
 
 
 def _safe_energy(fn, thetas):
-    """Batch evaluation with per-row fallback when the batch raises."""
+    """Batch evaluation as (u, grad, ok), ok marking the rows whose energy
+    and gradient are finite.  When the batch raises, its rows are tried one
+    by one and a row that raises again is not ok."""
     try:
         u, grad = fn(thetas)
-        return (np.asarray(u, dtype=float), np.asarray(grad, dtype=float),
-                np.ones(len(thetas), dtype=bool))
+        u, grad = np.asarray(u, dtype=float), np.asarray(grad, dtype=float)
     except (ValueError, np.linalg.LinAlgError):
         u = np.full(len(thetas), np.nan)
         grad = np.full(thetas.shape, np.nan)
-        ok = np.zeros(len(thetas), dtype=bool)
-        for i, th in enumerate(thetas):
+        for i in range(len(thetas)):
             try:
-                ui, gi = fn(th[None])
-                u[i] = ui[0]
-                grad[i] = gi[0]
-                ok[i] = True
+                ui, gi = fn(thetas[i:i + 1])
+                u[i], grad[i] = ui[0], gi[0]
             except (ValueError, np.linalg.LinAlgError):
                 pass
-        return u, grad, ok
+    return u, grad, np.isfinite(u) & np.isfinite(grad).all(axis=1)
 
 
 def _advance(state: ChainState, idx, theta1, p1, fn) -> ChainState:
@@ -326,7 +325,6 @@ def _advance(state: ChainState, idx, theta1, p1, fn) -> ChainState:
     if good.size:
         th_f = theta1[finite]
         u1, g1, ok = _safe_energy(fn, th_f)
-        ok &= np.isfinite(u1) & np.isfinite(g1).all(axis=1)
         sel = good[ok]
         theta[sel] = th_f[ok]
         p[sel] = p1[finite][ok]
@@ -419,7 +417,6 @@ def _leapfrog(theta0, p0, eta, n_leap, fn, u0, grad0):
         if vidx.size == 0:
             break
         u1, g1, ok = _safe_energy(fn, theta[vidx])
-        ok &= np.isfinite(u1) & np.isfinite(g1).all(axis=1)
         valid[vidx[~ok]] = False
         keep = vidx[ok]
         u[keep] = u1[ok]

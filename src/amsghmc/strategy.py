@@ -12,14 +12,15 @@ shortcut (linear layer plus Gaussian RBF units) adds to the MLP output
 before the sigmoid.
 
 The networks are evaluated by vectorized numpy code over whole (K, D)
-batches, carrying one forward-mode tangent for the state partials of G and
-C.  Training differentiates that same pass by hand: with the leaky-ReLU
-gates fixed the tangent stream is linear in the weights, so one backward
-pass over the recorded primal and tangent activations gives the weight
-gradient.  The generic scalar path (``q_eval``, ``d_eval`` and
-``build_tape_nets``, written against the autodiff module's tape and dual
-numbers) is no longer called by any stage; it stays as the reference the
-hand-written gradient is tested against.
+batches (``fast_q_eval``, ``fast_d_eval``), carrying one forward-mode
+tangent for the state partials of G and C.  Training differentiates that
+same pass by hand: with the leaky-ReLU gates fixed the tangent stream is
+linear in the weights, so one backward pass over the recorded primal and
+tangent activations gives the weight gradient, which the tests check
+against central differences.  The scalar path written against the
+autodiff module's tape and dual numbers (``q_eval``, ``d_eval``,
+``build_tape_nets``) is called by no stage; it remains only because
+``perfbench/tracer.py`` wraps those names.
 """
 
 from __future__ import annotations
@@ -99,20 +100,6 @@ def init_strategy(cfg: StrategyConfig, rng: np.random.Generator) -> StrategyNets
     return StrategyNets(cfg, layers(cfg.q_channels), layers(cfg.d_channels))
 
 
-def zero_strategy(cfg: StrategyConfig) -> StrategyNets:
-    """All-zero weights: both networks output exactly M/2 regardless of
-    input, and every state partial is exactly zero."""
-
-    def layers(channels):
-        sizes = _layer_sizes(cfg, channels)
-        return [
-            (np.zeros((fan_out, fan_in)), np.zeros(fan_out))
-            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
-        ]
-
-    return StrategyNets(cfg, layers(cfg.q_channels), layers(cfg.d_channels))
-
-
 def one_hot(categories, n_categories: int) -> np.ndarray:
     """(n_categories, D) indicator rows for integer labels."""
     cats = np.atleast_1d(np.asarray(categories, dtype=int))
@@ -137,12 +124,6 @@ def _squash_p(p):
 
 def _squash_g(g):
     return 3.0 * ad.sigmoid(g / 30.0) - 1.5
-
-
-def squash_inputs(u_hat, p_i, du_star, category: int, n_categories: int = 3):
-    """Network input channels for one element: (i_U, i_p, i_G, one-hot)."""
-    i_c = one_hot([category], n_categories)[:, 0]
-    return _squash_u(u_hat), _squash_p(p_i), _squash_g(du_star), i_c
 
 
 def _unit(ws, xs, b):
@@ -245,30 +226,6 @@ def d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
     if isinstance(c, ad.DualValue):
         return c.primal, c.tangent
     return c, None
-
-
-def strategy_forward(nets: StrategyNets, z, sigma):
-    """(G_ii, C_ii) at state features z = (U_hat, p, dU_star, categories)."""
-    u_hat, p, du_star, cats = z
-    oh = one_hot(cats, nets.cfg.n_categories)
-    g, _ = q_eval(nets, u_hat, p, oh, sigma)
-    c, _ = d_eval(nets, u_hat, p, du_star, oh)
-    return g, c
-
-
-def strategy_partials(nets: StrategyNets, z, sigma, du_hat_dtheta):
-    """(dG/dtheta_i, dC/dp_i, dG/dp_i) at one state, by forward mode.
-
-    G reaches theta_i only through the potential channel, so its theta
-    partial is seeded with du_hat_dtheta; both momentum partials are
-    seeded with ones on the momentum channel.
-    """
-    u_hat, p, du_star, cats = z
-    oh = one_hot(cats, nets.cfg.n_categories)
-    _, dg_dth = q_eval(nets, u_hat, p, oh, sigma, du_seed=du_hat_dtheta)
-    _, dc_dp = d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
-    _, dg_dp = q_eval(nets, u_hat, p, oh, sigma, dp_seed=1.0)
-    return dg_dth, dc_dp, dg_dp
 
 
 # --- vectorized numpy path: sampling, and training through a hand VJP --------
@@ -455,10 +412,13 @@ def _d_logits(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None,
 
 def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
                 du_seed=None, dp_seed=None):
-    """Vectorized twin of q_eval over a (K, D) batch.
+    """G_ii over a (K, D) batch, plus its directional derivative when an
+    input seed is given.
 
-    u_hat is (K,); outputs agree with the generic path up to
-    floating-point reassociation. Tangent is None when unseeded.
+    u_hat is (K,).  du_seed rides the potential channel (giving
+    dG/dtheta_i when seeded with dU_hat/dtheta_i) and dp_seed the momentum
+    channel (giving dG/dp_i when seeded with one); the tangent is None
+    when unseeded.
     """
     cfg = nets.cfg
     o, ot = _q_logits(nets, u_hat, p, onehot, du_seed, dp_seed)
@@ -470,7 +430,8 @@ def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
 
 
 def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
-    """Vectorized twin of d_eval over a (K, D) batch."""
+    """C_ii over a (K, D) batch, plus dC/dp_i when the momentum channel
+    is seeded."""
     cfg = nets.cfg
     o, ot = _d_logits(nets, u_hat, p, du_star, onehot, dp_seed)
     s = _expit(5.0 * o)

@@ -36,7 +36,8 @@ from scipy.linalg import expm, expm_frechet, toeplitz
 
 @dataclass(frozen=True)
 class ShearBuilding:
-    """Story-wise physical parameters of a linear shear building."""
+    """Story-wise physical parameters of a linear shear building; story
+    stiffness and floor mass must be strictly positive."""
 
     stiffness: np.ndarray
     damping: np.ndarray
@@ -48,6 +49,13 @@ class ShearBuilding:
         n = self.stiffness.size
         if self.damping.size != n or self.mass.size != n:
             raise ValueError("stiffness, damping and mass must have equal length")
+        # Damping is deliberately unchecked: the inference chain explores
+        # damping values of either sign and the likelihood must stay
+        # evaluable there.
+        if np.any(self.stiffness <= 0):
+            raise ValueError("story stiffness must be strictly positive")
+        if np.any(self.mass <= 0):
+            raise ValueError("floor mass must be strictly positive")
 
     @property
     def n_stories(self) -> int:
@@ -145,24 +153,6 @@ def story_patterns(n: int) -> np.ndarray:
             pats[s, s - 1, s - 1] += 1.0
             pats[s, s, s - 1] = pats[s, s - 1, s] = -1.0
     return pats
-
-
-def assemble_system(b: ShearBuilding):
-    """Mass, damping and stiffness matrices (M, C, K) of the chain model.
-
-    Stiffness and mass must be strictly positive. Damping is deliberately
-    unchecked: the inference chain explores damping values of either sign
-    and the likelihood must stay evaluable there.
-    """
-    if np.any(b.stiffness <= 0):
-        raise ValueError("story stiffness must be strictly positive")
-    if np.any(b.mass <= 0):
-        raise ValueError("floor mass must be strictly positive")
-    pats = story_patterns(b.n_stories)
-    K = np.einsum("s,sij->ij", b.stiffness, pats)
-    C = np.einsum("s,sij->ij", b.damping, pats)
-    M = np.diag(b.mass)
-    return M, C, K
 
 
 @dataclass
@@ -472,13 +462,6 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
     pats = story_patterns(n)
     return np.concatenate([np.einsum("sij,bij->bs", pats, h[:, :, :n]),
                            np.einsum("sij,bij->bs", pats, h[:, :, n:])], axis=1)
-
-
-def simulate_accelerations(b: ShearBuilding, d: Dataset) -> np.ndarray:
-    """Clean total accelerations at the observed dofs, (n_obs, n_steps)."""
-    disc = discretize_batch(b.mass, b.stiffness[None, :], b.damping[None, :], d.dt)
-    y, _ = run_batch(disc, d.ground_accel, d.observed_dofs)
-    return y[0]
 
 
 def generate_dataset(cfg: DatasetConfig, rng: np.random.Generator):

@@ -95,19 +95,6 @@ def transform_details(theta: np.ndarray, tr: BoundedTransform):
     return w, t, dt
 
 
-def map_state_to_params(theta: np.ndarray, tr: BoundedTransform) -> np.ndarray:
-    """Physical parameter vector w for chain state theta."""
-    w, _, _ = transform_details(theta, tr)
-    return w
-
-
-def log_jacobian(theta: np.ndarray, tr: BoundedTransform):
-    """Sum over dimensions of the log-slope T; scalar or (batch,)."""
-    _, t, _ = transform_details(theta, tr)
-    s = t.sum(axis=-1)
-    return float(s) if np.ndim(s) == 0 else s
-
-
 def map_params_to_state(w: np.ndarray, tr: BoundedTransform) -> np.ndarray:
     """Inverse of the saturation map: state theta whose image is w.
 
@@ -234,12 +221,6 @@ class PriorSpec:
             for cls, cols in columns.items())
 
 
-def log_prior(w: np.ndarray, priors: PriorSpec):
-    """Sum of unnormalized truncated log densities; -inf outside bounds."""
-    total, _ = _prior_terms(np.asarray(w, dtype=float), priors)
-    return float(total) if np.ndim(total) == 0 else total
-
-
 def _prior_terms(w: np.ndarray, priors: PriorSpec):
     val = np.zeros(w.shape[:-1])
     grad = np.empty_like(w)
@@ -364,13 +345,6 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
     return ll, grad
 
 
-def log_likelihood(w: np.ndarray, problem: UpdatingProblem) -> float:
-    """Gaussian measurement log likelihood at one parameter vector."""
-    w = np.asarray(w, dtype=float)
-    ll, _ = _likelihood_batch(w[None, :], problem)
-    return float(ll[0])
-
-
 def potential_energy_batch(thetas: np.ndarray, problem: UpdatingProblem):
     """U(theta) and its gradient for a (batch, D) stack of chain states."""
     thetas = np.asarray(thetas, dtype=float)
@@ -385,13 +359,6 @@ def potential_energy_batch(thetas: np.ndarray, problem: UpdatingProblem):
     u = -(ll + lp) - t.sum(axis=-1)
     grad = -(dll + dlp) * slope - dt
     return u, grad
-
-
-def potential_energy(theta: np.ndarray, problem: UpdatingProblem):
-    """U(theta) and gradient at a single chain state."""
-    theta = np.asarray(theta, dtype=float)
-    u, g = potential_energy_batch(theta[None, :], problem)
-    return float(u[0]), g[0]
 
 
 # --- problem definition files ------------------------------------------------

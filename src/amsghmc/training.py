@@ -7,10 +7,11 @@ KL divergence from the sampled distribution to the target.  Gradients
 flow through one update step per sample (earlier steps are treated as
 constants), the density's own dependence on the samples enters through a
 kernelized score estimate, and one optimizer update is applied per
-sub-epoch from the averaged segment gradients.  The weight gradient of a
-segment is one hand-written vector-Jacobian product over all of its
-recorded steps at once (``am_update_vjp``); the scalar tape version of the
-step (``_am_update_tape``) is kept only as a test reference.
+sub-epoch from the averaged segment gradients.  A segment advances its
+chains with the sampler's own step (``samplers.am_update`` and
+``samplers._advance``), and its weight gradient is one hand-written
+vector-Jacobian product over all of its recorded steps at once
+(``am_update_vjp``), which the tests pin to central differences.
 
 A replay buffer of past chain states supplies restarts, both for the
 periodic reinitialization that keeps the training distribution broad and
@@ -27,11 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import evaluation
 from . import samplers
 from . import strategy as sn
-from . import target
 from .adaptive import check_rates
 
 
@@ -244,37 +243,8 @@ class TrainingConfig:
                                  use_shortcut=self.use_shortcut,
                                  n_rbf=self.n_rbf)
 
-    @property
-    def samples_per_segment(self) -> int:
-        return self.T_T // self.tau
-
 
 # --- one differentiable segment ---------------------------------------------------
-
-
-def _am_update_tape(theta, p, u, grad, xi, eta, var_nets, stats, oh,
-                    detach_gamma: bool):
-    """The meta-learned update with network weights as tape variables.
-
-    State inputs are plain arrays (constants to the tape), so the
-    returned position and momentum depend on the weights only through
-    this single step.  No stage calls it; it is the reference that
-    ``am_update_vjp`` is tested against.
-    """
-    u_hat, du_star = samplers.normalize_inputs(u, grad, stats)
-    du_hat_dth = du_star / stats.sigma_i
-    sig = stats.sigma_i
-    u_col = u_hat[:, None]
-    g_t, dg_dth = sn.q_eval(var_nets, u_col, p, oh, sig, du_seed=du_hat_dth)
-    c_t, dc_dp = sn.d_eval(var_nets, u_col, p, du_star, oh, dp_seed=1.0)
-    gamma = dg_dth + dc_dp
-    if detach_gamma:
-        gamma = ad.value_of(gamma)
-    p1 = ((1.0 - eta * c_t) * p - eta * (g_t * grad)
-          + eta * gamma + ad.sqrt(2.0 * eta * c_t) * xi)
-    g_hat, dg_dp = sn.q_eval(var_nets, u_col, p1, oh, sig, dp_seed=1.0)
-    theta1 = samplers.position_update(theta, p1, eta, g_hat, dg_dp)
-    return theta1, p1
 
 
 def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
@@ -389,11 +359,12 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
     gradient is then one ``am_update_vjp`` over all recorded rows, with
     the energy and score cotangents of each row summed.
     """
-    theta = np.array(theta, dtype=float)
-    p = np.array(p, dtype=float)
-    u = np.array(u, dtype=float)
-    grad = np.array(grad, dtype=float)
-    k, d = theta.shape
+    # _advance never writes into its input state, so the caller's arrays
+    # are not copied.
+    state = samplers.ChainState(
+        *(np.asarray(a, dtype=float) for a in (theta, p, u, grad)),
+        np.ones(len(theta), dtype=bool))
+    d = state.theta.shape[1]
     t_t = xi_seq.shape[0]
     s_total = t_t // cfg.tau
     if s_total < 1:
@@ -401,74 +372,63 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
     slots = np.asarray(tape_slots, dtype=int)
     n_slots = slots.size
 
-    ok = np.ones(k, dtype=bool)
     slot_ok = np.ones(n_slots, dtype=bool)
     samples_theta = np.empty((s_total + 1, n_slots, d))
     samples_p = np.empty((s_total + 1, n_slots, d))
     samples_u = np.empty((s_total + 1, n_slots))
     samples_grad = np.empty((s_total + 1, n_slots, d))
-    samples_theta[0] = theta[slots]
-    samples_p[0] = p[slots]
-    samples_u[0] = u[slots]
-    samples_grad[0] = grad[slots]
+
+    def record(s_idx):
+        samples_theta[s_idx] = state.theta[slots]
+        samples_p[s_idx] = state.p[slots]
+        samples_u[s_idx] = state.u[slots]
+        samples_grad[s_idx] = state.grad[slots]
+
+    record(0)
     recorded: list = []
 
     for step in range(1, t_t + 1):
-        if update_stats:
-            if ok.any():
-                stats.update(t0 + step, theta[ok], u[ok])
+        live = np.flatnonzero(state.alive)
+        if update_stats and live.size:
+            stats.update(t0 + step, state.theta[live], state.u[live])
         xi = xi_seq[step - 1]
         is_recorded = step % cfg.tau == 0 and step // cfg.tau <= s_total
 
         pre_rows = np.flatnonzero(slot_ok) if is_recorded else None
         if pre_rows is not None and pre_rows.size:
             idx = slots[pre_rows]
-            u_hat, du_star = samplers.normalize_inputs(u[idx], grad[idx], stats)
-            pre = (theta[idx], p[idx], grad[idx], u_hat, du_star,
-                   np.broadcast_to(stats.sigma_i, (idx.size, d)), xi[idx])
+            u_hat, du_star = samplers.normalize_inputs(state.u[idx],
+                                                       state.grad[idx], stats)
+            pre = (state.theta[idx], state.p[idx], state.grad[idx], u_hat,
+                   du_star, np.broadcast_to(stats.sigma_i, (idx.size, d)),
+                   xi[idx])
         else:
             pre = None
 
-        live = np.flatnonzero(ok)
-        th1, p1 = samplers.am_update(theta[live], p[live], u[live],
-                                     grad[live], xi[live], cfg.eta, nets,
-                                     stats, oh)
-        finite = np.isfinite(th1).all(axis=1) & np.isfinite(p1).all(axis=1)
-        passed = np.zeros(live.size, dtype=bool)
-        if finite.any():
-            u1, g1, e_ok = samplers._safe_energy(fn, th1[finite])
-            e_ok &= np.isfinite(u1) & np.isfinite(g1).all(axis=1)
-            f_idx = np.flatnonzero(finite)
-            passed[f_idx[e_ok]] = True
-            sel = live[f_idx[e_ok]]
-            theta[sel] = th1[finite][e_ok]
-            p[sel] = p1[finite][e_ok]
-            u[sel] = u1[e_ok]
-            grad[sel] = g1[e_ok]
-        ok[live[~passed]] = False
+        th1, p1 = samplers.am_update(state.theta[live], state.p[live],
+                                     state.u[live], state.grad[live], xi[live],
+                                     cfg.eta, nets, stats, oh)
+        state = samplers._advance(state, live, th1, p1, fn)
 
         if is_recorded:
             s_idx = step // cfg.tau
-            slot_ok &= ok[slots]
+            slot_ok &= state.alive[slots]
             # A finite but runaway slot would dominate the density fit and
             # the energy sum, turning the whole segment gradient into
             # noise, so it leaves the loss just as a diverged slot does.
-            slot_ok &= stats.sane_rows(theta[slots], u[slots])
+            slot_ok &= stats.sane_rows(state.theta[slots], state.u[slots])
             rows = np.flatnonzero(slot_ok)
             if pre is not None and rows.size:
                 keep = np.isin(pre_rows, rows)
                 recorded.append((s_idx, rows, [a[keep] for a in pre]))
-            samples_theta[s_idx] = theta[slots]
-            samples_p[s_idx] = p[slots]
-            samples_u[s_idx] = u[slots]
-            samples_grad[s_idx] = grad[slots]
+            record(s_idx)
 
-    diverged = ~ok
+    diverged = ~state.alive
     survivors = np.flatnonzero(slot_ok)
     k_eff = survivors.size
-    no_grad = SegmentResult(theta, p, u, grad, diverged, None,
-                            float("nan"), float("nan"), k_eff, False,
-                            samples_theta, samples_p, samples_u,
+    no_grad = SegmentResult(state.theta, state.p, state.u, state.grad,
+                            diverged, None, float("nan"), float("nan"), k_eff,
+                            False, samples_theta, samples_p, samples_u,
                             samples_grad, slot_ok)
     if k_eff == 0 or len(recorded) < s_total:
         return no_grad
@@ -509,8 +469,8 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
     if not np.all(np.isfinite(grad_flat)):
         no_grad.aborted = True
         return no_grad
-    return SegmentResult(theta, p, u, grad, diverged, grad_flat,
-                         loss_energy, loss_entropy, k_eff, False,
+    return SegmentResult(state.theta, state.p, state.u, state.grad, diverged,
+                         grad_flat, loss_energy, loss_entropy, k_eff, False,
                          samples_theta, samples_p, samples_u, samples_grad,
                          slot_ok)
 
@@ -555,17 +515,10 @@ def _restart_row(buffer: ReplayBuffer, problem, fn, gen, driver):
     if len(buffer):
         return buffer.sample(driver)
     for _ in range(20):
-        if isinstance(problem, target.UpdatingProblem):
-            w = target.sample_prior_ratios(problem.priors, gen, 1)[0]
-            th = target.map_params_to_state(w, problem.transform)
-        else:
-            th = gen.standard_normal(problem.dimension)
+        th = samplers.prior_draw(problem, gen)
         pr = gen.standard_normal(problem.dimension)
-        try:
-            ur, gr = fn(th[None])
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        if np.isfinite(ur[0]) and np.all(np.isfinite(gr[0])):
+        ur, gr, ok = samplers._safe_energy(fn, th[None])
+        if ok[0]:
             return th, pr, float(ur[0]), gr[0]
     raise RuntimeError("could not draw a finite restart state")
 

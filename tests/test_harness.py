@@ -389,6 +389,23 @@ def test_evaluate_reads_trace_from_config_key(two_story, tmp_path):
     assert report["summary"]["kept_chains"] >= 1
 
 
+def test_metrics_embed_the_traces_own_run_settings(two_story, tmp_path):
+    src = tmp_path / "src"
+    harness.run_experiment("sample", harness.ExperimentConfig.from_dict({
+        "seed": 5, "out": str(src), "problem": str(two_story["problem"]),
+        "sampler": "sghmc", "run": dict(run_settings(), eta=0.003),
+    }))
+    # The evaluating config keeps its defaults: am-sghmc at the default eta.
+    elsewhere = harness.ExperimentConfig.from_dict({
+        "seed": 5, "out": str(tmp_path / "dst"), "trace": str(src / "trace"),
+    })
+    harness.run_experiment("evaluate", elsewhere)
+    doc = json.loads((tmp_path / "dst" / "metrics.json").read_text())
+    assert doc["trace"] == {"sampler": "sghmc", "eta": 0.003, "k_chains": 4,
+                            "n_steps": 60, "burn_in": 20}
+    assert doc["config"] == elsewhere.resolved()
+
+
 # --- train -------------------------------------------------------------------------
 
 
@@ -430,9 +447,11 @@ def test_compare_stage(two_story, checkpoint, tmp_path):
                                 "wall_time_s", "ess_per_hour", "energy_quantiles"}
     assert {"ess_aggregate_ratio", "ess_per_hour_ratio",
             "naive_loss_rel_gap"} <= set(doc["ratios"])
-    for name in ("am-sghmc", "sghmc"):
+    for name, engine in (("am-sghmc", "amsghmc"), ("sghmc", "sghmc")):
         assert (out / name / "trace" / "trace.json").exists()
-        assert (out / name / "metrics.json").exists()
+        metrics_doc = json.loads((out / name / "metrics.json").read_text())
+        assert metrics_doc["trace"]["sampler"] == engine
+        assert metrics_doc["metrics"] == doc["table"][name]
         assert report["outputs"][name] == f"{name}/trace"
 
 
@@ -465,6 +484,22 @@ def test_preflight_failures_create_no_output(two_story, checkpoint, tmp_path):
         assert not (tmp_path / payload["out"]).exists()
     with pytest.raises(harness.ConfigError, match="unknown stage"):
         harness.run_experiment("simulate", harness.ExperimentConfig())
+
+
+def test_nonpositive_mass_fails_before_output(two_story, tmp_path):
+    spec = json.loads(two_story["problem"].read_text())
+    spec["mass"][0] = 0.0
+    spec["dataset"] = str(two_story["out"] / "dataset.csv")
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    cfg = harness.ExperimentConfig.from_dict({
+        "seed": 5, "out": str(out), "problem": str(bad), "sampler": "sghmc",
+        "run": run_settings(),
+    })
+    with pytest.raises(harness.ConfigError, match="mass must be strictly positive"):
+        harness.run_experiment("sample", cfg)
+    assert not out.exists()
 
 
 def test_midstage_failure_leaves_partial_marker(two_story, tmp_path, monkeypatch):

@@ -203,7 +203,8 @@ def test_chain_generators_prefix_stable():
 def test_am_with_zero_nets_matches_sghmc_bitwise():
     quad = Quadratic(3, scale=[1.0, 2.0, 0.5])
     cfg = sn.StrategyConfig()
-    nets = sn.zero_strategy(cfg)
+    nets = sn.init_strategy(cfg, np.random.default_rng(0))
+    sn.set_trainable_flat(nets, np.zeros_like(sn.get_trainable_flat(nets)))
     stats = sp.AdaptiveStats.fixed(np.ones(3), 0.0, 1.0)
     g_const = 1.0 * (cfg.c1 + cfg.m_q * 0.5)
     c_const = cfg.c2 + cfg.m_d * 0.5
@@ -342,6 +343,30 @@ def test_advance_marks_nonfinite_rows_dead():
     np.testing.assert_array_equal(new.theta[0], [0.1, 0.1])
 
 
+def test_safe_energy_falls_back_row_by_row_and_screens_rows():
+    calls = []
+
+    def fn(thetas):
+        calls.append(len(thetas))
+        if (thetas[:, 0] > 10.0).any():
+            raise ValueError("outside the model's domain")
+        u = np.where(thetas[:, 0] < -10.0, np.nan, 0.5 * (thetas**2).sum(axis=1))
+        grad = np.where(thetas[:, 1:] > 10.0, np.inf, thetas)
+        return u, grad
+
+    # rows: fine, raises, non-finite energy, non-finite gradient
+    thetas = np.array([[0.5, 1.0], [20.0, 0.0], [-20.0, 0.0], [0.0, 20.0]])
+    u, grad, ok = sp._safe_energy(fn, thetas)
+    assert calls == [4, 1, 1, 1, 1]
+    np.testing.assert_array_equal(ok, [True, False, False, False])
+    assert u[0] == 0.625 and np.isnan(u[1])
+    np.testing.assert_array_equal(grad[0], [0.5, 1.0])
+    calls.clear()
+    _, _, ok = sp._safe_energy(fn, thetas[[0, 2, 3]])
+    assert calls == [3]
+    np.testing.assert_array_equal(ok, [True, False, False])
+
+
 def test_initialize_chains_prior_start():
     from amsghmc import structural
 
@@ -353,8 +378,7 @@ def test_initialize_chains_prior_start():
     gens = sp.chain_generators(0, 6)
     state = sp.initialize_chains(problem, 6, gens)
     assert state.theta.shape == (6, 5)
-    w = np.stack([target.map_state_to_params(th, problem.transform)
-                  for th in state.theta])
+    w, _, _ = target.transform_details(state.theta, problem.transform)
     for j, prior in enumerate(problem.priors.priors):
         assert np.all(w[:, j] > prior.low) and np.all(w[:, j] < prior.high)
     assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.grad))

@@ -16,8 +16,44 @@ def random_nets(seed=0, cfg=CFG):
     return sn.init_strategy(cfg, np.random.default_rng(seed))
 
 
+def zero_nets(cfg=CFG):
+    """All-zero weights: both networks output exactly M/2 regardless of
+    input, and every state partial is exactly zero."""
+    nets = random_nets(0, cfg)
+    sn.set_trainable_flat(nets, np.zeros_like(sn.get_trainable_flat(nets)))
+    return nets
+
+
+def batch(z):
+    """Features z = (U_hat, p, dU_star, categories) as the batch evaluators
+    take them: U_hat (K,), p and dU_star (K, D), one-hot rows."""
+    u_hat, p, du_star, cats = z
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    return (np.reshape(u_hat, -1), p, np.broadcast_to(du_star, p.shape),
+            sn.one_hot(cats, 3))
+
+
+def forward(nets, z, sigma):
+    """(G_ii, C_ii) at features z."""
+    u_hat, p, du_star, oh = batch(z)
+    g, _ = sn.fast_q_eval(nets, u_hat, p, oh, sigma)
+    c, _ = sn.fast_d_eval(nets, u_hat, p, du_star, oh)
+    return g, c
+
+
+def partials(nets, z, sigma, du_hat_dtheta):
+    """(dG/dtheta_i, dC/dp_i, dG/dp_i) at features z, by forward mode."""
+    u_hat, p, du_star, oh = batch(z)
+    _, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, sigma, du_seed=du_hat_dtheta)
+    _, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
+    _, dg_dp = sn.fast_q_eval(nets, u_hat, p, oh, sigma, dp_seed=1.0)
+    return dg_dth, dc_dp, dg_dp
+
+
 def test_squash_values_at_zero():
-    i_u, i_p, i_g, i_c = sn.squash_inputs(0.0, 0.0, 0.0, 1, 3)
+    i_u, i_p, i_g = (squash(0.0)[0] for squash in
+                     (sn._squash_u_np, sn._squash_p_np, sn._squash_g_np))
+    i_c = sn.one_hot([1], 3)[:, 0]
     assert i_u == pytest.approx(0.0, abs=1e-15)
     assert i_p == pytest.approx(0.0, abs=1e-15)
     assert i_g == pytest.approx(0.0, abs=1e-15)
@@ -26,18 +62,18 @@ def test_squash_values_at_zero():
 
 def test_squash_rejects_unknown_category():
     with pytest.raises(ValueError):
-        sn.squash_inputs(0.0, 0.0, 0.0, 3, 3)
+        sn.one_hot([3], 3)
     with pytest.raises(ValueError):
         sn.one_hot([-1], 3)
 
 
 def test_zero_weights_give_midpoint_outputs():
-    nets = sn.zero_strategy(CFG)
+    nets = zero_nets()
     z = (0.7, -2.0, 5.0, np.array([0]))
-    g, c = sn.strategy_forward(nets, z, sigma=1.0)
+    g, c = forward(nets, z, sigma=1.0)
     assert g == pytest.approx(CFG.c1 + CFG.m_q / 2, abs=1e-14)
     assert c == pytest.approx(CFG.c2 + CFG.m_d / 2, abs=1e-14)
-    dg_dth, dc_dp, dg_dp = sn.strategy_partials(nets, z, 1.0, du_hat_dtheta=0.8)
+    dg_dth, dc_dp, dg_dp = partials(nets, z, 1.0, du_hat_dtheta=0.8)
     assert scalar(dg_dth) == 0.0
     assert scalar(dc_dp) == 0.0
     assert scalar(dg_dp) == 0.0
@@ -46,8 +82,8 @@ def test_zero_weights_give_midpoint_outputs():
 def test_sigma_scales_g_only():
     nets = random_nets(1)
     z = (0.3, 1.2, -4.0, np.array([1]))
-    g1, c1 = sn.strategy_forward(nets, z, sigma=1.0)
-    g2, c2 = sn.strategy_forward(nets, z, sigma=2.0)
+    g1, c1 = forward(nets, z, sigma=1.0)
+    g2, c2 = forward(nets, z, sigma=2.0)
     assert g2 == pytest.approx(2.0 * g1, rel=1e-14)
     assert c2 == c1
 
@@ -61,7 +97,7 @@ def test_outputs_bounded_random_sweep():
         du = rng.normal(0, 50, (40, 5))
         cats = np.array([0, 0, 1, 1, 2])
         sigma = rng.uniform(0.1, 3.0, (40, 5))
-        g, c = sn.strategy_forward(nets, (u, p, du, cats), sigma)
+        g, c = forward(nets, (u, p, du, cats), sigma)
         assert np.all(g > sigma * CFG.c1)
         assert np.all(g < sigma * (CFG.c1 + CFG.m_q))
         assert np.all(c > CFG.c2)
@@ -75,7 +111,7 @@ def test_batched_shapes_broadcast():
     p = np.random.default_rng(1).normal(size=(k, d))
     du = np.random.default_rng(2).normal(size=(k, d))
     cats = np.array([0, 0, 1, 1, 2])
-    g, c = sn.strategy_forward(nets, (u, p, du, cats), sigma=np.ones((k, d)))
+    g, c = forward(nets, (u, p, du, cats), sigma=np.ones((k, d)))
     assert g.shape == (k, d)
     assert c.shape == (k, d)
 
@@ -87,15 +123,15 @@ def test_partials_match_finite_differences():
     sigma = 1.7
     seed = 0.62
     z = (u0, p0, du0, cats)
-    dg_dth, dc_dp, dg_dp = sn.strategy_partials(nets, z, sigma, du_hat_dtheta=seed)
+    dg_dth, dc_dp, dg_dp = partials(nets, z, sigma, du_hat_dtheta=seed)
     h = 1e-6
 
     def g_at(u, p):
-        g, _ = sn.strategy_forward(nets, (u, p, du0, cats), sigma)
+        g, _ = forward(nets, (u, p, du0, cats), sigma)
         return scalar(g)
 
     def c_at(p):
-        _, c = sn.strategy_forward(nets, (u0, p, du0, cats), sigma)
+        _, c = forward(nets, (u0, p, du0, cats), sigma)
         return scalar(c)
 
     fd_g_u = (g_at(u0 + h, p0) - g_at(u0 - h, p0)) / (2 * h) * seed
@@ -109,7 +145,7 @@ def test_partials_match_finite_differences():
 def test_theta_partial_vanishes_without_potential_seed():
     nets = random_nets(13)
     z = (0.45, -1.3, 12.0, np.array([0]))
-    dg_dth, _, _ = sn.strategy_partials(nets, z, 1.0, du_hat_dtheta=0.0)
+    dg_dth, _, _ = partials(nets, z, 1.0, du_hat_dtheta=0.0)
     assert scalar(dg_dth) == 0.0
 
 
@@ -123,9 +159,9 @@ def test_category_equivariance():
         w0[:, base:] = w0[:, base + perm]
     z_args = (0.9, 2.2, -7.0)
     for cat in range(3):
-        g1, c1 = sn.strategy_forward(nets, (*z_args, np.array([cat])), 1.0)
+        g1, c1 = forward(nets, (*z_args, np.array([cat])), 1.0)
         where = int(np.nonzero(perm == cat)[0][0])
-        g2, c2 = sn.strategy_forward(permuted, (*z_args, np.array([where])), 1.0)
+        g2, c2 = forward(permuted, (*z_args, np.array([where])), 1.0)
         assert scalar(g1) == pytest.approx(scalar(g2), rel=1e-14)
         assert scalar(c1) == pytest.approx(scalar(c2), rel=1e-14)
 
@@ -212,13 +248,13 @@ def test_shortcut_inert_at_init_then_active():
     assert sc.centers.shape == (cfg.n_rbf, cfg.q_channels)
 
     z = (0.2, -0.7, 1.0, np.array([1]))
-    g0, _ = sn.strategy_forward(nets, z, 1.0)
+    g0, _ = forward(nets, z, 1.0)
     nets.q_shortcut = sc
-    g1, _ = sn.strategy_forward(nets, z, 1.0)
+    g1, _ = forward(nets, z, 1.0)
     assert scalar(g1) == pytest.approx(scalar(g0), rel=1e-14)
 
     sc.amp[:] = 0.5
-    g2, _ = sn.strategy_forward(nets, z, 1.0)
+    g2, _ = forward(nets, z, 1.0)
     assert scalar(g2) != pytest.approx(scalar(g0), rel=1e-9)
 
 
@@ -242,8 +278,8 @@ def test_state_roundtrip_preserves_outputs():
     nets.d_shortcut.amp[:] = rng.normal(size=cfg.n_rbf)
     restored = sn.nets_from_state(cfg, sn.nets_state(nets))
     z = (1.1, 0.4, -2.0, np.array([2]))
-    g1, c1 = sn.strategy_forward(nets, z, 1.3)
-    g2, c2 = sn.strategy_forward(restored, z, 1.3)
+    g1, c1 = forward(nets, z, 1.3)
+    g2, c2 = forward(restored, z, 1.3)
     assert scalar(g1) == scalar(g2)
     assert scalar(c1) == scalar(c2)
 
@@ -311,7 +347,7 @@ def test_fast_eval_matches_generic_with_shortcut():
 
 
 def test_fast_eval_zero_nets_exact_constants():
-    nets = sn.zero_strategy(CFG)
+    nets = zero_nets()
     k, d = 2, 3
     u_hat = np.array([4.0, -1.0])
     p = np.ones((k, d))

@@ -12,6 +12,14 @@ def wide_transform(d=1):
     return target.BoundedTransform.from_knots([(0.5, 0.5, 1.5, 0.5)] * d)
 
 
+def to_params(theta, tr):
+    return target.transform_details(theta, tr)[0]
+
+
+def log_jacobian(theta, tr):
+    return float(target.transform_details(theta, tr)[1].sum())
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     rng = np.random.default_rng(100)
@@ -23,32 +31,32 @@ def small_problem():
 
 def test_map_identity_at_lower_knot():
     tr = wide_transform()
-    assert target.map_state_to_params(np.array([0.5]), tr)[0] == 0.5
+    assert to_params(np.array([0.5]), tr)[0] == 0.5
 
 
 def test_map_saturates_to_upper_bound():
     tr = wide_transform()
-    w = target.map_state_to_params(np.array([1e3]), tr)[0]
+    w = to_params(np.array([1e3]), tr)[0]
     assert w == pytest.approx(2.0, abs=1e-12)
     assert w <= 2.0
 
 
 def test_map_frozen_value():
     tr = wide_transform()
-    w = target.map_state_to_params(np.array([2.0]), tr)[0]
+    w = to_params(np.array([2.0]), tr)[0]
     assert w == pytest.approx(1.8807970779778824, abs=1e-15)
 
 
 def test_log_jacobian_zero_at_knot_and_inside():
     tr = wide_transform()
-    assert target.log_jacobian(np.array([1.5]), tr) == 0.0
-    assert target.log_jacobian(np.array([1.0]), tr) == 0.0
+    assert log_jacobian(np.array([1.5]), tr) == 0.0
+    assert log_jacobian(np.array([1.0]), tr) == 0.0
 
 
 def test_log_jacobian_frozen_value_one_width_out():
     tr = wide_transform()
     # 2 log sigmoid(2) - 2 + log 4, equivalently log(4 s(2) (1 - s(2))).
-    t = target.log_jacobian(np.array([2.0]), tr)
+    t = log_jacobian(np.array([2.0]), tr)
     assert t == pytest.approx(-0.8675616609660544, abs=1e-14)
 
 
@@ -64,9 +72,9 @@ def test_jacobian_matches_slope_of_map():
     rng = np.random.default_rng(17)
     h = 1e-7
     for theta in rng.uniform(-1.0, 3.0, 50):
-        tv = target.log_jacobian(np.array([theta]), tr)
-        wp = target.map_state_to_params(np.array([theta + h]), tr)[0]
-        wm = target.map_state_to_params(np.array([theta - h]), tr)[0]
+        tv = log_jacobian(np.array([theta]), tr)
+        wp = to_params(np.array([theta + h]), tr)[0]
+        wm = to_params(np.array([theta - h]), tr)[0]
         fd = (wp - wm) / (2 * h)
         assert abs(np.exp(tv) - fd) <= 1e-6 * abs(fd)
 
@@ -83,9 +91,9 @@ def test_transform_smooth_across_knots():
 
 def test_one_sided_transform():
     tr = target.BoundedTransform.from_knots([(None, None, 1.5, 0.5)])
-    w = target.map_state_to_params(np.array([-100.0]), tr)
+    w = to_params(np.array([-100.0]), tr)
     assert w[0] == -100.0
-    w = target.map_state_to_params(np.array([50.0]), tr)
+    w = to_params(np.array([50.0]), tr)
     assert w[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -97,8 +105,8 @@ def test_one_sided_transform():
 def test_map_strictly_increasing(theta, eps):
     tr = wide_transform(len(theta))
     t1 = np.asarray(theta)
-    w1 = target.map_state_to_params(t1, tr)
-    w2 = target.map_state_to_params(t1 + eps, tr)
+    w1 = to_params(t1, tr)
+    w2 = to_params(t1 + eps, tr)
     assert np.all(w2 > w1)
 
 
@@ -131,30 +139,36 @@ def test_log_prior_sums_dimensions():
     expected = float(
         spec.priors[0].log_density(1.15) + spec.priors[1].log_density(0.9)
     )
-    assert target.log_prior(w, spec) == pytest.approx(expected, rel=1e-14)
-    assert target.log_prior(np.array([0.2, 0.9]), spec) == -np.inf
+    assert target._prior_terms(w, spec)[0] == pytest.approx(expected, rel=1e-14)
+    assert target._prior_terms(np.array([0.2, 0.9]), spec)[0] == -np.inf
 
 
 def _perfect_single_sample_problem():
     b = structural.ShearBuilding([2e7], [6e4], [2e5])
     ground = np.array([1.0])
     d0 = structural.Dataset(ground, (0,), np.zeros((1, 1)), 0.01, 0.0)
-    clean = structural.simulate_accelerations(b, d0)
-    dataset = structural.Dataset(ground, (0,), clean, 0.01, 0.0)
+    clean, _ = structural.run_batch(
+        structural.discretize_batch(b.mass, b.stiffness[None], b.damping[None], 0.01),
+        ground, (0,))
+    dataset = structural.Dataset(ground, (0,), clean[0], 0.01, 0.0)
     return target.default_problem(b, dataset)
+
+
+def log_likelihood(w, problem):
+    return float(target._likelihood_batch(np.asarray(w)[None], problem)[0][0])
 
 
 def test_likelihood_perfect_prediction_single_sample():
     prob = _perfect_single_sample_problem()
     w = np.array([1.0, 1.0, 1.0])
-    ll = target.log_likelihood(w, prob)
+    ll = log_likelihood(w, prob)
     assert ll == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
 
 def test_likelihood_sigma_doubling_with_zero_residual():
     prob = _perfect_single_sample_problem()
-    ll1 = target.log_likelihood(np.array([1.0, 1.0, 1.0]), prob)
-    ll2 = target.log_likelihood(np.array([1.0, 1.0, 2.0]), prob)
+    ll1 = log_likelihood(np.array([1.0, 1.0, 1.0]), prob)
+    ll2 = log_likelihood(np.array([1.0, 1.0, 2.0]), prob)
     assert ll2 - ll1 == pytest.approx(-np.log(2.0), abs=1e-12)
 
 
@@ -164,7 +178,11 @@ def test_likelihood_matches_direct_formula(small_problem):
     b = structural.ShearBuilding(
         w[:2] * prob.building.stiffness, w[2:4] * prob.building.damping, prob.building.mass
     )
-    y = structural.simulate_accelerations(b, prob.dataset)
+    d = prob.dataset
+    y, _ = structural.run_batch(
+        structural.discretize_batch(b.mass, b.stiffness[None], b.damping[None], d.dt),
+        d.ground_accel, d.observed_dofs)
+    y = y[0]
     s = 0.0
     for nrow, yrow in zip(prob.dataset.measurements, y):
         for a, bb in zip(nrow, yrow):
@@ -172,12 +190,12 @@ def test_likelihood_matches_direct_formula(small_problem):
     sigma = w[4] * prob.sigma0
     count = prob.dataset.n_obs * prob.dataset.n_steps
     expected = -0.5 * count * np.log(2 * np.pi * sigma**2) - s / (2 * sigma**2)
-    assert target.log_likelihood(w, prob) == pytest.approx(expected, rel=1e-12)
+    assert log_likelihood(w, prob) == pytest.approx(expected, rel=1e-12)
 
 
 def test_likelihood_rejects_nonpositive_sigma(small_problem):
     with pytest.raises(ValueError):
-        target.log_likelihood(np.array([1.0, 1.0, 1.0, 1.0, -0.5]), small_problem)
+        log_likelihood(np.array([1.0, 1.0, 1.0, 1.0, -0.5]), small_problem)
 
 
 def test_potential_gradient_matches_finite_differences(small_problem):
@@ -191,17 +209,17 @@ def test_potential_gradient_matches_finite_differences(small_problem):
                 rng.uniform(0.5, 2.0, 1),
             ]
         )
-        _, grad = target.potential_energy(theta, small_problem)
+        _, grad = target.potential_energy_batch(theta[None], small_problem)
         fd = np.empty_like(theta)
         for i in range(theta.size):
             tp = theta.copy()
             tm = theta.copy()
             tp[i] += h
             tm[i] -= h
-            up, _ = target.potential_energy(tp, small_problem)
-            um, _ = target.potential_energy(tm, small_problem)
-            fd[i] = (up - um) / (2 * h)
-        assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
+            up, _ = target.potential_energy_batch(tp[None], small_problem)
+            um, _ = target.potential_energy_batch(tm[None], small_problem)
+            fd[i] = (up[0] - um[0]) / (2 * h)
+        assert np.linalg.norm(grad[0] - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
 def test_flat_likelihood_reduces_to_prior_and_jacobian(small_problem):
@@ -214,16 +232,16 @@ def test_flat_likelihood_reduces_to_prior_and_jacobian(small_problem):
         flat_likelihood=True,
     )
     theta = np.array([1.2, 0.7, 1.5, 0.3, 1.1])
-    u, _ = target.potential_energy(theta, prob)
-    w = target.map_state_to_params(theta, prob.transform)
-    expected = -target.log_prior(w, prob.priors) - target.log_jacobian(theta, prob.transform)
-    assert u == pytest.approx(expected, rel=1e-14)
+    u, _ = target.potential_energy_batch(theta[None], prob)
+    w = to_params(theta, prob.transform)
+    expected = -target._prior_terms(w, prob.priors)[0] - log_jacobian(theta, prob.transform)
+    assert u[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_potential_finite_far_out(small_problem):
     theta = np.array([50.0, -50.0, 120.0, -80.0, 200.0])
-    u, grad = target.potential_energy(theta, small_problem)
-    assert np.isfinite(u)
+    u, grad = target.potential_energy_batch(theta[None], small_problem)
+    assert np.isfinite(u).all()
     assert np.all(np.isfinite(grad))
 
 
@@ -232,9 +250,9 @@ def test_batch_matches_single(small_problem):
     thetas = rng.uniform(0.6, 1.4, (5, 5))
     u_b, g_b = target.potential_energy_batch(thetas, small_problem)
     for i in range(5):
-        u, g = target.potential_energy(thetas[i], small_problem)
-        assert u == pytest.approx(u_b[i], rel=1e-12)
-        np.testing.assert_allclose(g, g_b[i], rtol=1e-10)
+        u, g = target.potential_energy_batch(thetas[i:i + 1], small_problem)
+        assert u[0] == pytest.approx(u_b[i], rel=1e-12)
+        np.testing.assert_allclose(g[0], g_b[i], rtol=1e-10)
 
 
 def test_problem_roundtrip(tmp_path, small_problem):
@@ -244,8 +262,8 @@ def test_problem_roundtrip(tmp_path, small_problem):
     target.save_problem(prob_path, small_problem, "data.csv")
     loaded = target.load_problem(prob_path)
     theta = np.array([1.05, 0.9, 1.2, 0.6, 1.4])
-    u1, g1 = target.potential_energy(theta, small_problem)
-    u2, g2 = target.potential_energy(theta, loaded)
+    u1, g1 = target.potential_energy_batch(theta[None], small_problem)
+    u2, g2 = target.potential_energy_batch(theta[None], loaded)
     assert u1 == pytest.approx(u2, rel=1e-12)
     np.testing.assert_allclose(g1, g2, rtol=1e-12)
     assert loaded.priors.categories == small_problem.priors.categories
@@ -256,12 +274,12 @@ def test_problem_roundtrip(tmp_path, small_problem):
 def test_inverse_map_roundtrip(thetas):
     theta = np.array(thetas)
     tr = wide_transform(theta.size)
-    w = target.map_state_to_params(theta, tr)
+    w = to_params(theta, tr)
     back = target.map_params_to_state(w, tr)
     # the map compresses the tails, so compare in parameter space where
     # precision is uniform
     np.testing.assert_allclose(
-        target.map_state_to_params(back, tr), w, rtol=0, atol=1e-12)
+        to_params(back, tr), w, rtol=0, atol=1e-12)
     # within the identity band the roundtrip is exact
     inside = (theta >= 0.5) & (theta <= 1.5)
     np.testing.assert_array_equal(back[inside], theta[inside])
