@@ -12,15 +12,22 @@ chain states from the prior, makes one untimed warm-up call of
 ``target.potential_energy_batch`` and then times ``--calls`` more.  Each
 call is split into ``structural.discretize_batch``, ``run_batch`` (the
 march and readout) and ``response_vjp`` (the adjoint) by wrapping them;
-the rest of the call is the prior, transform and residual.  Next to
+the rest of the call is the prior, transform and residual.
+``structural._march``, the adjoint's step-by-step loop, is timed as well;
+it runs inside ``response_vjp``, so its time is also part of that
+layer's.  Next to
 each time, the minor page faults the process took in that span
 (``ru_minflt`` deltas) are recorded: a record-sized array that is freed
 and allocated anew every call shows up there.  Per-call figures are
 medians over the calls.  The host's speed drifts from one process to
 the next, so for every tree after the first the file also gives
 ``total_ms_ratio``: the median over repeats of its total time over the
-first tree's in the same repeat, which run back to back.  Only the
-labels, never the paths, go into the output file.
+first tree's in the same repeat, which run back to back.  Each tree
+also gets ``energy_max_rel_diff`` and ``grad_max_rel_diff``: against the
+first tree's first run on the same states, the largest over repeats and
+chains of |u - u_first| / |u_first|, and of a chain's largest
+|grad - grad_first| over its largest |grad_first|.  Only the labels,
+never the paths, go into the output file.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {"5x32": (5, 32), "2x64": (2, 64), "10x32": (10, 32), "5x1": (5, 1)}
-LAYERS = ("discretize_batch", "run_batch", "response_vjp")
+LAYERS = ("discretize_batch", "run_batch", "response_vjp", "_march")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -100,7 +107,23 @@ def measure(src: str, size: str, seed: int, calls: int) -> dict:
     result["peak_rss_mb"] = rss_kb / 1024.0
     result["energy_sum"] = float(np.sum(u))
     result["grad_norm"] = float(np.linalg.norm(grad))
+    result["energies"] = u.tolist()
+    result["grads"] = grad.tolist()
     return result
+
+
+def max_rel_diffs(result: dict, first: dict) -> dict:
+    """Largest relative departures of one run's energies and gradients from
+    another run's on the same states (see the module docstring)."""
+    import numpy as np
+
+    u, u0 = np.array(result["energies"]), np.array(first["energies"])
+    g, g0 = np.array(result["grads"]), np.array(first["grads"])
+    return {
+        "energy_max_rel_diff": float(np.max(np.abs(u - u0) / np.abs(u0))),
+        "grad_max_rel_diff": float(np.max(np.abs(g - g0).max(axis=1)
+                                          / np.abs(g0).max(axis=1))),
+    }
 
 
 def run_tree(path: Path, size: str, seed: int, calls: int) -> dict:
@@ -113,11 +136,16 @@ def run_tree(path: Path, size: str, seed: int, calls: int) -> dict:
 
 
 def summarize(runs: list, first: list) -> dict:
-    doc = {"median": {key: statistics.median(r[key] for r in runs) for key in runs[0]}}
+    diffs = [max_rel_diffs(r, first[0]) for r in runs]
+    kept = [{key: val for key, val in r.items() if key not in ("energies", "grads")}
+            for r in runs]
+    doc = {"median": {key: statistics.median(r[key] for r in kept) for key in kept[0]}}
+    for key in diffs[0]:
+        doc[key] = max(d[key] for d in diffs)
     if runs is not first:
         doc["total_ms_ratio"] = statistics.median(
             r["total_ms"] / f["total_ms"] for r, f in zip(runs, first))
-    doc["runs"] = runs
+    doc["runs"] = kept
     return doc
 
 

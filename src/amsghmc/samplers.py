@@ -665,25 +665,38 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
 
 
 def save_trace(trace: Trace, out_dir) -> None:
-    """One CSV per chain (step, theta_1..theta_D, u) plus a metadata file."""
+    """One CSV per chain (step, theta_1..theta_D, u) plus a metadata file.
+
+    Chain files of an earlier trace in the folder that this one does not
+    overwrite are removed, so the folder holds exactly this trace. Each
+    file has the bytes np.savetxt writes with fmt "%.17e" and "," as the
+    delimiter, formatted in one pass.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    d = trace.samples.shape[2]
-    header = "step," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",u"
+    names = [f"chain_{k:03d}.csv" for k in range(trace.k_chains)]
+    keep = set(names)
+    for path in out.glob("chain_*.csv"):
+        if path.name not in keep:
+            path.unlink()
+    n_rows, d = trace.samples.shape[1:]
+    header = "step," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",u\n"
+    rows = ",".join(["%.17e"] * (d + 2)) + "\n"
     steps = np.asarray(trace.meta["steps"], dtype=float)
-    for k in range(trace.k_chains):
-        arr = np.column_stack([steps, trace.samples[k], trace.potentials[k]])
-        np.savetxt(out / f"chain_{k:03d}.csv", arr, delimiter=",",
-                   header=header, comments="", fmt="%.17e")
+    for name, samples, pots in zip(names, trace.samples, trace.potentials):
+        arr = np.column_stack([steps, samples, pots])
+        (out / name).write_text(header + (rows * n_rows) % tuple(arr.ravel().tolist()))
     (out / "trace.json").write_text(json.dumps(trace.meta, indent=2))
 
 
 def load_trace(trace_dir) -> Trace:
+    """Inverse of save_trace; chains come back in the order of their numbers."""
     folder = Path(trace_dir)
     meta = json.loads((folder / "trace.json").read_text())
+    paths = [p for p in folder.glob("chain_*.csv") if p.stem[len("chain_"):].isdigit()]
     samples = []
     pots = []
-    for path in sorted(folder.glob("chain_*.csv")):
+    for path in sorted(paths, key=lambda p: int(p.stem[len("chain_"):])):
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         samples.append(arr[:, 1:-1])
         pots.append(arr[:, -1])

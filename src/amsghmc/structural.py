@@ -18,16 +18,25 @@ state is one matrix product of the record's recent window against the
 powers of the mode's step factor, plus a carry from one window earlier
 (see run_batch). Accelerations are read out only at the requested
 floors, and the gradient of a weighted sum of them over story stiffness
-and damping costs one reverse march in the same slots. Buildings whose
-eigenbasis is ill-conditioned step through matrix exponentials in the
-physical basis instead, step by step after the product.
+and damping costs one reverse march in the same slots plus a few
+record-long products; the rest of the pullback works on arrays over
+pairs of slots and is reduced to the tridiagonal entries the stories
+touch (see response_vjp). Buildings whose eigenbasis is ill-conditioned
+step through matrix exponentials in the physical basis instead, step by
+step after the product.
+
+What an energy call repeats is built once: the readout map once per
+discretized batch, the record's window matrix once per record, and the
+gradient's work arrays by the caller once per shape (vjp_buffers), as
+target does.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +154,10 @@ def nominal_building(
 
 
 def story_patterns(n: int) -> np.ndarray:
-    """Per-story assembly patterns: K = sum_s k_s * P[s] (same for damping)."""
+    """Per-story assembly patterns: K = sum_s k_s * P[s] (same for damping).
+
+    discretize_batch writes the same tridiagonal entries directly.
+    """
     pats = np.zeros((n, n, n))
     for s in range(n):
         pats[s, s, s] += 1.0
@@ -183,6 +195,9 @@ class Discretized:
     ad[i] and bd = beta[b].view(float)[:2n] from matrix exponentials;
     their e is zero, so the windowed sum leaves them bd * a_j and the
     ad steps follow one by one.
+
+    readout(dofs) gives the map from slots to accelerations; run_batch and
+    response_vjp share it, so it is formed once per batch and dofs.
     """
 
     dt: float
@@ -195,6 +210,21 @@ class Discretized:
     beta: np.ndarray
     dense: np.ndarray
     ad: np.ndarray
+    _readouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def readout(self, dofs=None) -> np.ndarray:
+        """Real R, (batch, len(dofs), 2 slots), with y = R @ z.view(float).
+
+        y = 2 Re(c @ vec @ z) for the acceleration rows c of a at the floors
+        dofs, every floor for None.
+        """
+        n = self.mass.size
+        key = tuple(range(n) if dofs is None else np.asarray(dofs, dtype=int).tolist())
+        r = self._readouts.get(key)
+        if r is None:
+            rows = n + np.array(key, dtype=int)
+            r = self._readouts[key] = 2.0 * (self.a[:, rows] @ self.vec).conj().view(float)
+        return r
 
 
 def discretize_batch(
@@ -218,14 +248,20 @@ def discretize_batch(
     ks = np.atleast_2d(np.asarray(stiffness, dtype=float))
     cs = np.atleast_2d(np.asarray(damping, dtype=float))
     nb, n = ks.shape
-    pats = story_patterns(n)
     minv = 1.0 / mass
-    kmat = np.einsum("bs,sij->bij", ks, pats)
-    cmat = np.einsum("bs,sij->bij", cs, pats)
     a = np.zeros((nb, 2 * n, 2 * n))
-    a[:, :n, n:] = np.eye(n)
-    a[:, n:, :n] = -minv[None, :, None] * kmat
-    a[:, n:, n:] = -minv[None, :, None] * cmat
+    np.einsum("bii->bi", a[:, :n, n:])[...] = 1.0
+    # Story s joins floor s to the one below it (the ground for s = 0), so
+    # floor i's row of -M^-1 K holds -(k_i + k_{i+1}) / m_i on the diagonal
+    # and k_{i+1} / m_i next to it; the same for damping. The diagonals of
+    # both blocks are written at once.
+    low = a[:, n:].reshape(nb, n, 2, n)  # [floor, stiffness or damping, dof]
+    story = np.concatenate([ks, cs], axis=1).reshape(nb, 2, n)
+    both = story.copy()
+    both[..., :-1] += story[..., 1:]
+    np.einsum("bixi->bxi", low)[...] = -minv * both
+    np.einsum("bixi->bxi", low[:, :-1, :, 1:])[...] = minv[:-1] * story[..., 1:]
+    np.einsum("bixi->bxi", low[:, 1:, :, :-1])[...] = minv[1:] * story[..., 1:]
 
     lam, vec = np.linalg.eig(a)
     # numpy returns real arrays when every eigenvalue of the batch is real.
@@ -259,10 +295,11 @@ def discretize_batch(
     e = np.exp(lam[:, :w] * dt)
     beta = (e - 1.0) / lam[:, :w] * -vinv[:, :, n:].sum(axis=2)  # vinv @ b_in
     ad = np.empty((dense.size, 2 * n, 2 * n))
-    # x = 2 Re(vec z) and z = vinv x for z.view(float)[:2n] = x.
-    pack = np.zeros((2 * n, w), dtype=complex)
-    pack[0::2, :n] = 0.5 * np.eye(n)
-    pack[1::2, :n] = -0.5j * np.eye(n)
+    if dense.size:
+        # x = 2 Re(vec z) and z = vinv x for z.view(float)[:2n] = x.
+        pack = np.zeros((2 * n, w), dtype=complex)
+        pack[0::2, :n] = 0.5 * np.eye(n)
+        pack[1::2, :n] = -0.5j * np.eye(n)
     for i, row in enumerate(dense):
         ad[i], bd = _discretize_expm(a[row], dt)
         beta[row] = 0.0
@@ -318,26 +355,34 @@ def _march(disc: Discretized, inputs: np.ndarray) -> np.ndarray:
     is no shared record to window; the march stays one step at a time.
     """
     e = disc.e.conj()
-    adt = disc.ad.transpose(0, 2, 1)
+    dense, adt = disc.dense, disc.ad.transpose(0, 2, 1)
     m = adt.shape[-1]
-    for j in range(inputs.shape[0] - 2, -1, -1):
-        cur, prev = inputs[j], inputs[j + 1]
-        cur += e * prev  # e is 0 on dense rows
-        if disc.dense.size:
-            cur.view(float)[disc.dense, :m] += np.einsum(
-                "bij,bj->bi", adt, prev.view(float)[disc.dense, :m])
+    carried = np.empty_like(e)
+    # The steps' views are made at once; per step the loop then costs two
+    # numpy calls.
+    steps = list(inputs)
+    prev = steps[-1]
+    for cur in steps[-2::-1]:
+        cur += np.multiply(e, prev, out=carried)  # e is 0 on dense rows
+        if dense.size:
+            cur.view(float)[dense, :m] += np.einsum(
+                "bij,bj->bi", adt, prev.view(float)[dense, :m])
+        prev = cur
     return inputs
 
 
-def _readout(disc: Discretized, dofs) -> np.ndarray:
-    """Real R, (batch, len(dofs), 2 slots), with y = R @ z.view(float).
-
-    y = 2 Re(c @ vec @ z) for the acceleration rows c of a at the floors
-    dofs, every floor for None.
+@functools.lru_cache(maxsize=2)
+def _windows(record: bytes) -> np.ndarray:
+    """The (n_steps, L) matrix of the ground record's windows a_{j-k},
+    k < L = ceil(sqrt(n_steps)), zero before the record starts (see
+    run_batch). Keyed on the record's bytes, so it is built once per
+    dataset; read-only, as every caller shares it.
     """
-    n = disc.mass.size
-    rows = n + (np.arange(n) if dofs is None else np.asarray(dofs, dtype=int))
-    return 2.0 * (disc.a[:, rows] @ disc.vec).conj().view(float)
+    ground = np.frombuffer(record)
+    span = math.isqrt(max(ground.size - 1, 0)) + 1
+    windows = toeplitz(ground, np.zeros(span))
+    windows.flags.writeable = False
+    return windows
 
 
 def run_batch(disc: Discretized, ground: np.ndarray, dofs=None, out=None):
@@ -356,19 +401,20 @@ def run_batch(disc: Discretized, ground: np.ndarray, dofs=None, out=None):
     product of the (n_steps, L) matrix of windows a_{j-k} against the
     (L, batch * slots) powers beta e^k; the carry then runs window by
     window, n_steps / L times. L = ceil(sqrt(n_steps)) balances the
-    product's width against the carry's count. Dense rows have e = 0, so
-    the product leaves them bd * a_j and their ad steps follow.
+    product's width against the carry's count. The window matrix depends
+    on the record alone and is built once per record (_windows). Dense
+    rows have e = 0, so the product leaves them bd * a_j and their ad
+    steps follow.
     """
-    ground = np.asarray(ground, dtype=float)
-    nt = ground.size
+    windows = _windows(np.asarray(ground, dtype=float).tobytes())
+    nt, span = windows.shape
     nb, w = disc.e.shape
     states = np.empty((nt, nb, w), dtype=complex) if out is None else out
-    span = math.isqrt(max(nt - 1, 0)) + 1
     powers = np.empty((span, nb, w), dtype=complex)
     powers[0] = disc.beta
     powers[1:] = disc.e
     np.cumprod(powers, axis=0, out=powers)
-    np.matmul(toeplitz(ground, np.zeros(span)), powers.view(float).reshape(span, 2 * nb * w),
+    np.matmul(windows, powers.view(float).reshape(span, 2 * nb * w),
               out=states.view(float).reshape(nt, 2 * nb * w, copy=False))
     carry = disc.e**span
     for start in range(span, nt, span):
@@ -380,8 +426,47 @@ def run_batch(disc: Discretized, ground: np.ndarray, dofs=None, out=None):
         for j in range(1, nt):
             x[j] += np.einsum("bij,bj->bi", disc.ad, x[j - 1])
         states.view(float)[:, disc.dense, :m] = x
-    y = _readout(disc, dofs) @ states.view(float).transpose(1, 2, 0)
+    y = disc.readout(dofs) @ states.view(float).transpose(1, 2, 0)
     return y, states
+
+
+@dataclass(frozen=True)
+class VjpBuffers:
+    """Work arrays of one response_vjp call, reusable across calls of one
+    (n_steps, batch, n_floors, slots) shape; see vjp_buffers."""
+
+    march: np.ndarray
+    st: np.ndarray
+    pairs: np.ndarray
+    gap_abs: np.ndarray
+    far: np.ndarray
+    proj: np.ndarray
+    h: np.ndarray
+
+
+def vjp_buffers(n_steps: int, batch: int, n_floors: int, slots: int) -> VjpBuffers:
+    """Uninitialized work arrays for response_vjp: the adjoint march
+    (n_steps, batch, 2 slots), S^T (batch, 2 slots, 2 slots), four complex
+    (batch, slots, 2 slots) arrays over pairs of slots with a float and a
+    bool one, and the (batch, n_floors, 2 slots) and
+    (batch, n_floors, 2 n_floors) projections."""
+    pair = (batch, slots, 2 * slots)
+    return VjpBuffers(
+        march=np.empty((n_steps, batch, 2 * slots)),
+        st=np.empty((batch, 2 * slots, 2 * slots)),
+        pairs=np.empty((4,) + pair, dtype=complex),
+        gap_abs=np.empty(pair),
+        far=np.empty(pair, dtype=bool),
+        proj=np.empty((batch, n_floors, 2 * slots), dtype=complex),
+        h=np.empty((batch, n_floors, 2 * n_floors), dtype=complex),
+    )
+
+
+# Below this |dt (lam_k - lam_l) / 2| the divided difference of exp(lam dt)
+# comes from its series, whose first omitted term is then below 3e-18;
+# above it, (e_k - e_l) / (lam_k - lam_l) loses at most eps / 0.2.
+_SERIES_HALF_GAP = 0.1
+_SERIES_TERMS = 5
 
 
 def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
@@ -392,10 +477,10 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
     shape. Returns (batch, 2 n_floors): every story stiffness, then every
     story damping. The march is real-linear on the float view of the
     state, so its adjoint xi_j = P^T xi_{j+1} + R^T cotangent_j (R from
-    _readout) marches back in the same slots. Over the full spectrum, let
-    S = sum_j nu_j z_j^T and q = sum_j nu_j a_j, with z_j the modal state
-    entering step j and nu_j the modal adjoint: conj(xi_j) / 2 for the
-    upper member of a pair and its conjugate for the lower one,
+    disc.readout) marches back in the same slots. Over the full spectrum,
+    let S = sum_j nu_j z_j^T and q = sum_j nu_j a_j, with z_j the modal
+    state entering step j and nu_j the modal adjoint: conj(xi_j) / 2 for
+    the upper member of a pair and its conjugate for the lower one,
     conj(xi_j) for a real eigenvalue. A modal row's gradient over its
     continuous state matrix is then
     Re(V^-T (L * S + Psi * q (V^-1 b_in)^T) V^T), where V is the
@@ -406,62 +491,107 @@ def response_vjp(disc: Discretized, ground: np.ndarray, states: np.ndarray,
     columns [slots, conjugate slots]; a real eigenvalue's column appears
     in both halves with half its eigenvector. Dense rows take the
     gradient from _expm_adjoint. The output map adds
-    sum_j cotangent_j x_{j+1}^T at the dofs rows. The adjoint march runs
-    in out when given, a C-contiguous float array shaped
-    (n_steps, batch, 2 slots), otherwise in a new array.
+    sum_j cotangent_j x_{j+1}^T at the dofs rows.
+
+    The pullback is fused: s comes from S's complex view in four
+    operations; L takes exp(dt (lam_k + lam_l) / 2) as a product of
+    per-slot factors and its difference quotient from the e already in
+    disc; Psi's comes from L by the Leibniz rule; the two halves of the
+    projection fold into one product with vec. Only the acceleration rows
+    of the state matrix depend on parameters, and of those only the
+    entries of the tridiagonal stiffness and damping blocks, so the
+    result is reduced through their diagonals. The work arrays come from
+    out when given (vjp_buffers of this call's shape), otherwise from new
+    ones.
     """
-    n, w = disc.mass.size, disc.e.shape[1]
-    ground = np.asarray(ground, dtype=float)
+    n, (nb, w) = disc.mass.size, disc.e.shape
+    readout = disc.readout(dofs)
     dofs = np.arange(n) if dofs is None else np.asarray(dofs, dtype=int)
-    readout = _readout(disc, dofs)
+    work = vjp_buffers(cotangent.shape[2], nb, n, w) if out is None else out
     # Laid out per step, as the march reads it.
-    inputs = np.empty((cotangent.shape[2],) + readout.shape[::2]) if out is None else out
-    np.matmul(cotangent.transpose(0, 2, 1), readout, out=inputs.transpose(1, 0, 2))
-    xi = _march(disc, inputs.view(complex)).view(float)
+    xi = work.march
+    np.matmul(cotangent.transpose(0, 2, 1), readout, out=xi.transpose(1, 0, 2))
+    _march(disc, xi.view(complex))
     zf = states.view(float)
     # xi[j] meets the state entering step j: states[j - 1], or zero for j = 0.
-    sf = xi[1:].transpose(1, 2, 0) @ zf[:-1].transpose(1, 0, 2)
-    qf = np.tensordot(ground, xi, axes=1)
-
-    # The slots' rows of S against [slots, conjugate slots] and of q;
-    # twice over for pairs, whose conjugate rows are not formed.
-    blocks = sf.reshape(sf.shape[0], w, 2, w, 2)
-    rr, ri, ir, ii = (blocks[:, :, u, :, v] for u in (0, 1) for v in (0, 1))
-    s = np.concatenate([(rr + ii) + 1j * (ri - ir), (rr - ii) - 1j * (ri + ir)], axis=2)
+    st = np.matmul(zf[:-1].transpose(1, 2, 0), xi[1:].transpose(1, 0, 2), out=work.st)  # S^T
+    qf = (np.asarray(ground, dtype=float) @ xi.reshape(xi.shape[0], -1)).reshape(nb, 2 * w)
     q = qf.view(complex).conj()
 
+    # The slots' rows of S against [slots, conjugate slots] are
+    # sum conj(xi) z and sum conj(xi) conj(z); twice over for pairs, whose
+    # conjugate rows are not formed. Rows 2l and 2l + 1 of S^T's complex
+    # view hold sum Re(z_l) xi and sum Im(z_l) xi.
+    s, gap, l_dd, acc = work.pairs
+    stc = st.view(complex)
+    s_up, s_low = s[..., :w].transpose(0, 2, 1), s[..., w:].transpose(0, 2, 1)
+    np.multiply(stc[:, 1::2], 1j, out=s_low)
+    np.subtract(stc[:, 0::2], s_low, out=s_up)
+    np.add(stc[:, 0::2], s_low, out=s_low)
+    np.conjugate(s, out=s)
+
+    # Per slot, over [slots, conjugate slots]: lam, e (0 on dense rows),
+    # exp(lam dt / 2) and vinv @ b_in.
     dt = disc.dt
-    up = disc.lam[:, :w]
-    lam = np.concatenate([up, up.conj()], axis=1)
-    half = 0.5 * dt * (up[:, :, None] - lam[:, None, :])
-    # e_k - e_l = 2 exp(dt (lam_k + lam_l) / 2) sinh(half) loses no digits
-    # as lam_k -> lam_l; near the confluent limit the series of
-    # sinh(half) / half is exact to rounding. Near critical damping the
-    # closest pairs are (lam, conj(lam)), in the upper-lower block.
-    confluent = np.abs(half) < 1e-4
-    sinhc = np.where(confluent, 1.0 + half**2 / 6.0,
-                     np.sinh(half) / np.where(confluent, 1.0, half))
-    l_dd = dt * np.exp(0.5 * dt * (up[:, :, None] + lam[:, None, :])) * sinhc
-    # Leibniz rule on lam * psi = e - 1 gives psi's divided difference.
-    psi = (np.exp(lam * dt) - 1.0) / lam
-    psi_dd = (l_dd - psi[:, None, :]) / up[:, :, None]
     vinv_low = disc.vinv[:, :, n:]
-    vinv_b = -vinv_low.sum(axis=2)  # vinv @ b_in
-    vinv_b = np.concatenate([vinv_b, vinv_b.conj()], axis=1)
-    g = l_dd * s + psi_dd * (q[:, :, None] * vinv_b[:, None, :])
-    vec_t = np.concatenate([disc.vec, disc.vec.conj()], axis=2).transpose(0, 2, 1)
-    # Only the acceleration rows of the state matrix depend on parameters.
-    h = np.real(vinv_low.transpose(0, 2, 1) @ g @ vec_t)
+    up = disc.lam[:, :w]
+    slots = np.concatenate([up, disc.e, np.exp(0.5 * dt * up), -vinv_low.sum(axis=2)],
+                           axis=1).reshape(nb, 4, w)
+    lam, e, root, vinv_b = np.concatenate([slots, slots.conj()], axis=2).transpose(1, 0, 2)
+    # L_kl = dt exp(dt (lam_k + lam_l) / 2) sinh(x) / x with
+    # x = dt (lam_k - lam_l) / 2, by the series of sinh(x) / x for every
+    # pair; where the pair is far apart, (e_k - e_l) / (lam_k - lam_l)
+    # replaces it. Near critical damping the closest pairs are
+    # (lam, conj(lam)), in the upper-lower block.
+    np.subtract(up[:, :, None], lam[:, None, :], out=gap)
+    far = np.greater_equal(np.abs(gap, out=work.gap_abs), 2.0 * _SERIES_HALF_GAP / dt,
+                           out=work.far)
+    np.multiply(gap, gap, out=acc)
+    # Horner on gap^2: term m is dt (dt / 2)^2m / (2m + 1)!.
+    coef = [dt]
+    for m in range(1, _SERIES_TERMS):
+        coef.append(coef[-1] * (0.5 * dt) ** 2 / ((2 * m) * (2 * m + 1)))
+    np.multiply(acc, coef[-1], out=l_dd)
+    for c in coef[-2:0:-1]:
+        l_dd += c
+        l_dd *= acc
+    l_dd += coef[0]
+    l_dd *= root[:, :w, None]
+    l_dd *= root[:, None, :]
+    np.divide(np.subtract(e[:, :w, None], e[:, None, :], out=acc), gap, out=l_dd, where=far)
+
+    # Leibniz rule on lam * psi = e - 1 gives psi's divided difference
+    # (L_kl - psi_l) / lam_k.
+    np.subtract(l_dd, ((e - 1.0) / lam)[:, None, :], out=acc)
+    acc *= np.multiply((q / up)[:, :, None], vinv_b[:, None, :], out=gap)
+    s *= l_dd
+    s += acc
+    proj = np.matmul(vinv_low.transpose(0, 2, 1), s, out=work.proj)
     for row in disc.dense:
-        h[row] = _expm_adjoint(disc.a[row], dt, sf[row, :2 * n, :2 * n], qf[row, :2 * n])[n:]
-    out_map = 2.0 * np.real((cotangent @ zf.transpose(1, 0, 2)).view(complex)
-                            @ disc.vec.transpose(0, 2, 1))
+        proj[row] = 0.0
+    # Re(P [vec, conj(vec)]^T) = Re((P_1 + conj(P_2)) vec^T) for P's
+    # halves P_1, P_2; the output map adds 2 sum_j cotangent_j z_{j+1}^T.
+    pf = np.conjugate(proj[..., w:], out=proj[..., w:])
+    pf += proj[..., :w]
+    out_map = np.empty((nb, dofs.size, 2 * w))
+    np.matmul(zf.transpose(1, 2, 0), cotangent.transpose(0, 2, 1),
+              out=out_map.transpose(0, 2, 1))
     # A repeated dof's rows add up on its floor.
-    h += (np.arange(n)[:, None] == dofs).astype(float) @ out_map
-    h *= -1.0 / disc.mass[:, None]
-    pats = story_patterns(n)
-    return np.concatenate([np.einsum("sij,bij->bs", pats, h[:, :, :n]),
-                           np.einsum("sij,bij->bs", pats, h[:, :, n:])], axis=1)
+    np.add.at(pf, (slice(None), dofs), 2.0 * out_map.view(complex))
+    pf *= -1.0 / disc.mass[:, None]
+    h = np.matmul(pf, disc.vec.transpose(0, 2, 1), out=work.h).real
+    for row in disc.dense:
+        h[row] -= _expm_adjoint(disc.a[row], dt, st[row, :2 * n, :2 * n].T,
+                                qf[row, :2 * n])[n:] / disc.mass[:, None]
+    # K = sum_s k_s P_s with P_s = (f_s - f_{s-1})(f_s - f_{s-1})^T for the
+    # unit vectors f of the floors (f_{-1} = 0), so story s's gradient is
+    # h_ss + h_{s-1,s-1} - h_{s,s-1} - h_{s-1,s} in each block.
+    h = h.reshape(nb, n, 2, n)  # [floor, stiffness or damping, floor]
+    diag = np.einsum("bixi->bxi", h)
+    grad = diag.copy()
+    grad[..., 1:] += (diag[..., :-1] - np.einsum("bixi->bxi", h[:, 1:, :, :-1])
+                      - np.einsum("bixi->bxi", h[:, :-1, :, 1:]))
+    return grad.reshape(nb, 2 * n)
 
 
 def generate_dataset(cfg: DatasetConfig, rng: np.random.Generator):

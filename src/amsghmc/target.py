@@ -75,23 +75,21 @@ def transform_details(theta: np.ndarray, tr: BoundedTransform):
     saturating tails.
     """
     theta = np.asarray(theta, dtype=float)
-    low = theta < tr.b1
-    high = theta > tr.b2
-
-    u1 = (theta - tr.b1) / tr.d1
-    u2 = (theta - tr.b2) / tr.d2
-    w = np.where(low, tr.b1 + tr.d1 * np.tanh(u1), theta)
-    w = np.where(high, tr.b2 + tr.d2 * np.tanh(u2), w)
-
-    t1 = 2.0 * _logsig(2.0 * u1) - 2.0 * u1 + _LOG4
-    t2 = 2.0 * _logsig(2.0 * u2) - 2.0 * u2 + _LOG4
-    t = np.where(low, t1, 0.0)
-    t = np.where(high, t2, t)
-
-    dt1 = -(2.0 / tr.d1) * np.tanh(u1)
-    dt2 = -(2.0 / tr.d2) * np.tanh(u2)
-    dt = np.where(low, dt1, 0.0)
-    dt = np.where(high, dt2, dt)
+    w = theta.copy()
+    t = np.zeros_like(theta)
+    dt = np.zeros_like(theta)
+    # Only the entries in a saturating tail leave the identity, so each
+    # tail is evaluated on its own entries alone.
+    for side, knot, width in ((theta < tr.b1, tr.b1, tr.d1), (theta > tr.b2, tr.b2, tr.d2)):
+        side = np.nonzero(side)
+        if not side[0].size:
+            continue
+        knot, width = knot[side[-1]], width[side[-1]]
+        u = (theta[side] - knot) / width
+        slope = np.tanh(u)
+        w[side] = knot + width * slope
+        t[side] = 2.0 * _logsig(2.0 * u) - 2.0 * u + _LOG4
+        dt[side] = -(2.0 / width) * slope
     return w, t, dt
 
 
@@ -225,8 +223,9 @@ def _prior_terms(w: np.ndarray, priors: PriorSpec):
     val = np.zeros(w.shape[:-1])
     grad = np.empty_like(w)
     for pr, cols in priors.families:
-        val = val + pr.log_density(w[..., cols]).sum(axis=-1)
-        grad[..., cols] = pr.dlog_density(w[..., cols])
+        x = w[..., cols]
+        val = val + pr.log_density(x).sum(axis=-1)
+        grad[..., cols] = pr.dlog_density(x)
     return val, grad
 
 
@@ -300,16 +299,17 @@ def default_problem(
 
 
 @functools.lru_cache(maxsize=1)
-def _record_buffers(n_steps: int, batch: int, slots: int):
-    """The forward states and the adjoint march of one likelihood call.
+def _record_buffers(n_steps: int, batch: int, n_floors: int, slots: int):
+    """The forward states and the gradient's work arrays of one likelihood
+    call (structural.vjp_buffers).
 
-    Freed record-sized arrays go back to the operating system and page
-    faults follow on the next call, so the last shape's pair is kept.
+    Freed arrays of this size go back to the operating system and page
+    faults follow on the next call, so the last shape's set is kept.
     Two threads calling _likelihood_batch at once would share it; the
     program makes its energy calls from one thread.
     """
     return (np.empty((n_steps, batch, slots), dtype=complex),
-            np.empty((n_steps, batch, 2 * slots)))
+            structural.vjp_buffers(n_steps, batch, n_floors, slots))
 
 
 def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
@@ -329,7 +329,7 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
         raise ValueError("noise scale must be positive")
 
     disc = structural.discretize_batch(problem.building.mass, k_phys, c_phys, d.dt)
-    states, adjoint = _record_buffers(d.n_steps, *disc.e.shape)
+    states, work = _record_buffers(d.n_steps, disc.e.shape[0], n, disc.e.shape[1])
     y, _ = structural.run_batch(disc, d.ground_accel, d.observed_dofs, out=states)
     resid = d.measurements[None, :, :] - y
     s = np.einsum("bnt,bnt->b", resid, resid)
@@ -338,7 +338,7 @@ def _likelihood_batch(w: np.ndarray, problem: UpdatingProblem):
     ll = -0.5 * count * np.log(2.0 * np.pi * sigma**2) - s / (2.0 * sigma**2)
     grad = np.empty_like(w)
     dldp = structural.response_vjp(disc, d.ground_accel, states, resid,
-                                   d.observed_dofs, out=adjoint) / sigma[:, None] ** 2
+                                   d.observed_dofs, out=work) / sigma[:, None] ** 2
     grad[:, :n] = dldp[:, :n] * k_nom
     grad[:, n : 2 * n] = dldp[:, n:] * c_nom
     grad[:, 2 * n] = (-count / sigma + s / sigma**3) * problem.sigma0

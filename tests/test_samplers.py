@@ -396,6 +396,52 @@ def test_trace_save_load_roundtrip(tmp_path):
     assert back.meta["steps"] == tr.meta["steps"]
 
 
+def _trace(k, n_rows, d, seed=0):
+    rng = np.random.default_rng(seed)
+    meta = {"sampler": "sghmc", "k_chains": k, "steps": list(range(1, n_rows + 1))}
+    return sp.Trace(rng.normal(size=(k, n_rows, d)), rng.normal(size=(k, n_rows)), meta)
+
+
+def test_save_trace_removes_an_earlier_traces_extra_chains(tmp_path):
+    # A rerun into the same folder with fewer chains (or after chains
+    # diverged) must not leave the earlier run's files to be loaded.
+    sp.save_trace(_trace(4, 3, 2, seed=1), tmp_path)
+    second = _trace(2, 3, 2, seed=2)
+    sp.save_trace(second, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("chain_*.csv")) == [
+        "chain_000.csv", "chain_001.csv"]
+    back = sp.load_trace(tmp_path)
+    np.testing.assert_array_equal(back.samples, second.samples)
+    np.testing.assert_array_equal(back.potentials, second.potentials)
+
+
+def test_load_trace_orders_chains_by_number(tmp_path):
+    # Past 999 chains the names outgrow the zero padding, and chain_1000
+    # sorts before chain_101 as a string.
+    tr = _trace(2, 2, 1)
+    sp.save_trace(tr, tmp_path)
+    (tmp_path / "chain_000.csv").rename(tmp_path / "chain_101.csv")
+    (tmp_path / "chain_001.csv").rename(tmp_path / "chain_1000.csv")
+    back = sp.load_trace(tmp_path)
+    np.testing.assert_array_equal(back.samples, tr.samples)
+
+
+@pytest.mark.parametrize("n_rows", [1, 4])
+def test_trace_files_have_the_bytes_of_savetxt(tmp_path, n_rows):
+    tr = _trace(2, n_rows, 3)
+    tr.samples[0, 0] = [-1.5e300, 2.5e-308, -0.0]
+    tr.samples[1, -1] = [5e-324, 1.7976931348623157e308, -7.25e-17]
+    tr.potentials[1, 0] = -123456.789
+    sp.save_trace(tr, tmp_path / "fast")
+    header = "step,theta_1,theta_2,theta_3,u"
+    steps = np.asarray(tr.meta["steps"], dtype=float)
+    for k in range(2):
+        ref = tmp_path / f"ref_{k}.csv"
+        np.savetxt(ref, np.column_stack([steps, tr.samples[k], tr.potentials[k]]),
+                   delimiter=",", header=header, comments="", fmt="%.17e")
+        assert (tmp_path / "fast" / f"chain_{k:03d}.csv").read_bytes() == ref.read_bytes()
+
+
 # --- scale invariance of the meta-learned engine -------------------------------------
 
 

@@ -391,6 +391,28 @@ def test_default_cond_limit_keeps_near_defective_gradients_accurate():
     assert_matches_fd(grad, dense, ks, cs, 1e-8)
 
 
+def test_vinv_inverts_vec_on_rows_approaching_critical_damping():
+    # Stiffness-proportional damping from 1e-3 to 1e-8 below critical for
+    # mode 1: the eigenbasis condition rises from ~2e2 to ~7e4, and every
+    # row stays modal at the default limit.
+    n = 2
+    mass = np.full(n, 2e5)
+    k = 2e7 * np.array([1.1, 0.9])
+    kmat = np.einsum("s,sij->ij", k, sb.story_patterns(n))
+    from scipy.linalg import eigh
+
+    w1 = np.sqrt(eigh(kmat, np.diag(mass), eigvals_only=True)[0])
+    near = 1.0 - np.logspace(-3, -8, 6)
+    ks = np.tile(k, (near.size, 1))
+    cs = (2.0 / w1) * near[:, None] * k
+    disc = sb.discretize_batch(mass, ks, cs, 0.01)
+    assert disc.dense.size == 0
+    eye = np.eye(2 * n)
+    for row in range(near.size):
+        recon = 2.0 * np.real(disc.vec[row] @ disc.vinv[row])
+        assert np.abs(recon - eye).max() <= 1e-12
+
+
 def test_generate_dataset_zero_noise_equals_clean():
     rng = np.random.default_rng(1)
     cfg = sb.DatasetConfig(n_stories=2, duration=1.0, dt=0.01, noise_ratio=0.0)
