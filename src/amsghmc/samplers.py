@@ -16,7 +16,7 @@ module are adapted automatically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,34 +37,23 @@ GUARD_FACTOR = 300.0
 
 # --- adaptive normalization statistics -----------------------------------------
 
-
-@dataclass(frozen=True)
-class StatsConfig:
-    """Window and decay settings for the in-run moment estimation."""
-
-    window: tuple = (300, 2800)
-    beta_theta: tuple = (0.99, 0.995)
-    beta_u: tuple = (0.99, 0.998)
-    v0_star: float | None = 1.0
-    floor: float = 1e-8
-    mode: str = "testing"
+# The smallest scale the statistics report, so normalized inputs stay finite.
+SCALE_FLOOR = 1e-8
 
 
 class AdaptiveStats:
-    """Per-dimension parameter scales and potential-energy normalizers.
-
-    Estimates update only while the step counter sits inside the
-    configured window, then freeze for the rest of the run.
+    """Per-dimension parameter scales and potential-energy normalizers,
+    estimated by ``MomentEstimator`` streams over the chain positions and
+    their energies.  ``update`` folds a batch in until ``freeze``; the
+    caller decides when to do either (``run_chains`` by its window).
     """
 
-    def __init__(self, d: int, config: StatsConfig | None = None):
-        self.config = config if config is not None else StatsConfig()
+    def __init__(self, d: int, beta_theta=(0.99, 0.995), beta_u=(0.99, 0.998),
+                 v0_star=1.0, mode: str = "testing"):
         self.d = int(d)
-        c = self.config
-        self.theta_est = MomentEstimator(
-            (self.d,), c.beta_theta[0], c.beta_theta[1],
-            mode=c.mode, v0_star=c.v0_star)
-        self.u_est = MomentEstimator((), c.beta_u[0], c.beta_u[1], mode=c.mode)
+        self.theta_est = MomentEstimator((self.d,), *beta_theta, mode=mode,
+                                         v0_star=v0_star)
+        self.u_est = MomentEstimator((), *beta_u, mode=mode)
         self.frozen = False
 
     @classmethod
@@ -73,25 +62,19 @@ class AdaptiveStats:
         seeded at t = 0 (variances sigma_i**2 and sigma_u**2, energy mean
         mu_u) and frozen."""
         sigma_i = np.asarray(sigma_i, dtype=float)
-        obj = cls(sigma_i.size, StatsConfig(v0_star=sigma_i ** 2))
+        obj = cls(sigma_i.size, v0_star=sigma_i ** 2)
         obj.u_est.m = np.array(float(mu_u))
         obj.u_est.v = np.array(float(sigma_u) ** 2)
         obj.frozen = True
         return obj
 
-    def update(self, t: int, theta_batch, u_batch) -> None:
-        """Fold the current states in when step t lies inside the window.
+    def update(self, theta_batch, u_batch) -> None:
+        """Fold the current states in unless the statistics are frozen.
 
         Rows rejected by ``sane_rows`` are skipped; if the whole batch is
         rejected the step contributes nothing rather than raising.
         """
         if self.frozen:
-            return
-        lo, hi = self.config.window
-        if t > hi:
-            self.frozen = True
-            return
-        if t < lo:
             return
         theta_batch = np.asarray(theta_batch, dtype=float)
         u_batch = np.asarray(u_batch, dtype=float)
@@ -99,8 +82,6 @@ class AdaptiveStats:
         if keep.any():
             self.theta_est.update(theta_batch[keep])
             self.u_est.update(u_batch[keep])
-        if t == hi:
-            self.frozen = True
 
     def sane_rows(self, theta_batch, u_batch) -> np.ndarray:
         """Mask of rows that are safe to fold into the estimates.
@@ -146,7 +127,7 @@ class AdaptiveStats:
     @property
     def sigma_i(self) -> np.ndarray:
         var = np.maximum(np.asarray(self.theta_est.variance), 0.0)
-        return np.maximum(np.sqrt(var), self.config.floor)
+        return np.maximum(np.sqrt(var), SCALE_FLOOR)
 
     @property
     def mu_u(self) -> float:
@@ -155,29 +136,20 @@ class AdaptiveStats:
     @property
     def sigma_u(self) -> float:
         var = max(float(self.u_est.variance), 0.0)
-        return max(np.sqrt(var), self.config.floor)
+        return max(np.sqrt(var), SCALE_FLOOR)
 
     def state(self) -> dict:
         return {
             "d": self.d,
             "frozen": self.frozen,
-            "config": asdict(self.config),
             "theta_est": self.theta_est.state(),
             "u_est": self.u_est.state(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "AdaptiveStats":
-        cfg = state["config"]
-        cfg = StatsConfig(
-            window=tuple(int(x) for x in cfg["window"]),
-            beta_theta=tuple(float(x) for x in cfg["beta_theta"]),
-            beta_u=tuple(float(x) for x in cfg["beta_u"]),
-            v0_star=cfg["v0_star"],
-            floor=float(cfg["floor"]),
-            mode=str(cfg["mode"]),
-        )
-        obj = cls(int(state["d"]), cfg)
+        """Inverse of ``state``; an older layout's ``config`` entry is ignored."""
+        obj = cls(int(state["d"]))
         obj.theta_est = MomentEstimator.from_state(state["theta_est"])
         obj.u_est = MomentEstimator.from_state(state["u_est"])
         obj.frozen = bool(state["frozen"])
@@ -588,7 +560,8 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
 
     The meta-learned engine estimates fresh statistics unless ``stats`` is
     given; their variances start at ``v0_star``, ``config.v0_scale`` when
-    None.
+    None.  They fold in the live states before steps lo..hi of
+    ``config.window`` = (lo, hi) and are frozen from step hi on.
     """
     if sampler not in SAMPLER_NAMES:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -601,12 +574,12 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
         if nets is None:
             raise ValueError("the meta-learned engine needs strategy networks")
         if stats is None:
-            stats = AdaptiveStats(state.dim, StatsConfig(
-                window=config.window, beta_theta=config.betas_theta,
-                beta_u=config.betas_u,
-                v0_star=config.v0_scale if v0_star is None else v0_star))
+            stats = AdaptiveStats(
+                state.dim, config.betas_theta, config.betas_u,
+                config.v0_scale if v0_star is None else v0_star)
     else:
         stats = None
+    lo, hi = config.window
 
     eta_hmc = config.hmc_step0
     tuner = (DualAveraging(config.hmc_step0, config.hmc_target_accept)
@@ -619,8 +592,10 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
     kept_steps = []
     for t in range(1, n_steps + 1):
         if sampler == "amsghmc":
-            if state.alive.any():
-                stats.update(t, state.theta[state.alive], state.u[state.alive])
+            if lo <= t <= hi:
+                stats.update(state.theta[state.alive], state.u[state.alive])
+            if t >= hi:
+                stats.freeze()
             state = am_sghmc_step(state, config.eta, nets, stats, problem, gens)
         elif sampler == "sghmc":
             state = sghmc_step(state, config.eta, config.sghmc_G,

@@ -123,8 +123,12 @@ class DatasetConfig:
             raise ValueError("duration and dt must be positive")
         if self.n_steps < 1 or abs(self.duration / self.dt - self.n_steps) > 1e-9:
             raise ValueError("duration must be a positive multiple of dt")
-        if self.noise_ratio < 0:
-            raise ValueError("noise_ratio must be nonnegative")
+        for key in ("k0", "mass", "sigma0"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
+        for key in ("noise_ratio", "ground_std"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be nonnegative")
         obs = self.observed_dofs
         if obs is not None and not (obs and all(0 <= i < self.n_stories
                                                 for i in obs)):

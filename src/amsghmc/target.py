@@ -252,6 +252,8 @@ class UpdatingProblem:
         d = 2 * self.building.n_stories + 1
         if self.priors.dimension != d or self.transform.dimension != d:
             raise ValueError(f"priors and transform must have dimension {d}")
+        if not self.sigma0 > 0:
+            raise ValueError("sigma0 must be positive")
 
     @property
     def dimension(self) -> int:

@@ -7,11 +7,14 @@ KL divergence from the sampled distribution to the target.  Gradients
 flow through one update step per sample (earlier steps are treated as
 constants), the density's own dependence on the samples enters through a
 kernelized score estimate, and one optimizer update is applied per
-sub-epoch from the averaged segment gradients.  A segment advances its
-chains with the sampler's own step (``samplers.am_update`` and
-``samplers._advance``), and its weight gradient is one hand-written
-vector-Jacobian product over all of its recorded steps at once
-(``am_update_vjp``), which the tests pin to central differences.
+sub-epoch from the averaged segment gradients.  The population is one
+``samplers.ChainState``; a segment advances it with the sampler's own
+step (``samplers.am_update`` and ``samplers._advance``), and its weight
+gradient is one hand-written vector-Jacobian product over all of its
+recorded steps at once (``am_update_vjp``), which the tests pin to
+central differences.  The normalization statistics fold in the live
+states before every step of the adaptation sub-epochs and are frozen
+after them.
 
 A replay buffer of past chain states supplies restarts, both for the
 periodic reinitialization that keeps the training distribution broad and
@@ -157,10 +160,10 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._buf)
 
-    def push_rows(self, theta, p, u, grad) -> None:
-        for i in range(len(theta)):
-            self._buf.append((np.array(theta[i]), np.array(p[i]),
-                              float(u[i]), np.array(grad[i])))
+    def push_rows(self, state: samplers.ChainState, rows) -> None:
+        for i in rows:
+            self._buf.append((state.theta[i].copy(), state.p[i].copy(),
+                              float(state.u[i]), state.grad[i].copy()))
 
     def sample(self, rng: np.random.Generator):
         if not self._buf:
@@ -235,6 +238,12 @@ class TrainingConfig:
             check_rates(getattr(self, name), name)
         if self.v0_star is not None and self.v0_star < 0:
             raise ValueError("v0_star must be nonnegative")
+        for name in ("c1", "c2", "stein_bandwidth", "stein_ridge"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("M_Q", "M_D"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def strategy(self) -> sn.StrategyConfig:
@@ -323,11 +332,7 @@ def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
 class SegmentResult:
     """States after a segment plus the loss pieces computed on it."""
 
-    theta: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
-    grad: np.ndarray
-    diverged: np.ndarray
+    state: samplers.ChainState
     grad_flat: np.ndarray | None
     loss_energy: float
     loss_entropy: float
@@ -340,31 +345,27 @@ class SegmentResult:
     slot_ok: np.ndarray
 
 
-def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
+def run_segment(state: samplers.ChainState, xi_seq, nets: sn.StrategyNets,
                 stats: samplers.AdaptiveStats, oh, fn, cfg: TrainingConfig,
-                tape_slots, *, update_stats: bool = False,
-                t0: int = 0) -> SegmentResult:
-    """Advance every chain through one segment and differentiate its loss.
+                tape_slots, *, update_stats: bool = False) -> SegmentResult:
+    """Advance the live chains of ``state`` through one segment and
+    differentiate its loss.
 
     ``xi_seq`` is the (T_T, K0, D) noise block, one row per chain per
     step, drawn by the caller so the segment itself is deterministic.
     ``tape_slots`` lists the chains whose recorded states carry weight
-    gradients.  Chains that go non-finite freeze at their last state and
-    come back flagged in ``diverged``; slots that freeze are excluded from
-    the loss, and if every one freezes (or the differentiated step itself
-    degenerates) the segment returns no gradient.
+    gradients.  With ``update_stats`` the statistics fold in the live
+    states before every step.  Chains that go non-finite keep their last
+    state and come back dead in ``SegmentResult.state``; slots that die or
+    run away leave the loss, and if every one does (or the differentiated
+    step itself degenerates) the segment returns no gradient.
 
-    Each recorded step keeps the inputs of its slots' update as that step
-    saw them (the statistics may move within the segment); the weight
-    gradient is then one ``am_update_vjp`` over all recorded rows, with
-    the energy and score cotangents of each row summed.
+    Each recorded step keeps every slot's update inputs as that step saw
+    them (the statistics may move within the segment); the weight gradient
+    is one ``am_update_vjp`` over the survivors' rows of all recorded
+    steps, with the energy and score cotangents of each row summed.
     """
-    # _advance never writes into its input state, so the caller's arrays
-    # are not copied.
-    state = samplers.ChainState(
-        *(np.asarray(a, dtype=float) for a in (theta, p, u, grad)),
-        np.ones(len(theta), dtype=bool))
-    d = state.theta.shape[1]
+    d = state.dim
     t_t = xi_seq.shape[0]
     s_total = t_t // cfg.tau
     if s_total < 1:
@@ -385,68 +386,63 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
         samples_grad[s_idx] = state.grad[slots]
 
     record(0)
-    recorded: list = []
-
+    # Update inputs of recorded step s in row s - 1; the normalized ones
+    # only for the slots still in the loss.
+    in_theta, in_p, in_grad, in_du_star, in_xi = (
+        np.empty((s_total, n_slots, d)) for _ in range(5))
+    in_u_hat = np.empty((s_total, n_slots))
+    in_sig = np.empty((s_total, d))
     for step in range(1, t_t + 1):
         live = np.flatnonzero(state.alive)
         if update_stats and live.size:
-            stats.update(t0 + step, state.theta[live], state.u[live])
+            stats.update(state.theta[live], state.u[live])
         xi = xi_seq[step - 1]
-        is_recorded = step % cfg.tau == 0 and step // cfg.tau <= s_total
-
-        pre_rows = np.flatnonzero(slot_ok) if is_recorded else None
-        if pre_rows is not None and pre_rows.size:
-            idx = slots[pre_rows]
-            u_hat, du_star = samplers.normalize_inputs(state.u[idx],
-                                                       state.grad[idx], stats)
-            pre = (state.theta[idx], state.p[idx], state.grad[idx], u_hat,
-                   du_star, np.broadcast_to(stats.sigma_i, (idx.size, d)),
-                   xi[idx])
-        else:
-            pre = None
+        recorded = step % cfg.tau == 0
+        s = step // cfg.tau
+        if recorded:
+            in_theta[s - 1] = state.theta[slots]
+            in_p[s - 1] = state.p[slots]
+            in_grad[s - 1] = state.grad[slots]
+            in_xi[s - 1] = xi[slots]
+            ok = slots[slot_ok]
+            in_u_hat[s - 1, slot_ok], in_du_star[s - 1, slot_ok] = (
+                samplers.normalize_inputs(state.u[ok], state.grad[ok], stats))
+            in_sig[s - 1] = stats.sigma_i
 
         th1, p1 = samplers.am_update(state.theta[live], state.p[live],
                                      state.u[live], state.grad[live], xi[live],
                                      cfg.eta, nets, stats, oh)
         state = samplers._advance(state, live, th1, p1, fn)
 
-        if is_recorded:
-            s_idx = step // cfg.tau
+        if recorded:
             slot_ok &= state.alive[slots]
             # A finite but runaway slot would dominate the density fit and
             # the energy sum, turning the whole segment gradient into
             # noise, so it leaves the loss just as a diverged slot does.
             slot_ok &= stats.sane_rows(state.theta[slots], state.u[slots])
-            rows = np.flatnonzero(slot_ok)
-            if pre is not None and rows.size:
-                keep = np.isin(pre_rows, rows)
-                recorded.append((s_idx, rows, [a[keep] for a in pre]))
-            record(s_idx)
+            record(s)
 
-    diverged = ~state.alive
     survivors = np.flatnonzero(slot_ok)
     k_eff = survivors.size
-    no_grad = SegmentResult(state.theta, state.p, state.u, state.grad,
-                            diverged, None, float("nan"), float("nan"), k_eff,
-                            False, samples_theta, samples_p, samples_u,
-                            samples_grad, slot_ok)
-    if k_eff == 0 or len(recorded) < s_total:
-        return no_grad
-    inputs = [np.concatenate(col) for col in zip(*(r[2] for r in recorded))]
-    _, finite, pullback = am_update_vjp(nets, *inputs, cfg.eta, oh,
-                                        cfg.detach_gamma)
+    result = SegmentResult(state, None, float("nan"), float("nan"), k_eff,
+                           False, samples_theta, samples_p, samples_u,
+                           samples_grad, slot_ok)
+    if k_eff == 0:
+        return result
+    # A slot that leaves the loss has a zero cotangent at every step, so
+    # only the survivors' rows are differentiated.
+    theta, p, grad, du_star, xi = (a[:, survivors].reshape(-1, d) for a in (
+        in_theta, in_p, in_grad, in_du_star, in_xi))
+    _, finite, pullback = am_update_vjp(
+        nets, theta, p, grad, in_u_hat[:, survivors].ravel(), du_star,
+        np.repeat(in_sig, k_eff, axis=0), xi, cfg.eta, oh, cfg.detach_gamma)
     if not finite:
-        no_grad.aborted = True
-        return no_grad
+        result.aborted = True
+        return result
 
     scale_u = 1.0 / (k_eff * s_total)
     loss_energy = float(samples_u[1:, survivors].sum() * scale_u)
-    cots = {}
-    for s_idx, rows, _ in recorded:
-        cot = np.zeros((rows.size, d))
-        member = np.isin(rows, survivors)
-        cot[member] = samples_grad[s_idx][rows[member]] * scale_u
-        cots[s_idx] = (cot, rows)
+    cot = samples_grad[1:, survivors] * scale_u
 
     loss_entropy = 0.0
     n_dens = s_total - cfg.M
@@ -458,21 +454,18 @@ def run_segment(theta, p, u, grad, xi_seq, nets: sn.StrategyNets,
         except (ValueError, np.linalg.LinAlgError):
             # density fit can still fail on degenerate recorded states;
             # a lost segment is recoverable, a crashed run is not
-            no_grad.aborted = True
-            return no_grad
-        for s_idx, (val, scores) in terms.items():
+            result.aborted = True
+            return result
+        for s, (val, scores) in terms.items():
             loss_entropy += val / n_dens
-            cot, rows = cots[s_idx]
-            cot[np.searchsorted(rows, survivors)] += scores / (k_eff * n_dens)
+            cot[s - 1] += scores / (k_eff * n_dens)
 
-    grad_flat = pullback(np.concatenate([cot for cot, _ in cots.values()]))
-    if not np.all(np.isfinite(grad_flat)):
-        no_grad.aborted = True
-        return no_grad
-    return SegmentResult(state.theta, state.p, state.u, state.grad, diverged,
-                         grad_flat, loss_energy, loss_entropy, k_eff, False,
-                         samples_theta, samples_p, samples_u, samples_grad,
-                         slot_ok)
+    grad_flat = pullback(cot.reshape(-1, d))
+    result.aborted = not np.all(np.isfinite(grad_flat))
+    if not result.aborted:
+        result.grad_flat = grad_flat
+        result.loss_energy, result.loss_entropy = loss_energy, loss_entropy
+    return result
 
 
 # --- training loop -----------------------------------------------------------------
@@ -494,13 +487,13 @@ def _shortcut_mask(nets: sn.StrategyNets) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
-def _init_shortcuts(nets: sn.StrategyNets, theta, p, u, grad, stats, oh,
-                    rng: np.random.Generator) -> None:
+def _init_shortcuts(nets: sn.StrategyNets, state: samplers.ChainState,
+                    stats, oh, rng: np.random.Generator) -> None:
     """Place RBF centers using the squashed inputs of the current states."""
-    u_hat, du_star = samplers.normalize_inputs(u, grad, stats)
-    k, d = p.shape
+    u_hat, du_star = samplers.normalize_inputs(state.u, state.grad, stats)
+    k, d = state.p.shape
     iu = np.broadcast_to(sn._squash_u_np(u_hat)[0][:, None], (k, d)).ravel()
-    ip = sn._squash_p_np(p)[0].ravel()
+    ip = sn._squash_p_np(state.p)[0].ravel()
     ig = sn._squash_g_np(du_star)[0].ravel()
     cats = np.broadcast_to(oh[:, None, :], (oh.shape[0], k, d)).reshape(
         oh.shape[0], -1)
@@ -547,21 +540,16 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
     if nets is None:
         nets = sn.init_strategy(cfg.strategy, driver)
 
-    stats = samplers.AdaptiveStats(d, samplers.StatsConfig(
-        window=(0, 10**9), beta_theta=cfg.betas_theta,
-        beta_u=cfg.betas_u, v0_star=cfg.v0_star, mode="training"))
-
+    stats = samplers.AdaptiveStats(d, cfg.betas_theta, cfg.betas_u,
+                                   cfg.v0_star, mode="training")
     state = samplers.initialize_chains(problem, cfg.K0, chain_gens)
-    theta, p = state.theta, state.p
-    u, grad = state.u, state.grad
     # One unconditional update so the scales are sane from the start.
-    stats.update(1, theta, u)
+    stats.update(state.theta, state.u)
 
     buffer = ReplayBuffer(cfg.replay_capacity)
     adam = AdamState.zeros(sn.get_trainable_flat(nets).size)
     history: list = []
     n_segments = cfg.steps_per_sub_epoch // cfg.T_T
-    global_step = 0
     events_total = 0
     skipped_segments = 0
 
@@ -571,7 +559,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
             in_window = (epoch <= cfg.adapt_epochs
                          and sub > cfg.sub_epochs - cfg.adapt_last)
             if in_window and cfg.use_shortcut and nets.q_shortcut is None:
-                _init_shortcuts(nets, theta, p, u, grad, stats, oh, driver)
+                _init_shortcuts(nets, state, stats, oh, driver)
                 adam = AdamState.zeros(sn.get_trainable_flat(nets).size)
 
             seg_grads = []
@@ -583,24 +571,21 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
                                               replace=False))
                 xi_seq = np.stack([samplers._draw_noise(chain_gens, d)
                                    for _ in range(cfg.T_T)])
-                res = run_segment(theta, p, u, grad, xi_seq, nets, stats,
-                                  oh, fn, cfg, slots,
-                                  update_stats=in_window, t0=global_step)
-                global_step += cfg.T_T
-                theta, p, u, grad = res.theta, res.p, res.u, res.grad
-                for i in np.flatnonzero(res.diverged):
+                res = run_segment(state, xi_seq, nets, stats, oh, fn, cfg,
+                                  slots, update_stats=in_window)
+                state = res.state
+                for i in np.flatnonzero(~state.alive):
                     events_total += 1
                     sub_diverged += 1
-                    theta[i], p[i], u[i], grad[i] = _restart_row(
-                        buffer, problem, fn, chain_gens[i], driver)
+                    state.theta[i], state.p[i], state.u[i], state.grad[i] = (
+                        _restart_row(buffer, problem, fn, chain_gens[i], driver))
+                    state.alive[i] = True
                 # A finite but runaway state stored in the buffer would
                 # re-seed blow-ups on every restart that draws it.
-                storable = (stats.sane_rows(theta, u)
-                            & np.isfinite(p).all(axis=1)
-                            & np.isfinite(grad).all(axis=1))
-                if storable.any():
-                    rows = np.flatnonzero(storable)
-                    buffer.push_rows(theta[rows], p[rows], u[rows], grad[rows])
+                storable = (stats.sane_rows(state.theta, state.u)
+                            & np.isfinite(state.p).all(axis=1)
+                            & np.isfinite(state.grad).all(axis=1))
+                buffer.push_rows(state, np.flatnonzero(storable))
                 if res.grad_flat is not None:
                     seg_grads.append(res.grad_flat)
                     e_losses.append(res.loss_energy)
@@ -649,10 +634,10 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
         if len(buffer):
             for i in range(cfg.K0):
                 if driver.uniform() < cfg.replay_prob:
-                    theta[i], p[i], u[i], grad[i] = buffer.sample(driver)
+                    state.theta[i], state.p[i], state.u[i], state.grad[i] = (
+                        buffer.sample(driver))
 
-    if not stats.frozen:
-        stats.freeze()
+    stats.freeze()
     if log_path is not None:
         _write_history(log_path, history)
     meta = {"seed": seed, "epochs": cfg.epochs,

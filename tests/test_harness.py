@@ -84,6 +84,18 @@ def test_config_rejects_unknown_keys():
     ("run", "hmc_target_accept", 0.0),
     ("run", "hmc_target_accept", 1.0),
     ("run", "hmc_target_accept", 1.5),
+    ("generate", "k0", 0.0),
+    ("generate", "k0", -2.0e7),
+    ("generate", "mass", 0.0),
+    ("generate", "ground_std", -1.0),
+    ("generate", "sigma0", 0.0),
+    ("generate", "sigma0", -1.0),
+    ("training", "c1", 0.0),
+    ("training", "c2", -1.0),
+    ("training", "M_Q", -100.0),
+    ("training", "M_D", -1.0),
+    ("training", "stein_bandwidth", -1.0),
+    ("training", "stein_ridge", 0.0),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(harness.ConfigError, match=key):
@@ -498,6 +510,22 @@ def test_nonpositive_mass_fails_before_output(two_story, tmp_path):
         "run": run_settings(),
     })
     with pytest.raises(harness.ConfigError, match="mass must be strictly positive"):
+        harness.run_experiment("sample", cfg)
+    assert not out.exists()
+
+
+def test_nonpositive_sigma0_problem_fails_before_output(two_story, tmp_path):
+    spec = json.loads(two_story["problem"].read_text())
+    spec["sigma0"] = 0.0
+    spec["dataset"] = str(two_story["out"] / "dataset.csv")
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    cfg = harness.ExperimentConfig.from_dict({
+        "seed": 5, "out": str(out), "problem": str(bad), "sampler": "sghmc",
+        "run": run_settings(),
+    })
+    with pytest.raises(harness.ConfigError, match="sigma0 must be positive"):
         harness.run_experiment("sample", cfg)
     assert not out.exists()
 

@@ -59,38 +59,47 @@ def test_normalize_inputs_reference_points():
     assert u_hat[0] == 1.0
 
 
-def test_adaptive_stats_window_gating():
-    cfg = sp.StatsConfig(window=(5, 8))
-    stats = sp.AdaptiveStats(2, cfg)
-    rng = np.random.default_rng(0)
-    batch = rng.standard_normal((4, 2))
-    us = rng.standard_normal(4)
-    stats.update(1, batch, us)
-    assert stats.theta_est.t == 0 and not stats.frozen
+def zero_nets():
+    """All-zero weights: both networks output exactly M/2 regardless of input."""
+    nets = sn.init_strategy(sn.StrategyConfig(), np.random.default_rng(0))
+    sn.set_trainable_flat(nets, np.zeros_like(sn.get_trainable_flat(nets)))
+    return nets
+
+
+def test_run_chains_updates_stats_inside_window_only():
+    quad = Quadratic(2, scale=[1.0, 3.0])
+    conf = sp.RunConfig(K=4, T=12, burn_in=0, eta=1e-3, window=(5, 8))
+    tr = sp.run_chains("amsghmc", quad, conf, seed=2, nets=zero_nets())
+    stats = tr.stats
+    assert stats.theta_est.t == 4 and stats.frozen
+    # Steps 5..8 fold in the states they start from, the samples of steps
+    # 4..7, and nothing else.
+    ref = sp.AdaptiveStats(2, conf.betas_theta, conf.betas_u, conf.v0_scale)
     for t in range(5, 9):
-        stats.update(t, batch + t, us + t)
-    assert stats.theta_est.t == 4
-    assert stats.frozen
+        ref.update(np.ascontiguousarray(tr.samples[:, t - 2]),
+                   np.ascontiguousarray(tr.potentials[:, t - 2]))
+    np.testing.assert_array_equal(stats.sigma_i, ref.sigma_i)
+    assert stats.mu_u == ref.mu_u and stats.sigma_u == ref.sigma_u
     sig_before = stats.sigma_i.copy()
     mu_before = stats.mu_u
-    stats.update(9, batch + 99.0, us + 99.0)
+    stats.update(tr.samples[:, -1] + 99.0, tr.potentials[:, -1] + 99.0)
     np.testing.assert_array_equal(stats.sigma_i, sig_before)
     assert stats.mu_u == mu_before
 
 
-def test_adaptive_stats_freezes_past_window_without_hit():
-    stats = sp.AdaptiveStats(1, sp.StatsConfig(window=(5, 8)))
-    stats.update(20, np.zeros((2, 1)), np.zeros(2))
-    assert stats.frozen
-    assert stats.theta_est.t == 0
+def test_run_chains_freezes_stats_of_a_window_closed_before_the_first_step():
+    conf = sp.RunConfig(K=2, T=5, burn_in=0, eta=1e-3, window=(0, 0))
+    tr = sp.run_chains("amsghmc", Quadratic(1), conf, seed=0, nets=zero_nets())
+    assert tr.stats.frozen
+    assert tr.stats.theta_est.t == 0
 
 
 def test_adaptive_stats_floor_and_fixed():
     stats = sp.AdaptiveStats(3)
     assert np.all(stats.sigma_i == 1.0)
-    assert stats.sigma_u == stats.config.floor
-    bare = sp.AdaptiveStats(3, sp.StatsConfig(v0_star=None))
-    assert np.all(bare.sigma_i == bare.config.floor)
+    assert stats.sigma_u == sp.SCALE_FLOOR
+    bare = sp.AdaptiveStats(3, v0_star=None)
+    assert np.all(bare.sigma_i == sp.SCALE_FLOOR)
     # Pinned values read back bitwise, before and after a state round trip,
     # also at magnitudes far from 1.
     for sig, mu_u, sig_u in (([1.0, 2.0, 3.0], -4.0, 0.5),
@@ -103,20 +112,19 @@ def test_adaptive_stats_floor_and_fixed():
 
 
 def test_adaptive_stats_state_roundtrip():
-    cfg = sp.StatsConfig(window=(1, 50), beta_theta=(0.9, 0.99),
-                         beta_u=(0.8, 0.9), v0_star=2.0)
-    a = sp.AdaptiveStats(2, cfg)
+    a = sp.AdaptiveStats(2, beta_theta=(0.9, 0.99), beta_u=(0.8, 0.9),
+                         v0_star=2.0)
     rng = np.random.default_rng(3)
-    for t in range(1, 9):
-        a.update(t, rng.standard_normal((4, 2)), rng.standard_normal(4))
+    for _ in range(8):
+        a.update(rng.standard_normal((4, 2)), rng.standard_normal(4))
     b = sp.AdaptiveStats.from_state(a.state())
     np.testing.assert_array_equal(a.sigma_i, b.sigma_i)
     assert a.mu_u == b.mu_u and a.sigma_u == b.sigma_u
     assert a.frozen == b.frozen
     batch = rng.standard_normal((4, 2))
     us = rng.standard_normal(4)
-    a.update(9, batch, us)
-    b.update(9, batch, us)
+    a.update(batch, us)
+    b.update(batch, us)
     np.testing.assert_array_equal(a.sigma_i, b.sigma_i)
 
     f = sp.AdaptiveStats.fixed(np.array([1.5]), 0.0, 2.0)
@@ -126,31 +134,30 @@ def test_adaptive_stats_state_roundtrip():
 
 
 def test_adaptive_stats_screens_runaway_rows():
-    cfg = sp.StatsConfig(window=(1, 50))
-    a = sp.AdaptiveStats(2, cfg)
-    b = sp.AdaptiveStats(2, cfg)
+    a = sp.AdaptiveStats(2)
+    b = sp.AdaptiveStats(2)
     rng = np.random.default_rng(7)
     batch = rng.standard_normal((5, 2))
     us = rng.standard_normal(5)
-    a.update(1, batch, us)
-    b.update(1, batch, us)
+    a.update(batch, us)
+    b.update(batch, us)
 
     # one row insane in u, one insane in theta; both must vanish bitwise
     spiked = np.vstack([batch, [[0.3, -0.1], [0.0, -3e19]]])
     spiked_u = np.append(us, [1e25, 0.4])
-    a.update(2, spiked, spiked_u)
-    b.update(2, batch, us)
+    a.update(spiked, spiked_u)
+    b.update(batch, us)
     np.testing.assert_array_equal(a.sigma_i, b.sigma_i)
     assert a.mu_u == b.mu_u and a.sigma_u == b.sigma_u
 
     # a fully rejected batch contributes nothing instead of raising
     t_before = a.theta_est.t
-    a.update(3, np.full((3, 2), 1e30), np.full(3, np.nan))
+    a.update(np.full((3, 2), 1e30), np.full(3, np.nan))
     assert a.theta_est.t == t_before
 
     # without any prior seed the first batch sets the scale unguarded
-    bare = sp.AdaptiveStats(1, sp.StatsConfig(v0_star=None, window=(1, 50)))
-    bare.update(1, np.full((2, 1), 1e12), np.zeros(2))
+    bare = sp.AdaptiveStats(1, v0_star=None)
+    bare.update(np.full((2, 1), 1e12), np.zeros(2))
     assert bare.theta_est.t == 1
 
 

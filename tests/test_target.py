@@ -377,7 +377,10 @@ def test_reused_record_buffers_are_invisible(five_story_problem):
         return target.map_params_to_state(w, prob.transform)
 
     first, second, wider = states(4), states(4), states(6)
-    no_noise = dataclasses.replace(prob, sigma0=0.0)
+    # A problem with no noise scale, which UpdatingProblem rejects, built
+    # past that check so that its energy call raises.
+    no_noise = dataclasses.replace(prob)
+    object.__setattr__(no_noise, "sigma0", 0.0)
     calls = [(first, prob), (second, prob), (wider, prob), (wider, no_noise), (first, prob)]
     target._record_buffers.cache_clear()
     warm = []

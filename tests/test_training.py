@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -160,8 +163,9 @@ def test_adam_mask_freezes_value_and_moments():
 def test_replay_buffer_fifo_and_sampling():
     buf = tr.ReplayBuffer(capacity=3)
     for i in range(5):
-        buf.push_rows(np.array([[float(i)]]), np.zeros((1, 1)),
-                      np.array([float(i)]), np.zeros((1, 1)))
+        buf.push_rows(sp.ChainState(np.array([[float(i)]]), np.zeros((1, 1)),
+                                    np.array([float(i)]), np.zeros((1, 1)),
+                                    np.ones(1, dtype=bool)), [0])
     assert len(buf) == 3
     stored = {buf._buf[i][0][0] for i in range(3)}
     assert stored == {2.0, 3.0, 4.0}
@@ -211,6 +215,12 @@ def zero_nets(cfg):
     return nets
 
 
+def chain_state(problem, theta, p):
+    """Live chains at the given positions and momenta."""
+    u, grad = problem.potential_energy_batch(theta)
+    return sp.ChainState(theta, p, u, grad, np.ones(len(theta), dtype=bool))
+
+
 def seeded_setup(problem, k, seed=0):
     gens = sp.chain_generators(seed, k)
     state = sp.initialize_chains(problem, k, gens)
@@ -226,8 +236,8 @@ def test_smallest_segment_loss_decomposition():
     xi_seq = np.stack([sp._draw_noise(gens, 2)])
     # One chain and one step: the density is fitted to two points.
     with pytest.warns(UserWarning, match="near-singular"):
-        res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                             nets, stats, sn.one_hot(problem.categories, 3),
+        res = tr.run_segment(state, xi_seq, nets, stats,
+                             sn.one_hot(problem.categories, 3),
                              sp.energy_fn(problem), cfg, np.array([0]))
     assert res.k_eff == 1 and res.grad_flat is not None
     theta1 = res.samples_theta[1]
@@ -253,12 +263,10 @@ def test_segment_energy_gradient_matches_finite_differences():
     def loss_of(flat):
         probe = sn.nets_from_state(nets.cfg, sn.nets_state(nets))
         sn.set_trainable_flat(probe, flat)
-        r = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                           probe, stats, oh, fn, cfg, slots)
+        r = tr.run_segment(state, xi_seq, probe, stats, oh, fn, cfg, slots)
         return r.loss_energy
 
-    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                         nets, stats, oh, fn, cfg, slots)
+    res = tr.run_segment(state, xi_seq, nets, stats, oh, fn, cfg, slots)
     flat0 = sn.get_trainable_flat(nets)
     assert res.grad_flat.shape == flat0.shape
     rng = np.random.default_rng(3)
@@ -272,12 +280,13 @@ def test_segment_energy_gradient_matches_finite_differences():
         assert res.grad_flat[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
-def single_step_vjp(nets, res, s, xi, eta, stats, oh, cot):
+def single_step_vjp(nets, res, s, xi, eta, stats, oh, cot, rows=slice(None)):
     """Weight gradient of sum(cot * theta) over recorded step s of a
-    segment alone, under the given statistics; ``am_update_vjp`` is pinned
-    to central differences by test_am_update_vjp_matches_finite_differences."""
-    theta, p = res.samples_theta[s - 1], res.samples_p[s - 1]
-    u, grad = res.samples_u[s - 1], res.samples_grad[s - 1]
+    segment alone, for the given slot rows under the given statistics;
+    ``am_update_vjp`` is pinned to central differences by
+    test_am_update_vjp_matches_finite_differences."""
+    theta, p = res.samples_theta[s - 1, rows], res.samples_p[s - 1, rows]
+    u, grad = res.samples_u[s - 1, rows], res.samples_grad[s - 1, rows]
     u_hat, du_star = sp.normalize_inputs(u, grad, stats)
     sig = np.broadcast_to(stats.sigma_i, theta.shape)
     _, _, pullback = tr.am_update_vjp(nets, theta, p, grad, u_hat, du_star,
@@ -293,15 +302,62 @@ def test_segment_gradient_is_sum_of_single_step_gradients():
     stats = fixed_stats(2)
     oh = sn.one_hot(problem.categories, 3)
     xi_seq = np.stack([sp._draw_noise(gens, 2) for _ in range(3)])
-    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                         nets, stats, oh, sp.energy_fn(problem), cfg,
-                         np.arange(2))
+    res = tr.run_segment(state, xi_seq, nets, stats, oh, sp.energy_fn(problem),
+                         cfg, np.arange(2))
 
     total = np.zeros_like(res.grad_flat)
     for s in (1, 2, 3):
         part = res.samples_grad[s] / (2 * 3)
         total += single_step_vjp(nets, res, s, xi_seq[s - 1], cfg.eta, stats,
                                  oh, part)
+    np.testing.assert_allclose(res.grad_flat, total, rtol=1e-10, atol=1e-12)
+
+
+class Ramp:
+    """Constant pull along theta_1, a bowl in theta_2, and non-finite
+    energy past a wall in theta_1."""
+
+    dimension = 2
+
+    def __init__(self, wall):
+        self.categories = np.zeros(2, dtype=int)
+        self.wall = wall
+
+    def potential_energy_batch(self, thetas):
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        bad = thetas[:, 0] > self.wall
+        u = np.where(bad, np.nan, 0.5 * thetas[:, 1] ** 2 - thetas[:, 0])
+        grad = np.column_stack([-np.ones(len(thetas)), thetas[:, 1]])
+        return u, np.where(bad[:, None], np.nan, grad)
+
+
+def test_segment_gradient_drops_a_slot_that_dies_after_a_recorded_step():
+    problem = Ramp(0.5)
+    cfg = small_cfg(K0=3, K=3, T_T=4, steps_per_sub_epoch=4, M=1, eta=0.002)
+    theta = np.array([[-1.0, 0.5], [0.0, 0.0], [-0.8, 0.3]])
+    p = np.array([[0.2, -0.1], [1.0, 0.0], [0.1, 0.4]])
+    xi_seq = np.random.default_rng(0).normal(size=(4, 3, 2))
+    nets = sn.init_strategy(cfg.strategy, np.random.default_rng(4))
+    stats = fixed_stats(2)
+    oh = sn.one_hot(problem.categories, 3)
+    res = tr.run_segment(chain_state(problem, theta, p), xi_seq, nets, stats,
+                         oh, sp.energy_fn(problem), cfg, np.arange(3))
+    # Slot 1 moves through recorded steps 1 and 2, then dies at step 3 and
+    # keeps its last finite state.
+    track = res.samples_theta[:, 1, 0]
+    assert track[0] < track[1] < track[2] == track[3] == track[4]
+    assert res.state.alive.tolist() == [True, False, True]
+    assert res.k_eff == 2 and res.grad_flat is not None
+
+    survivors = np.array([0, 2])
+    terms = tr.entropy_terms(res.samples_theta[:, survivors], cfg.M)
+    total = np.zeros_like(res.grad_flat)
+    for s in (1, 2, 3, 4):
+        part = res.samples_grad[s, survivors] / (2 * 4)
+        if s in terms:
+            part = part + terms[s][1] / (2 * 3)
+        total += single_step_vjp(nets, res, s, xi_seq[s - 1, survivors],
+                                 cfg.eta, stats, oh, part, rows=survivors)
     np.testing.assert_allclose(res.grad_flat, total, rtol=1e-10, atol=1e-12)
 
 
@@ -394,15 +450,13 @@ def test_segment_gradient_with_moving_stats_matches_single_steps():
     state, gens = seeded_setup(problem, 3, seed=13)
     nets = shortcut_nets(scfg, np.random.default_rng(8), frozen=False)
     nets.d_shortcut.frozen = True
-    stats = sp.AdaptiveStats(2, sp.StatsConfig(window=(0, 10**9),
-                                               mode="training"))
-    stats.update(1, state.theta, state.u)
+    stats = sp.AdaptiveStats(2, mode="training")
+    stats.update(state.theta, state.u)
     before = sp.AdaptiveStats.from_state(stats.state())
     oh = sn.one_hot(problem.categories, 3)
     xi_seq = np.stack([sp._draw_noise(gens, 2) for _ in range(3)])
-    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                         nets, stats, oh, sp.energy_fn(problem), cfg,
-                         np.arange(3), update_stats=True, t0=1)
+    res = tr.run_segment(state, xi_seq, nets, stats, oh, sp.energy_fn(problem),
+                         cfg, np.arange(3), update_stats=True)
     assert res.k_eff == 3 and res.grad_flat is not None
 
     # Replay the statistics step by step; every chain survives, so the
@@ -412,7 +466,7 @@ def test_segment_gradient_with_moving_stats_matches_single_steps():
     total = np.zeros_like(res.grad_flat)
     sigmas = []
     for s in (1, 2, 3):
-        ref.update(1 + s, res.samples_theta[s - 1], res.samples_u[s - 1])
+        ref.update(res.samples_theta[s - 1], res.samples_u[s - 1])
         sigmas.append(ref.sigma_i.copy())
         part = res.samples_grad[s] / (3 * 3)
         if s in terms:
@@ -434,10 +488,10 @@ def test_segment_aborts_on_nonfinite_network_output():
     nets = sn.init_strategy(cfg.strategy, np.random.default_rng(4))
     nets.q_layers[-1][1][:] = np.inf
     xi_seq = np.stack([sp._draw_noise(gens, 2) for _ in range(3)])
-    res = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                         nets, fixed_stats(2), sn.one_hot(problem.categories, 3),
+    res = tr.run_segment(state, xi_seq, nets, fixed_stats(2),
+                         sn.one_hot(problem.categories, 3),
                          sp.energy_fn(problem), cfg, np.arange(2))
-    assert res.k_eff == 2 and not res.diverged.any()
+    assert res.k_eff == 2 and res.state.alive.all()
     assert res.aborted and res.grad_flat is None
 
 
@@ -450,12 +504,11 @@ def test_segment_gradient_invariant_to_potential_offset():
     oh = sn.one_hot(base.categories, 3)
     xi_seq = np.stack([sp._draw_noise(gens, 3) for _ in range(3)])
 
-    res_a = tr.run_segment(state.theta, state.p, state.u, state.grad, xi_seq,
-                           nets, fixed_stats(3, mu_u=0.0), oh,
+    res_a = tr.run_segment(state, xi_seq, nets, fixed_stats(3, mu_u=0.0), oh,
                            sp.energy_fn(base), cfg, np.arange(2))
-    u_lift = state.u + 100.0
-    res_b = tr.run_segment(state.theta, state.p, u_lift, state.grad, xi_seq,
-                           nets, fixed_stats(3, mu_u=100.0), oh,
+    lifted_state = dataclasses.replace(state, u=state.u + 100.0)
+    res_b = tr.run_segment(lifted_state, xi_seq, nets,
+                           fixed_stats(3, mu_u=100.0), oh,
                            sp.energy_fn(lifted), cfg, np.arange(2))
     # (U + c) - c loses low bits, so agreement is to rounding, not bitwise
     np.testing.assert_allclose(res_a.samples_theta, res_b.samples_theta,
@@ -471,18 +524,18 @@ def test_segment_masks_diverged_slot_and_renormalizes():
     cfg = small_cfg(K0=2, K=2, T_T=4, steps_per_sub_epoch=4, M=9)
     theta = np.array([[0.0], [19.9]])
     p = np.array([[0.0], [500.0]])
-    u, grad = problem.potential_energy_batch(theta)
     xi_seq = np.zeros((4, 2, 1))
-    res = tr.run_segment(theta, p, u, grad, xi_seq, zero_nets(cfg.strategy),
+    res = tr.run_segment(chain_state(problem, theta, p), xi_seq,
+                         zero_nets(cfg.strategy),
                          fixed_stats(1), sn.one_hot(problem.categories, 3),
                          sp.energy_fn(problem), cfg, np.arange(2))
-    assert bool(res.diverged[1]) and not bool(res.diverged[0])
+    assert res.state.alive.tolist() == [True, False]
     assert res.k_eff == 1
     assert res.grad_flat is not None
     expect = float(np.mean(res.samples_u[1:, 0]))
     assert res.loss_energy == pytest.approx(expect, rel=1e-12)
     # frozen slot keeps its last finite state
-    assert np.isfinite(res.theta).all()
+    assert np.isfinite(res.state.theta).all()
 
 
 def test_segment_returns_no_gradient_when_all_slots_die():
@@ -490,9 +543,9 @@ def test_segment_returns_no_gradient_when_all_slots_die():
     cfg = small_cfg(K0=1, K=1, T_T=2, steps_per_sub_epoch=2, M=9)
     theta = np.array([[19.9]])
     p = np.array([[500.0]])
-    u, grad = problem.potential_energy_batch(theta)
     xi_seq = np.zeros((2, 1, 1))
-    res = tr.run_segment(theta, p, u, grad, xi_seq, zero_nets(cfg.strategy),
+    res = tr.run_segment(chain_state(problem, theta, p), xi_seq,
+                         zero_nets(cfg.strategy),
                          fixed_stats(1), sn.one_hot(problem.categories, 3),
                          sp.energy_fn(problem), cfg, np.array([0]))
     assert res.k_eff == 0 and res.grad_flat is None
@@ -594,6 +647,46 @@ def test_checkpoint_roundtrip_and_dimension_portability(tmp_path):
     for _ in range(5):
         state = sp.am_sghmc_step(state, 0.01, nets2, fresh, wide, gens)
     assert np.isfinite(state.theta).all()
+
+
+# Statistics as checkpoints carried them while they embedded their own
+# settings in a "config" entry: training mode, decays (0.9, 0.99) and
+# (0.8, 0.9), prior variance 0.5, two updates, then frozen.
+OLD_LAYOUT_STATS = {
+    "d": 2, "frozen": True,
+    "config": {"window": [0, 1000000000], "beta_theta": [0.9, 0.99],
+               "beta_u": [0.8, 0.9], "v0_star": 0.5, "floor": 1e-08,
+               "mode": "training"},
+    "theta_est": {"shape": [2], "beta1": 0.9, "beta2": 0.99,
+                  "mode": "training",
+                  "m": [0.18999999999999995, 0.11166666666666664],
+                  "v": [0.5326940373666667, 0.5223016238231482],
+                  "m_hat": [0.34389999999999993, 0.2021166666666666],
+                  "t": 2, "v0_star": [0.5, 0.5]},
+    "u_est": {"shape": [], "beta1": 0.8, "beta2": 0.9, "mode": "training",
+              "m": 1.4733333333333332, "v": 2.117993069037037,
+              "m_hat": 2.4162666666666666, "t": 2},
+}
+
+
+def test_checkpoint_with_old_stats_layout_loads(tmp_path):
+    scfg = sn.StrategyConfig()
+    nets = sn.init_strategy(scfg, np.random.default_rng(5))
+    meta = {"format": 1, "strategy": tr._jsonable(dataclasses.asdict(scfg)),
+            "stats": OLD_LAYOUT_STATS, "extra": {"categories": [0, 1]}}
+    path = tmp_path / "old.npz"
+    np.savez(path, meta=np.array(json.dumps(meta)), **sn.nets_state(nets))
+    nets2, stats, extra = tr.load_checkpoint(path)
+    assert extra == {"categories": [0, 1]}
+    np.testing.assert_array_equal(sn.get_trainable_flat(nets2),
+                                  sn.get_trainable_flat(nets))
+    # The values the statistics read back when that layout was current.
+    np.testing.assert_array_equal(stats.sigma_i,
+                                  [0.7514901618715555, 0.7376716378797653])
+    assert stats.mu_u == 2.4162666666666666
+    assert stats.sigma_u == 3.33876203738754
+    assert stats.frozen
+    assert "config" not in stats.state()
 
 
 class NanBox:
