@@ -1,0 +1,139 @@
+"""Compare the outputs of perfbench's stage calls between source trees.
+
+    python3 scripts/digest_outputs.py --tree before=PATH --tree after=. \
+        [--train-seeds 1-8] [--train-calls 64] [--out DIGESTS.json]
+
+Each ``--tree LABEL=PATH`` names a checkout; its own ``src/`` and
+``perfbench/`` are imported in a process of its own, with BLAS pinned to
+one thread.  Every call is made as perfbench makes call ``i`` of a run
+with setup seed ``s``: stage seed ``1000*s + i``, outputs reduced to the
+workload's fingerprint (report summary and CSV files for ``evaluate``,
+``history.csv`` and the checkpoint's weights for ``train_eta1e-4``, the
+trace files for ``sample_*``).  The calls are
+
+* ``evaluate``, setup seeds 1-3, call 0;
+* ``sample_sghmc``, ``sample_amsghmc`` and ``sample_hmc``, setup seed 1,
+  call 0;
+* ``train_eta1e-4``, every setup seed of ``--train-seeds`` and calls
+  ``0 .. --train-calls - 1``, also recording the segments each call
+  skipped: the calls that count as failed operations.
+
+The script prints, per tree and setup seed, the ``train_eta1e-4`` calls
+that failed, and every call whose fingerprint or failure count differs
+between the trees.  The exit code is 1 when any call differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _seeds(text: str) -> list:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def plan(train_seeds: list, train_calls: int) -> list:
+    """(workload, setup seed, call indices) in the order they run."""
+    jobs = [("evaluate", s, [0]) for s in (1, 2, 3)]
+    jobs += [(name, 1, [0]) for name in ("sample_sghmc", "sample_amsghmc",
+                                         "sample_hmc")]
+    jobs += [("train_eta1e-4", s, list(range(train_calls))) for s in train_seeds]
+    return jobs
+
+
+def collect(tree: Path, work: Path, jobs: list) -> dict:
+    """Fingerprint and failure count of every call, in this process.
+
+    The stages write their input paths into their outputs, so every tree
+    runs in the same work folder, which is emptied before and after.
+    """
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from run import call
+
+    results = {}
+    shutil.rmtree(work, ignore_errors=True)
+    try:
+        for name, seed, calls in jobs:
+            wl = workloads.make(name)
+            ctx = wl.setup(work / f"{name}-{seed}", seed)
+            rows = []
+            for i in calls:
+                out = work / "call"
+                _, outcome, fingerprint = call(wl, ctx, 1000 * seed + i, out)
+                shutil.rmtree(out, ignore_errors=True)
+                rows.append({"call": i, "failed": outcome.failed,
+                             "fingerprint": fingerprint})
+            results[f"{name}/{seed}"] = rows
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return results
+
+
+def compare(by_tree: dict) -> list:
+    """Lines naming every call that differs from the first tree's."""
+    (first, base), *rest = by_tree.items()
+    lines = []
+    for label, other in rest:
+        for key, rows in base.items():
+            for a, b in zip(rows, other[key]):
+                if a != b:
+                    lines.append(f"{key} call {a['call']}: {first} {a} != "
+                                 f"{label} {b}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[],
+                        help="LABEL=PATH of a checkout to run")
+    parser.add_argument("--train-seeds", default="1-8", type=_seeds)
+    parser.add_argument("--train-calls", type=int, default=64)
+    parser.add_argument("--out", help="write every fingerprint to this JSON file")
+    parser.add_argument("--work", default=str(ROOT / ".digest_work"),
+                        help="folder for the calls' files (emptied)")
+    parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    # Before numpy is imported here or in a collecting process.
+    os.environ.update({var: "1" for var in BLAS_VARS})
+    jobs = plan(args.train_seeds, args.train_calls)
+    if args.collect:
+        print(json.dumps(collect(Path(args.collect), Path(args.work), jobs)))
+        return 0
+    if not args.tree:
+        parser.error("give at least one --tree LABEL=PATH")
+
+    by_tree = {}
+    for spec in args.tree:
+        label, path = spec.split("=", 1)
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--collect",
+             str(Path(path).resolve()), "--work", args.work, "--train-seeds",
+             f"{args.train_seeds[0]}-{args.train_seeds[-1]}",
+             "--train-calls", str(args.train_calls)],
+            capture_output=True, text=True, check=True)
+        by_tree[label] = json.loads(proc.stdout.strip().splitlines()[-1])
+        for seed in args.train_seeds:
+            rows = by_tree[label][f"train_eta1e-4/{seed}"]
+            failing = [r["call"] for r in rows if r["failed"]]
+            print(f"{label} train_eta1e-4 setup seed {seed}: failing calls "
+                  f"{failing}")
+    if args.out:
+        Path(args.out).write_text(json.dumps(by_tree, indent=1) + "\n")
+    diffs = compare(by_tree)
+    print("\n".join(diffs) if diffs else "all calls identical between trees")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

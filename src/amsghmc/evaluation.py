@@ -1,7 +1,8 @@
 """Sample-quality diagnostics.
 
 Kernel density fit with bandwidth-factor selection (a safeguarded Newton
-search on log c over BLAS-form squared distances), the order-independent
+search on log c over BLAS-form squared distances, each iteration one pass
+over them in cache-sized row blocks), the order-independent
 ELBO-style loss, effective sample size with the truncated autocorrelation
 sum, principal directions, and conditional-mean surfaces for visualizing
 nonlinear parameter couplings.  Everything here is read-only over sample
@@ -109,6 +110,11 @@ class KdeModel:
         return out + self._log_norm
 
 
+# Elements in one row block of the bandwidth search's scratch buffer:
+# 256 KB of float64, so a block stays in cache through its passes.
+_BLOCK_ELEMENTS = 32768
+
+
 def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
                    tol: float) -> float:
     """log c in [lo, hi] maximizing the leave-one-out objective
@@ -121,6 +127,12 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     over the rows.  A Newton step taken where f'' >= 0 or leaving the
     bracket becomes a bisection on the sign of f'; the search stops when
     a step is shorter than tol.
+
+    The (n, n) squared distances are built once; each iteration then runs
+    over them in row blocks of about ``_BLOCK_ELEMENTS`` elements, which
+    stay in cache from the exp to the last of the three row sums.  A row
+    sum reduces the same contiguous row as a whole-matrix pass would, so
+    the result does not depend on the block size.
     """
     n, d = white.shape
     sq = sq_distances(white, white)
@@ -130,19 +142,26 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     # exp term is 1; in the shifted sq, e_ij = (sq_ij + near_i) / 2c.
     sq -= near[:, None]
     np.fill_diagonal(sq, 0.0)
-    w = np.empty_like(sq)
+    rows = max(1, min(n, _BLOCK_ELEMENTS // n))
+    buf = np.empty((rows, n))
+    total, s1, s2 = np.empty((3, n))
     # Scott's rule factor for whitened data as the starting point.
     log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
     for _ in range(200):
         inv = 0.5 * np.exp(-log_c)
-        np.multiply(sq, -inv, out=w)
-        np.exp(w, out=w)
-        np.fill_diagonal(w, 0.0)
-        total = w.sum(axis=1)
-        w *= sq
-        m1 = w.sum(axis=1) / total
-        w *= sq
-        m2 = w.sum(axis=1) / total
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            part, w = sq[start:stop], buf[:stop - start]
+            np.multiply(part, -inv, out=w)
+            np.exp(w, out=w)
+            np.fill_diagonal(w[:, start:], 0.0)
+            w.sum(axis=1, out=total[start:stop])
+            w *= part
+            w.sum(axis=1, out=s1[start:stop])
+            w *= part
+            w.sum(axis=1, out=s2[start:stop])
+        m1 = s1 / total
+        m2 = s2 / total
         mean_e = (m1 + near) * inv
         grad = mean_e.mean() - 0.5 * d
         curv = ((m2 - m1 * m1) * inv * inv - mean_e).mean()

@@ -157,20 +157,6 @@ def nominal_building(
     )
 
 
-def story_patterns(n: int) -> np.ndarray:
-    """Per-story assembly patterns: K = sum_s k_s * P[s] (same for damping).
-
-    discretize_batch writes the same tridiagonal entries directly.
-    """
-    pats = np.zeros((n, n, n))
-    for s in range(n):
-        pats[s, s, s] += 1.0
-        if s > 0:
-            pats[s, s - 1, s - 1] += 1.0
-            pats[s, s, s - 1] = pats[s, s - 1, s] = -1.0
-    return pats
-
-
 @dataclass
 class Discretized:
     """Exact one-step propagators for a batch of buildings at fixed dt.

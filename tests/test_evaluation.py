@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -168,6 +170,88 @@ def test_naive_loss_golden_ar1():
                                                   AR1_C_OP * np.exp(step)))
             for step in (-1e-3, 1e-3)]
     assert min(ends) <= ev.naive_loss(flat, pots, kde) <= max(ends)
+
+
+# --- the row-block bandwidth search against the full-matrix one ---------------
+
+
+def _full_matrix_loo_max_log_c(white, lo, hi, tol):
+    """The bandwidth search as it was before it ran in row blocks: every
+    Newton iteration passes over a whole (n, n) scratch array."""
+    n, d = white.shape
+    sq = ev.sq_distances(white, white)
+    np.fill_diagonal(sq, np.inf)
+    near = sq.min(axis=1)
+    sq -= near[:, None]
+    np.fill_diagonal(sq, 0.0)
+    w = np.empty_like(sq)
+    log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
+    for _ in range(200):
+        inv = 0.5 * np.exp(-log_c)
+        np.multiply(sq, -inv, out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)
+        total = w.sum(axis=1)
+        w *= sq
+        m1 = w.sum(axis=1) / total
+        w *= sq
+        m2 = w.sum(axis=1) / total
+        mean_e = (m1 + near) * inv
+        grad = mean_e.mean() - 0.5 * d
+        curv = ((m2 - m1 * m1) * inv * inv - mean_e).mean()
+        if grad > 0:
+            lo = log_c
+        else:
+            hi = log_c
+        nxt = log_c - grad / curv if curv < 0 else np.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - log_c) < tol:
+            return nxt
+        log_c = nxt
+    return log_c
+
+
+def _whitened(samples):
+    centered = samples - samples.mean(axis=0)
+    chol = np.linalg.cholesky(np.cov(samples, rowvar=False, ddof=1))
+    return np.linalg.solve(chol, centered.T).T
+
+
+def _block_cases():
+    rng = np.random.default_rng(16)
+    once = rng.standard_normal((300, 3)) * [1.0, 2.0, 0.5]
+    return {
+        "ar1_2080": _ar1_trace()[0][::2],
+        "short_last_block_1000": rng.standard_normal((1000, 11)),
+        "one_block_150": rng.standard_normal((150, 4)),
+        "duplicated_rows": np.vstack([once, once]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_loo_search_bit_identical_to_full_matrix(case, monkeypatch):
+    samples = _block_cases()[case]
+    white = _whitened(samples)
+    assert (ev._loo_max_log_c(white, -7.0, 7.0, 1e-6)
+            == _full_matrix_loo_max_log_c(white, -7.0, 7.0, 1e-6))
+    blocked = ev.fit_cop(samples).c_op
+    monkeypatch.setattr(ev, "_loo_max_log_c", _full_matrix_loo_max_log_c)
+    assert blocked == ev.fit_cop(samples).c_op
+
+
+def test_fit_cop_peak_memory_one_square_matrix():
+    n = 2080
+    samples = np.random.default_rng(5).standard_normal((n, 11))
+    tracemalloc.start()
+    try:
+        ev.fit_cop(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The squared-distance matrix itself is n*n*8 bytes; the search may
+    # add only row blocks and vectors on top of it.
+    assert peak < 1.25 * n * n * 8
 
 
 def test_regularize_covariance_warns_on_singular():
