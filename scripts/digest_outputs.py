@@ -16,7 +16,11 @@ trace files for ``sample_*``).  The calls are
   call 0;
 * ``train_eta1e-4``, every setup seed of ``--train-seeds`` and calls
   ``0 .. --train-calls - 1``, also recording the segments each call
-  skipped: the calls that count as failed operations.
+  skipped: the calls that count as failed operations;
+* ``train_shortcut``, which no perfbench workload covers: a tiny
+  ``train`` stage with ``use_shortcut`` on (``SHORTCUT_TRAIN``) on a
+  2-story, 0.5 s problem generated at seed 3, fingerprinted by its
+  ``history.csv`` and every ``nets_state`` array of its checkpoint.
 
 The script prints, per tree and setup seed, the ``train_eta1e-4`` calls
 that failed, and every call whose fingerprint or failure count differs
@@ -26,6 +30,7 @@ between the trees.  The exit code is 1 when any call differs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -35,6 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHORTCUT_SEED = 3
+SHORTCUT_TRAIN = {"epochs": 2, "sub_epochs": 2, "adapt_epochs": 1,
+                  "adapt_last": 2, "steps_per_sub_epoch": 12, "T_T": 6,
+                  "K0": 8, "K": 4, "eta": 1e-4, "use_shortcut": True,
+                  "n_rbf": 4}
 
 
 def _seeds(text: str) -> list:
@@ -49,6 +59,35 @@ def plan(train_seeds: list, train_calls: int) -> list:
                                          "sample_hmc")]
     jobs += [("train_eta1e-4", s, list(range(train_calls))) for s in train_seeds]
     return jobs
+
+
+def shortcut_call(work: Path) -> dict:
+    """The ``train_shortcut`` job as one row in ``collect``'s layout;
+    ``failed`` is the number of skipped segments, or the error message
+    when the stage raised."""
+    from amsghmc import harness, strategy, training
+
+    def run(stage, section):
+        cfg = harness.ExperimentConfig.from_dict(
+            {"seed": SHORTCUT_SEED, "out": str(work / stage), **section})
+        return harness.run_experiment(stage, cfg)
+
+    run("generate", {"generate": {"n_stories": 2, "duration": 0.5}})
+    digest = hashlib.sha256()
+    try:
+        report = run("train", {"problem": str(work / "generate" / "problem.json"),
+                               "training": SHORTCUT_TRAIN})
+    except harness.StageError as err:
+        digest.update(str(err).encode())
+        return {"call": 0, "failed": str(err), "fingerprint": digest.hexdigest()}
+    digest.update((work / "train" / "history.csv").read_bytes())
+    nets, _, _ = training.load_checkpoint(
+        work / "train" / report["outputs"]["checkpoint"])
+    for key, arr in sorted(strategy.nets_state(nets).items()):
+        digest.update(key.encode())
+        digest.update(arr.tobytes())
+    return {"call": 0, "failed": report["summary"]["skipped_segments"],
+            "fingerprint": digest.hexdigest()}
 
 
 def collect(tree: Path, work: Path, jobs: list) -> dict:
@@ -75,6 +114,8 @@ def collect(tree: Path, work: Path, jobs: list) -> dict:
                 rows.append({"call": i, "failed": outcome.failed,
                              "fingerprint": fingerprint})
             results[f"{name}/{seed}"] = rows
+        results[f"train_shortcut/{SHORTCUT_SEED}"] = [
+            shortcut_call(work / "train_shortcut")]
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return results

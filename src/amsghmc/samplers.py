@@ -338,20 +338,31 @@ def sghmc_step(state: ChainState, eta: float, g_diag, c_diag, problem, gens) -> 
     return _advance(state, idx, theta1, p1, energy_fn(problem))
 
 
+def am_update_normalized(theta, p, grad, xi, eta: float,
+                         nets: sn.StrategyNets, u_hat, du_star, sig, oh,
+                         record=None):
+    """Meta-learned update from ``normalize_inputs``' (U_hat, dU_star) and
+    scales ``sig``, (D,) or one row per chain: network coefficients, their
+    state partials, and G re-evaluated at the updated momentum.  Returns
+    (theta1, p1).  A ``record`` list receives the three network passes
+    (G, C, then G at p1) as ``strategy.fast_q_eval`` records them."""
+    g_t, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, sig,
+                                 du_seed=du_star / sig, record=record)
+    c_t, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0,
+                                record=record)
+    p1 = momentum_update(p, grad, eta, g_t, c_t, dg_dth + dc_dp, xi)
+    g_hat, dg_dp = sn.fast_q_eval(nets, u_hat, p1, oh, sig, dp_seed=1.0,
+                                  record=record)
+    return position_update(theta, p1, eta, g_hat, dg_dp), p1
+
+
 def am_update(theta, p, u, grad, xi, eta: float, nets: sn.StrategyNets,
               stats: AdaptiveStats, oh):
-    """Meta-learned update on raw (K, D) arrays: network coefficients,
-    their state partials, and the coefficient re-evaluation at the
-    updated momentum.  Returns (theta1, p1)."""
+    """Meta-learned update on raw (K, D) arrays: ``normalize_inputs``,
+    then ``am_update_normalized``.  Returns (theta1, p1)."""
     u_hat, du_star = normalize_inputs(u, grad, stats)
-    du_hat_dth = du_star / stats.sigma_i
-    sig = stats.sigma_i
-    g_t, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, sig, du_seed=du_hat_dth)
-    c_t, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
-    p1 = momentum_update(p, grad, eta, g_t, c_t, dg_dth + dc_dp, xi)
-    g_hat, dg_dp = sn.fast_q_eval(nets, u_hat, p1, oh, sig, dp_seed=1.0)
-    theta1 = position_update(theta, p1, eta, g_hat, dg_dp)
-    return theta1, p1
+    return am_update_normalized(theta, p, grad, xi, eta, nets, u_hat,
+                                du_star, stats.sigma_i, oh)
 
 
 def am_sghmc_step(state: ChainState, eta: float, nets: sn.StrategyNets,
@@ -482,8 +493,8 @@ class RunConfig:
     after burn_in is kept.  AM-SGHMC estimates its normalization
     statistics over ``window`` with the decays ``betas_theta``/``betas_u``;
     ``sghmc_G``/``sghmc_C`` are SGHMC's constant coefficients and
-    ``hmc_*`` set the HMC step size, its adaptation and the leapfrog
-    count."""
+    ``hmc_*`` set the HMC step size, its acceptance target and the
+    leapfrog count; HMC tunes its step size over the burn-in."""
 
     K: int = 32
     T: int = 9000
@@ -499,7 +510,6 @@ class RunConfig:
     hmc_step0: float = 0.1
     hmc_leapfrog: int = 10
     hmc_target_accept: float = 0.7
-    hmc_adapt: bool = True
 
     def __post_init__(self):
         if self.K < 1:
@@ -583,7 +593,7 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
 
     eta_hmc = config.hmc_step0
     tuner = (DualAveraging(config.hmc_step0, config.hmc_target_accept)
-             if sampler == "hmc" and config.hmc_adapt and burn_in > 0 else None)
+             if sampler == "hmc" and burn_in > 0 else None)
     n_acc = 0
     n_prop = 0
 

@@ -12,12 +12,15 @@ shortcut (linear layer plus Gaussian RBF units) adds to the MLP output
 before the sigmoid.
 
 The networks are evaluated by vectorized numpy code over whole (K, D)
-batches (``fast_q_eval``, ``fast_d_eval``), carrying one forward-mode
-tangent for the state partials of G and C.  Training differentiates that
-same pass by hand: with the leaky-ReLU gates fixed the tangent stream is
-linear in the weights, so one backward pass over the recorded primal and
-tangent activations gives the weight gradient, which the tests check
-against central differences.  The scalar path written against the
+batches (``fast_q_eval``, ``fast_d_eval``, on the inputs that
+``input_channels`` stacks), carrying one forward-mode tangent for the
+state partials of G and C.  Sampling and training run the same passes
+through ``samplers.am_update_normalized``; training hands it a record
+list, and each pass appends its layer activations, logit, tangent,
+sigmoid and coefficient.  With the leaky-ReLU gates fixed the tangent
+stream is linear in the weights, so one backward pass over those
+records (``_fast_backward``) gives the weight gradient, which the tests
+check against central differences.  The scalar path written against the
 autodiff module's tape and dual numbers (``q_eval``, ``d_eval``,
 ``build_tape_nets``) is called by no stage; it remains only because
 ``perfbench/tracer.py`` wraps those names.
@@ -364,78 +367,73 @@ def _shortcut_backward(sc: Shortcut, prim, tang, bar_o, bar_ot):
     return [g_lin, np.array([bar_o.sum()]), g_amp], bar_x, bar_xt
 
 
-def _fast_channels(parts, seeds, k, d):
-    """(value, d/dseed, seed) triples -> stacked primal/tangent arrays."""
-    prim = np.empty((len(parts), k, d))
-    tang = None
-    for i, part in enumerate(parts):
-        prim[i] = np.broadcast_to(part, (k, d))
-    for i, seeded in seeds:
-        if tang is None:
-            tang = np.zeros((len(parts), k, d))
-        tang[i] = np.broadcast_to(seeded, (k, d))
+def input_channels(u_hat, p, onehot, du_star=None, du_seed=None,
+                   dp_seed=None):
+    """Stacked (channels, K, D) network inputs and their tangent.
+
+    The channels are the squashed U_hat (K,) and p, then the squashed
+    dU_star when it is given (the D net), then the rows of ``onehot``.
+    du_seed rides the potential channel and dp_seed the momentum channel;
+    the tangent is None when neither is given.
+    """
+    p = np.asarray(p, dtype=float)
+    iu, diu = _squash_u_np(u_hat)
+    ip, dip = _squash_p_np(p)
+    parts = [iu[:, None], ip]
+    if du_star is not None:
+        parts.append(_squash_g_np(du_star)[0])
+    prim = np.empty((len(parts) + len(onehot),) + p.shape)
+    for i, part in enumerate(parts + list(onehot)):
+        prim[i] = part
+    if du_seed is None and dp_seed is None:
+        return prim, None
+    tang = np.zeros_like(prim)
+    if du_seed is not None:
+        tang[0] = diu[:, None] * du_seed
+    if dp_seed is not None:
+        tang[1] = dip * dp_seed
     return prim, tang
 
 
-def _q_logits(nets: StrategyNets, u_hat, p, onehot, du_seed=None,
-              dp_seed=None, acts=None):
-    """Q-net output o_Q before the sigmoid, and its tangent, over (K, D)."""
-    p = np.asarray(p, dtype=float)
-    k, d = p.shape
-    iu, diu = _squash_u_np(u_hat)
-    ip, dip = _squash_p_np(p)
-    parts = [iu[:, None], ip] + [row[None, :] for row in onehot]
-    seeds = []
-    if du_seed is not None:
-        seeds.append((0, diu[:, None] * du_seed))
-    if dp_seed is not None:
-        seeds.append((1, dip * dp_seed))
-    prim, tang = _fast_channels(parts, seeds, k, d)
-    return _fast_forward(nets.q_layers, nets.q_shortcut, prim, tang,
-                         nets.cfg.leaky_slope, acts)
-
-
-def _d_logits(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None,
-              acts=None):
-    """D-net output o_D before the sigmoid, and its tangent, over (K, D)."""
-    p = np.asarray(p, dtype=float)
-    k, d = p.shape
-    iu, _ = _squash_u_np(u_hat)
-    ip, dip = _squash_p_np(p)
-    ig, _ = _squash_g_np(du_star)
-    parts = [iu[:, None], ip, ig] + [row[None, :] for row in onehot]
-    seeds = [] if dp_seed is None else [(1, dip * dp_seed)]
-    prim, tang = _fast_channels(parts, seeds, k, d)
-    return _fast_forward(nets.d_layers, nets.d_shortcut, prim, tang,
-                         nets.cfg.leaky_slope, acts)
-
-
 def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
-                du_seed=None, dp_seed=None):
+                du_seed=None, dp_seed=None, record=None):
     """G_ii over a (K, D) batch, plus its directional derivative when an
     input seed is given.
 
     u_hat is (K,).  du_seed rides the potential channel (giving
     dG/dtheta_i when seeded with dU_hat/dtheta_i) and dp_seed the momentum
     channel (giving dG/dp_i when seeded with one); the tangent is None
-    when unseeded.
+    when unseeded.  When ``record`` is a list, the pass appends (layer
+    records for ``_fast_backward``, o, o tangent, Sigmoid(5 o), G) to it.
     """
     cfg = nets.cfg
-    o, ot = _q_logits(nets, u_hat, p, onehot, du_seed, dp_seed)
+    prim, tang = input_channels(u_hat, p, onehot, du_seed=du_seed,
+                                dp_seed=dp_seed)
+    acts = None if record is None else []
+    o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, prim, tang,
+                          cfg.leaky_slope, acts)
     s = _expit(5.0 * o)
     g = sigma * (cfg.c1 + cfg.m_q * s)
+    if record is not None:
+        record.append((acts, o, ot, s, g))
     if ot is None:
         return g, None
     return g, sigma * (cfg.m_q * (5.0 * s * (1.0 - s)) * ot)
 
 
-def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
+def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None,
+                record=None):
     """C_ii over a (K, D) batch, plus dC/dp_i when the momentum channel
-    is seeded."""
+    is seeded; ``record`` as in ``fast_q_eval``, ending in C."""
     cfg = nets.cfg
-    o, ot = _d_logits(nets, u_hat, p, du_star, onehot, dp_seed)
+    prim, tang = input_channels(u_hat, p, onehot, du_star, dp_seed=dp_seed)
+    acts = None if record is None else []
+    o, ot = _fast_forward(nets.d_layers, nets.d_shortcut, prim, tang,
+                          cfg.leaky_slope, acts)
     s = _expit(5.0 * o)
     c = cfg.c2 + cfg.m_d * s
+    if record is not None:
+        record.append((acts, o, ot, s, c))
     if ot is None:
         return c, None
     return c, cfg.m_d * (5.0 * s * (1.0 - s)) * ot
@@ -444,30 +442,29 @@ def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
 # --- weight bookkeeping -------------------------------------------------------
 
 
-def trainable_entries(nets: StrategyNets, include_shortcut: bool = True) -> list:
+def trainable_entries(nets: StrategyNets) -> list:
     """(name, array) pairs in the canonical flattening order."""
     out = []
     for prefix, layers in (("q", nets.q_layers), ("d", nets.d_layers)):
         for li, (w, b) in enumerate(layers):
             out.append((f"{prefix}_w{li}", w))
             out.append((f"{prefix}_b{li}", b))
-    if include_shortcut:
-        for prefix, sc in (("q", nets.q_shortcut), ("d", nets.d_shortcut)):
-            if sc is not None and not sc.frozen:
-                out.append((f"{prefix}_sc_lin", sc.lin_w))
-                out.append((f"{prefix}_sc_b", sc.lin_b))
-                out.append((f"{prefix}_sc_amp", sc.amp))
+    for prefix, sc in (("q", nets.q_shortcut), ("d", nets.d_shortcut)):
+        if sc is not None and not sc.frozen:
+            out.append((f"{prefix}_sc_lin", sc.lin_w))
+            out.append((f"{prefix}_sc_b", sc.lin_b))
+            out.append((f"{prefix}_sc_amp", sc.amp))
     return out
 
 
-def get_trainable_flat(nets: StrategyNets, include_shortcut: bool = True) -> np.ndarray:
-    parts = [np.asarray(a, dtype=float).ravel() for _, a in trainable_entries(nets, include_shortcut)]
+def get_trainable_flat(nets: StrategyNets) -> np.ndarray:
+    parts = [np.asarray(a, dtype=float).ravel() for _, a in trainable_entries(nets)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def set_trainable_flat(nets: StrategyNets, flat: np.ndarray, include_shortcut: bool = True) -> None:
+def set_trainable_flat(nets: StrategyNets, flat: np.ndarray) -> None:
     pos = 0
-    for _, arr in trainable_entries(nets, include_shortcut):
+    for _, arr in trainable_entries(nets):
         n = arr.size
         arr[...] = np.asarray(flat[pos : pos + n]).reshape(arr.shape)
         pos += n

@@ -9,9 +9,11 @@ constants), the density's own dependence on the samples enters through a
 kernelized score estimate, and one optimizer update is applied per
 sub-epoch from the averaged segment gradients.  The population is one
 ``samplers.ChainState``; a segment advances it with the sampler's own
-step (``samplers.am_update`` and ``samplers._advance``), and its weight
+step (``samplers.am_update`` and ``samplers._advance``).  Its weight
 gradient is one hand-written vector-Jacobian product over all of its
-recorded steps at once (``am_update_vjp``), which the tests pin to
+recorded steps at once (``am_update_vjp``): the sampler's update runs on
+the recorded rows once more, recording its network passes, and only the
+pullback through those records is written here; the tests pin it to
 central differences.  The normalization statistics fold in the live
 states before every step of the adaptation sub-epochs and are frozen
 after them.
@@ -258,7 +260,7 @@ class TrainingConfig:
 
 def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
                   xi, eta: float, oh, detach_gamma: bool = False):
-    """``samplers.am_update`` on (N, D) rows, with its pullback to the weights.
+    """``samplers.am_update_normalized`` on (N, D) rows, with its pullback.
 
     Each row carries its own normalized inputs (``u_hat`` (N,), ``du_star``)
     and scales ``sig`` (N, D), so rows taken under different statistics
@@ -274,32 +276,21 @@ def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
     Gamma = dG/dtheta + dC/dp constant.
     """
     cfg = nets.cfg
-    q_acts, d_acts, h_acts = [], [], []
-    o_g, ot_g = sn._q_logits(nets, u_hat, p, oh, du_seed=du_star / sig,
-                             acts=q_acts)
-    o_c, ot_c = sn._d_logits(nets, u_hat, p, du_star, oh, dp_seed=1.0,
-                             acts=d_acts)
-    # For y = c + m * sigmoid(5 o): dy/do = m a1(o), d2y/do2 = m a2(o).
-    s_g, s_c = sn._expit(5.0 * o_g), sn._expit(5.0 * o_c)
-    a1_g, a1_c = 5.0 * s_g * (1.0 - s_g), 5.0 * s_c * (1.0 - s_c)
-    g = sig * (cfg.c1 + cfg.m_q * s_g)
-    c = cfg.c2 + cfg.m_d * s_c
-    gamma = sig * (cfg.m_q * a1_g * ot_g) + cfg.m_d * a1_c * ot_c
-    p1 = samplers.momentum_update(p, grad, eta, g, c, gamma, xi)
-    o_h, ot_h = sn._q_logits(nets, u_hat, p1, oh, dp_seed=1.0, acts=h_acts)
-    s_h = sn._expit(5.0 * o_h)
-    a1_h = 5.0 * s_h * (1.0 - s_h)
-    g_hat = sig * (cfg.c1 + cfg.m_q * s_h)
-    theta1 = samplers.position_update(theta, p1, eta, g_hat,
-                                      sig * (cfg.m_q * a1_h * ot_h))
+    record = []
+    theta1, p1 = samplers.am_update_normalized(theta, p, grad, xi, eta, nets,
+                                               u_hat, du_star, sig, oh, record)
+    ((q_acts, o_g, ot_g, s_g, _), (d_acts, o_c, ot_c, s_c, c),
+     (h_acts, o_h, ot_h, s_h, g_hat)) = record
     finite = all(np.isfinite(x).all() for x in
                  (o_g, ot_g, o_c, ot_c, p1, o_h, ot_h, theta1))
 
+    # For y = c + m * sigmoid(5 o): dy/do = m a1(o), d2y/do2 = m a2(o).
     def a2(s):
         return 25.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
     def pullback(cot):
         q_scale = sig * cfg.m_q
+        a1_g, a1_c, a1_h = (5.0 * s * (1.0 - s) for s in (s_g, s_c, s_h))
         # theta1 = theta + eta g_hat p1 - eta g_hat_p with
         # g_hat_p = q_scale a1(o_h) ot_h
         bar_g_hat_p = -eta * cot
@@ -489,18 +480,14 @@ def _shortcut_mask(nets: sn.StrategyNets) -> np.ndarray:
 
 def _init_shortcuts(nets: sn.StrategyNets, state: samplers.ChainState,
                     stats, oh, rng: np.random.Generator) -> None:
-    """Place RBF centers using the squashed inputs of the current states."""
+    """Place RBF centers on the network inputs of the current states."""
     u_hat, du_star = samplers.normalize_inputs(state.u, state.grad, stats)
-    k, d = state.p.shape
-    iu = np.broadcast_to(sn._squash_u_np(u_hat)[0][:, None], (k, d)).ravel()
-    ip = sn._squash_p_np(state.p)[0].ravel()
-    ig = sn._squash_g_np(du_star)[0].ravel()
-    cats = np.broadcast_to(oh[:, None, :], (oh.shape[0], k, d)).reshape(
-        oh.shape[0], -1)
-    q_rows = np.column_stack([iu, ip, *cats])
-    d_rows = np.column_stack([iu, ip, ig, *cats])
-    nets.q_shortcut = sn.init_shortcut(q_rows, nets.cfg.n_rbf, rng)
-    nets.d_shortcut = sn.init_shortcut(d_rows, nets.cfg.n_rbf, rng)
+    q_in, _ = sn.input_channels(u_hat, state.p, oh)
+    d_in, _ = sn.input_channels(u_hat, state.p, oh, du_star)
+    nets.q_shortcut = sn.init_shortcut(q_in.reshape(len(q_in), -1).T,
+                                       nets.cfg.n_rbf, rng)
+    nets.d_shortcut = sn.init_shortcut(d_in.reshape(len(d_in), -1).T,
+                                       nets.cfg.n_rbf, rng)
 
 
 def _restart_row(buffer: ReplayBuffer, problem, fn, gen, driver):

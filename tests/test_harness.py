@@ -152,7 +152,6 @@ DEFAULT_RESOLVED = {
         "v0_scale": 1.0,
         "sghmc_G": 1.0, "sghmc_C": 1.0,
         "hmc_step0": 0.1, "hmc_leapfrog": 10, "hmc_target_accept": 0.7,
-        "hmc_adapt": True,
     },
     "training": {
         "K0": 64, "K": 10, "epochs": 100, "sub_epochs": 10,
@@ -197,7 +196,7 @@ NON_DEFAULT = {
         "K": 4, "T": 60, "burn_in": 20, "tau": 2, "eta": 1e-4,
         "window": [2, 15], "betas_theta": [0.9, 0.99], "betas_u": [0.95, 0.99],
         "v0_scale": 0.5, "sghmc_G": 0.7, "sghmc_C": 1.5, "hmc_step0": 0.2,
-        "hmc_leapfrog": 4, "hmc_target_accept": 0.8, "hmc_adapt": False,
+        "hmc_leapfrog": 4, "hmc_target_accept": 0.8,
     },
     "training": {
         "K0": 8, "K": 4, "epochs": 3, "sub_epochs": 4,

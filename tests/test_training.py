@@ -412,7 +412,7 @@ def test_am_update_vjp_matches_finite_differences(case):
         nets, theta, p, grad, u_hat, du_star, sig, xi, eta, oh, detach)
     ref_theta1, _ = sp.am_update(theta, p, u, grad, xi, eta, nets, stats, oh)
     assert finite
-    np.testing.assert_allclose(theta1, ref_theta1, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(theta1, ref_theta1)
     vjp = pullback(cot)
     flat0 = sn.get_trainable_flat(nets)
     assert vjp.shape == flat0.shape
@@ -612,6 +612,38 @@ def test_train_shortcut_lifecycle():
     assert result.nets.q_shortcut.frozen and result.nets.d_shortcut.frozen
 
 
+def test_init_shortcuts_places_centers_on_squashed_input_rows():
+    problem = Quadratic(3, scale=[0.5, 2.0, 7.0], offset=1.5)
+    state, _ = seeded_setup(problem, 6, seed=12)
+    stats = sp.AdaptiveStats.fixed(np.array([0.7, 1.3, 2.0]), 0.4, 1.6)
+    oh = sn.one_hot([2, 0, 1], 3)
+    nets = sn.init_strategy(sn.StrategyConfig(use_shortcut=True, n_rbf=5),
+                            np.random.default_rng(0))
+    tr._init_shortcuts(nets, state, stats, oh, np.random.default_rng(8))
+
+    # The reference assembles the rows channel by channel, as the networks
+    # order their inputs: squashed U_hat, p and (D net) dU_star, then the
+    # category indicators, one row per chain and dimension.
+    u_hat, du_star = sp.normalize_inputs(state.u, state.grad, stats)
+    k, d = state.p.shape
+    iu = np.broadcast_to(sn._squash_u_np(u_hat)[0][:, None], (k, d)).ravel()
+    ip = sn._squash_p_np(state.p)[0].ravel()
+    ig = sn._squash_g_np(du_star)[0].ravel()
+    cats = np.broadcast_to(oh[:, None, :], (oh.shape[0], k, d)).reshape(
+        oh.shape[0], -1)
+    rng = np.random.default_rng(8)
+    ref_q = sn.init_shortcut(np.column_stack([iu, ip, *cats]), 5, rng)
+    ref_d = sn.init_shortcut(np.column_stack([iu, ip, ig, *cats]), 5, rng)
+    for sc, ref in ((nets.q_shortcut, ref_q), (nets.d_shortcut, ref_d)):
+        assert sc.centers.shape == ref.centers.shape
+        assert (sc.centers == ref.centers).all()
+        assert sc.width == ref.width
+        for name in ("lin_w", "lin_b", "amp"):
+            got, want = getattr(sc, name), getattr(ref, name)
+            assert got.shape == want.shape and (got == 0.0).all(), name
+        assert not sc.frozen
+
+
 @pytest.mark.filterwarnings("ignore:near-singular")
 def test_checkpoint_roundtrip_and_dimension_portability(tmp_path):
     problem = Quadratic(2)
@@ -623,10 +655,8 @@ def test_checkpoint_roundtrip_and_dimension_portability(tmp_path):
     tr.save_checkpoint(path, result.nets, result.stats, extra={"note": "x"})
     nets2, stats2, extra = tr.load_checkpoint(path)
     assert extra == {"note": "x"}
-    np.testing.assert_array_equal(sn.get_trainable_flat(result.nets,
-                                                        include_shortcut=False),
-                                  sn.get_trainable_flat(nets2,
-                                                        include_shortcut=False))
+    np.testing.assert_array_equal(sn.get_trainable_flat(result.nets),
+                                  sn.get_trainable_flat(nets2))
     np.testing.assert_allclose(stats2.sigma_i, result.stats.sigma_i)
     assert stats2.frozen
 
