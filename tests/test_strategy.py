@@ -116,8 +116,28 @@ def test_batched_shapes_broadcast():
     assert c.shape == (k, d)
 
 
+def active_shortcuts(nets, rng):
+    """Give both networks a shortcut with nonzero trainable weights."""
+    cfg = nets.cfg
+    for name, channels in (("q_shortcut", cfg.q_channels),
+                           ("d_shortcut", cfg.d_channels)):
+        sc = sn.init_shortcut(rng.normal(size=(20, channels)), cfg.n_rbf, rng)
+        sc.lin_w[:] = rng.normal(size=channels) * 0.3
+        sc.lin_b[:] = 0.1
+        sc.amp[:] = rng.normal(size=cfg.n_rbf) * 0.5
+        setattr(nets, name, sc)
+    return nets
+
+
 def test_partials_match_finite_differences():
-    nets = random_nets(11)
+    shortcut_cfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
+    with_shortcut = active_shortcuts(random_nets(11, shortcut_cfg),
+                                     np.random.default_rng(12))
+    for nets in (random_nets(11), with_shortcut):
+        check_partials_against_finite_differences(nets)
+
+
+def check_partials_against_finite_differences(nets):
     u0, p0, du0 = 0.45, -1.3, 12.0
     cats = np.array([2])
     sigma = 1.7

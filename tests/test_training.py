@@ -442,6 +442,69 @@ def test_am_update_vjp_matches_finite_differences(case):
                                atol=1e-7 * np.abs(fd).max())
 
 
+# Pinned at 3895d1d, before the strategy networks' activations moved to
+# a (channels, K*D) layout.  The biases are nonzero and the shortcuts
+# trainable, so a change in the order in which a layer adds its bias,
+# its one-hot column or a shortcut term changes these bits.
+GOLDEN_THETA1 = [[43.67207085092423, -200.6600832941359, 15.888587925486227],
+                 [297.41610633959436, 139.38339170145335, 147.54598818427803]]
+GOLDEN_P1 = [[3.524901380744818, -14.717463936187912, 5.484238756126317],
+             [17.969067678883352, 9.115384165428901, 20.077088850672023]]
+GOLDEN_PULLBACK = [
+    300.3546400016605, -166.12353482059373, 0.01505242630058215, -145.3060365617029,
+    -509.5398760547379, 25.40729354815015, 14.308163975491318, 1.0602314583661667,
+    -16.694273430414533, -39.758742667957804, -155.44839405808682, 85.53757265557525,
+    -1.2916770298974176, 75.48795278984666, 264.71110917563925, -654.8308601901401,
+    -55.39278464000617, 338.90738493558854, 412.87632503114537, 63.29875673340834,
+    1205.0769812214921, 11.73722975975837, 1.7994542342214004, 34.25787469341019,
+    -458.74391673321315, -71.46899031336783, -1345.6571206620517, 837.6519755303941,
+    23.812733013388634, -935.3611837007321, 1503.5575730738283, -8.129178176052411,
+    168.8663776588822, 2260.475200383865, 2.248238554898248, 0.5144792768591019,
+    0.33757852056798504, -0.1025139414387793, -1.6248971664722593, -3.174181179155072,
+    18.94202183857415, -3.702103655370547, 1.8513543812639928, -28.12897602991857,
+    -4.458583174667666, -8.709690121162007, -1.9305844272102866, -0.4417883848947446,
+    -0.28988197598040727, 0.08802972375082851, 1.3953150828122156, 2.7257004112262067,
+    -4.90159228706611, -41.29724932574824, 4.20904521778925, -7.296642278815874,
+    -12.946932653353187, -2.2199452148371415, -0.35685762322777775, -0.6331969470641927,
+    -0.10857108554747769, -0.04787044463301079, -0.08493981191171163, -0.014564200961818902,
+    -30.65655140950739, -1.499323065914693, -0.20112576316760736, 172.18865838785584,
+    135.7194382042841, -1.0712884506577585, 119.94498825796612, -1036.8237911799624,
+    569.6219433281105, -11.256584189300765, 504.08246487890426, 1767.6493196942615,
+    2260.475200383865, 1301.8849400589602, 1596.1374426228901, -55.015784927674446,
+    10.75250256913202, -5.377130030391446, 81.69865438262002, 12.949644716391507,
+    25.296689158954592, 119.94498825796612, 89.19771818295736, 73.25693623282206,
+]
+
+
+def test_am_update_and_pullback_golden_values():
+    scfg = sn.StrategyConfig(hidden=(3, 3), use_shortcut=True, n_rbf=2)
+    rng = np.random.default_rng(2026)
+    nets = shortcut_nets(scfg, rng, frozen=False)
+    for layers in (nets.q_layers, nets.d_layers):
+        for _, b in layers:
+            b[:] = rng.normal(scale=0.5, size=b.shape)
+    k, d, eta = 2, 3, 0.1
+    oh = sn.one_hot([0, 1, 2], 3)
+    theta = rng.normal(size=(k, d))
+    p = rng.normal(scale=3.0, size=(k, d))
+    grad = rng.normal(scale=3.0, size=(k, d))
+    xi = rng.normal(size=(k, d))
+    u_hat = rng.normal(size=k)
+    du_star = rng.normal(scale=2.0, size=(k, d))
+    sig = rng.uniform(0.5, 2.0, size=(k, d))
+    cot = rng.normal(size=(k, d))
+
+    theta1, p1 = sp.am_update_normalized(theta, p, grad, xi, eta, nets, u_hat,
+                                         du_star, sig, oh)
+    np.testing.assert_array_equal(theta1, GOLDEN_THETA1)
+    np.testing.assert_array_equal(p1, GOLDEN_P1)
+    theta1, finite, pullback = tr.am_update_vjp(nets, theta, p, grad, u_hat,
+                                                du_star, sig, xi, eta, oh)
+    assert finite
+    np.testing.assert_array_equal(theta1, GOLDEN_THETA1)
+    np.testing.assert_array_equal(pullback(cot), GOLDEN_PULLBACK)
+
+
 def test_segment_gradient_with_moving_stats_matches_single_steps():
     problem = Quadratic(2, scale=[1.0, 3.0])
     cfg = small_cfg(K0=3, K=3, T_T=3, steps_per_sub_epoch=3, M=1,
