@@ -41,6 +41,15 @@ GUARD_FACTOR = 300.0
 SCALE_FLOOR = 1e-8
 
 
+def _column_medians(x) -> np.ndarray:
+    """``np.median(x, axis=0)``, bit for bit, from one sort of ``x``."""
+    s = np.sort(x, axis=0)
+    mid = len(s) // 2
+    if len(s) % 2:
+        return s[mid]
+    return (s[mid - 1] + s[mid]) / 2.0
+
+
 class AdaptiveStats:
     """Per-dimension parameter scales and potential-energy normalizers,
     estimated by ``MomentEstimator`` streams over the chain positions and
@@ -102,16 +111,13 @@ class AdaptiveStats:
         u_batch = np.asarray(u_batch, dtype=float)
         keep = np.isfinite(u_batch) & np.isfinite(theta_batch).all(axis=1)
         if keep.sum() >= 3:
-            th = theta_batch[keep]
-            uu = u_batch[keep]
-            med_th = np.median(th, axis=0)
-            mad_th = np.median(np.abs(th - med_th), axis=0)
-            cap_th = GUARD_FACTOR * np.maximum(self.sigma_i, mad_th)
-            keep &= (np.abs(theta_batch - med_th) <= cap_th).all(axis=1)
-            med_u = np.median(uu)
-            mad_u = np.median(np.abs(uu - med_u))
-            scale_u = max(self.sigma_u if self.u_est.t >= 1 else 0.0, mad_u)
-            keep &= np.abs(u_batch - med_u) <= GUARD_FACTOR * scale_u
+            rows = np.column_stack((theta_batch[keep], u_batch[keep]))
+            med = _column_medians(rows)
+            mad = _column_medians(np.abs(rows - med))
+            cap_th = GUARD_FACTOR * np.maximum(self.sigma_i, mad[:-1])
+            keep &= (np.abs(theta_batch - med[:-1]) <= cap_th).all(axis=1)
+            scale_u = max(self.sigma_u if self.u_est.t >= 1 else 0.0, mad[-1])
+            keep &= np.abs(u_batch - med[-1]) <= GUARD_FACTOR * scale_u
             return keep
         if self.theta_est.t >= 1:
             cap = GUARD_FACTOR * self.sigma_i
@@ -344,15 +350,16 @@ def am_update_normalized(theta, p, grad, xi, eta: float,
     """Meta-learned update from ``normalize_inputs``' (U_hat, dU_star) and
     scales ``sig``, (D,) or one row per chain: network coefficients, their
     state partials, and G re-evaluated at the updated momentum.  Returns
-    (theta1, p1).  A ``record`` list receives the three network passes
-    (G, C, then G at p1) as ``strategy.fast_q_eval`` records them."""
-    g_t, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, sig,
-                                 du_seed=du_star / sig, record=record)
-    c_t, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0,
-                                record=record)
+    (theta1, p1).  The G and C passes share one squash of their inputs.
+    A ``record`` list receives the three network passes (G, C, then G at
+    p1) as ``strategy.fast_q_eval`` records them."""
+    x = sn.features(u_hat, p, du_star)
+    g_t, dg_dth = sn.fast_q_eval(nets, x, oh, sig, du_seed=du_star / sig,
+                                 record=record)
+    c_t, dc_dp = sn.fast_d_eval(nets, x, oh, dp_seed=1.0, record=record)
     p1 = momentum_update(p, grad, eta, g_t, c_t, dg_dth + dc_dp, xi)
-    g_hat, dg_dp = sn.fast_q_eval(nets, u_hat, p1, oh, sig, dp_seed=1.0,
-                                  record=record)
+    g_hat, dg_dp = sn.fast_q_eval(nets, sn.features(u_hat, p1), oh, sig,
+                                  dp_seed=1.0, record=record)
     return position_update(theta, p1, eta, g_hat, dg_dp), p1
 
 
@@ -688,3 +695,4 @@ def load_trace(trace_dir) -> Trace:
     if not samples:
         raise FileNotFoundError(f"no chain files under {folder}")
     return Trace(np.stack(samples), np.stack(pots), meta)
+

@@ -12,15 +12,16 @@ shortcut (linear layer plus Gaussian RBF units) adds to the MLP output
 before the sigmoid.
 
 The networks are evaluated by vectorized numpy code over whole (K, D)
-batches (``fast_q_eval``, ``fast_d_eval``, on the inputs that
-``input_channels`` stacks), carrying one forward-mode tangent for the
-state partials of G and C.  Sampling and training run the same passes
-through ``samplers.am_update_normalized``; training hands it a record
-list, and each pass appends its layer activations, logit, tangent,
-sigmoid and coefficient.  With the leaky-ReLU gates fixed the tangent
-stream is linear in the weights, so one backward pass over those
-records (``_fast_backward``) gives the weight gradient, which the tests
-check against central differences.  The scalar path written against the
+batches (``fast_q_eval``, ``fast_d_eval``, on squashed ``Features``),
+carrying one forward-mode tangent for the state partials of G and C;
+a layer is one product of (channel, K*D) activations for both streams.
+Sampling and training run the same passes through
+``samplers.am_update_normalized``; training hands it a record list, and
+each pass appends its layer inputs and gates, logit, tangent, sigmoid
+and coefficient.  With the leaky-ReLU gates fixed the tangent stream is
+linear in the weights, so one backward pass over those records
+(``_fast_backward``) gives the weight gradient, which the tests check
+against central differences.  The scalar path written against the
 autodiff module's tape and dual numbers (``q_eval``, ``d_eval``,
 ``build_tape_nets``) is called by no stage; it remains only because
 ``perfbench/tracer.py`` wraps those names.
@@ -234,10 +235,6 @@ def d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None):
 # --- vectorized numpy path: sampling, and training through a hand VJP --------
 
 
-def _expit(x):
-    return expit(np.asarray(x, dtype=float))
-
-
 def _squash_u_np(u):
     r = np.maximum(np.asarray(u, dtype=float) + 1.0, 0.0)
     val = np.log(r * r + _E_MINUS_1) - 1.0
@@ -246,99 +243,140 @@ def _squash_u_np(u):
 
 
 def _squash_p_np(p):
-    s = _expit(np.asarray(p, dtype=float) / 10.0)
+    s = expit(np.asarray(p, dtype=float) / 10.0)
     return 3.0 * s - 1.5, 0.3 * s * (1.0 - s)
 
 
 def _squash_p_curvature(p):
     """Second derivative of the momentum squash."""
-    s = _expit(np.asarray(p, dtype=float) / 10.0)
+    s = expit(np.asarray(p, dtype=float) / 10.0)
     return 0.03 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def _squash_g_np(g):
-    s = _expit(np.asarray(g, dtype=float) / 30.0)
+    s = expit(np.asarray(g, dtype=float) / 30.0)
     return 3.0 * s - 1.5, 0.1 * s * (1.0 - s)
 
 
-def _fast_forward(layers, shortcut, prim, tang, slope, acts=None):
-    """Stacked-channel MLP pass; prim/tang are (channels, K, D).
+@dataclass(frozen=True)
+class Features:
+    """Squashed U_hat (repeated over D), p and dU_star (if given) of a
+    (K, D) batch as K*D rows, which the Q net reads two of and the D net
+    all; ``du_slope`` (K,) and ``dp_slope`` (K, D) are squash slopes."""
 
-    When ``acts`` is a list, each layer's input pair and leaky-ReLU gate
-    (None on the output layer) are appended to it for ``_fast_backward``.
-    """
-    h, ht = prim, tang
-    last = len(layers) - 1
+    rows: np.ndarray
+    du_slope: np.ndarray
+    dp_slope: np.ndarray
+
+    def seed(self, du_seed=None, dp_seed=None):
+        """(channel, K*D tangent) of a seed on U_hat or on p, or None."""
+        if du_seed is not None and dp_seed is not None:
+            raise ValueError("seed at most one input channel")
+        if du_seed is None and dp_seed is None:
+            return None
+        t = np.empty(self.dp_slope.shape)
+        if du_seed is not None:
+            return 0, np.multiply(self.du_slope[:, None], du_seed, out=t).ravel()
+        return 1, np.multiply(self.dp_slope, dp_seed, out=t).ravel()
+
+
+def features(u_hat, p, du_star=None) -> Features:
+    """``Features`` of U_hat (K,), p (K, D) and optionally dU_star (K, D)."""
+    iu, diu = _squash_u_np(u_hat)
+    ip, dip = _squash_p_np(p)
+    rows = np.empty((2 if du_star is None else 3, ip.size))
+    rows[0].reshape(ip.shape)[...] = iu[:, None]
+    rows[1] = ip.ravel()
+    if du_star is not None:
+        rows[2] = _squash_g_np(du_star)[0].ravel()
+    return Features(rows, diu, dip)
+
+
+def input_channels(rows, onehot, seed=None):
+    """(streams, channels, K*D) inputs of a network: the ``Features`` rows
+    it reads, then the ``onehot`` rows repeated for every chain.  Stream
+    1, present when seeded, is the tangent, zero off the seeded channel."""
+    nc, n = rows.shape
+    x = np.zeros((1 if seed is None else 2, nc + len(onehot), n))
+    x[0, :nc] = rows
+    x[0, nc:] = np.tile(onehot, n // onehot.shape[1])
+    if seed is not None:
+        x[1, seed[0]] = seed[1]
+    return x
+
+
+def _fast_forward(layers, shortcut, rows, onehot, seed, slope, acts=None):
+    """MLP pass with a tangent seeded on one input channel (seed = (channel,
+    t) or None); returns (o, ot), each (K, D).  Both streams share each
+    product as one (stream, channel, K*D) array; numpy makes one BLAS call
+    per stream, rounding as the stream's own product.  The first layer
+    adds the product with ``rows``, each dimension's one-hot weight
+    column, then the bias (the order of a product over all channels), and
+    takes the tangent as an outer product.  ``acts`` gets each layer's
+    input (first ``input_channels``) and gate."""
+    nc, n = rows.shape
+    d = onehot.shape[1]
+    x = full = (input_channels(rows, onehot, seed)
+                if shortcut is not None or acts is not None else None)
     for li, (w, b) in enumerate(layers):
-        w = np.asarray(w, dtype=float)
-        b = np.asarray(b, dtype=float)
-        z = np.tensordot(w, h, axes=(1, 0)) + b[:, None, None]
-        zt = None if ht is None else np.tensordot(w, ht, axes=(1, 0))
+        if li == 0:
+            z = np.empty((1 if seed is None else 2, len(w), n))
+            np.matmul(w[:, :nc], rows, out=z[0])
+            z[0].reshape(len(w), -1, d)[...] += (w[:, nc:] @ onehot)[:, None, :]
+            if seed is not None:
+                np.multiply(w[:, seed[0], None], seed[1], out=z[1])
+        else:
+            z = w @ x
+        z[0] += b[:, None]
         gate = None
-        if li < last:
-            gate = np.where(z > 0, 1.0, slope)
-            z = z * gate
-            zt = None if zt is None else zt * gate
+        if li < len(layers) - 1:
+            gate = np.where(z[0] > 0, 1.0, slope)
+            z *= gate
         if acts is not None:
-            acts.append((h, ht, gate))
-        h, ht = z, zt
-    o, ot = h[0], (None if ht is None else ht[0])
+            acts.append((x, gate))
+        x = z
+    o = x[:, 0]
     if shortcut is not None:
-        so, sot = _fast_shortcut(shortcut, prim, tang)
-        o = o + so
-        if ot is not None:
-            ot = ot + sot
-    return o, ot
+        o = o + _fast_shortcut(shortcut, *full)
+    return o[0].reshape(-1, d), (None if seed is None else o[1].reshape(-1, d))
 
 
 def _fast_backward(layers, shortcut, acts, bar_o, bar_ot):
-    """Pull cotangents on (o, ot) of a recorded ``_fast_forward`` back.
-
-    The gates are constant almost everywhere, so both streams go back
-    through the same gated, transposed layers, and a weight collects the
-    products with both its primal and its tangent input.  Returns (layer
-    gradients ``[w0, b0, w1, b1, ...]``, trainable shortcut gradients
-    ``[lin_w, lin_b, amp]`` or ``[]`` when absent or frozen, cotangent on
-    the primal channels, cotangent on the tangent channels).
+    """Pull cotangents on (o, ot) of a recorded ``_fast_forward`` back
+    through the same gated, transposed layers (the gates are constant
+    almost everywhere), both streams as one array.  Returns (``[w0, b0,
+    w1, b1, ...]`` gradients, trainable shortcut ``[lin_w, lin_b, amp]``
+    gradients or ``[]``, (channels, K*D) primal and tangent cotangents).
     """
-    bar_h, bar_ht = bar_o[None], bar_ot[None]
+    bar = top = np.stack((np.ravel(bar_o), np.ravel(bar_ot)))[:, None, :]
     grads = []
-    for (w, _), (h, ht, gate) in zip(reversed(layers), reversed(acts)):
+    for (w, _), (x, gate) in zip(reversed(layers), reversed(acts)):
         if gate is not None:
-            bar_h = bar_h * gate
-            bar_ht = bar_ht * gate
-        gw = (np.tensordot(bar_h, h, axes=([1, 2], [1, 2]))
-              + np.tensordot(bar_ht, ht, axes=([1, 2], [1, 2])))
-        grads[:0] = [gw, bar_h.sum(axis=(1, 2))]
-        w = np.asarray(w, dtype=float)
-        bar_h = np.tensordot(w, bar_h, axes=(0, 0))
-        bar_ht = np.tensordot(w, bar_ht, axes=(0, 0))
+            bar = bar * gate
+        gw = bar @ x.transpose(0, 2, 1)
+        grads[:0] = [gw[0] + gw[1], bar[0].sum(axis=1)]
+        bar = w.T @ bar
+    bar_x, bar_xt = bar
     sc_grads = []
     if shortcut is not None:
-        prim, tang = acts[0][0], acts[0][1]
-        sc_grads, bar_x, bar_xt = _shortcut_backward(shortcut, prim, tang,
-                                                     bar_o, bar_ot)
-        bar_h = bar_h + bar_x
-        bar_ht = bar_ht + bar_xt
-        if shortcut.frozen:
-            sc_grads = []
-    return grads, sc_grads, bar_h, bar_ht
+        grads_sc, sc_x, sc_xt = _shortcut_backward(shortcut, *acts[0][0],
+                                                   *top[:, 0])
+        bar_x, bar_xt = bar_x + sc_x, bar_xt + sc_xt
+        sc_grads = [] if shortcut.frozen else grads_sc
+    return grads, sc_grads, bar_x, bar_xt
 
 
-def _fast_shortcut(sc: Shortcut, prim, tang):
-    lin_w = np.asarray(sc.lin_w, dtype=float)
-    amp = np.asarray(sc.amp, dtype=float)
-    out = float(np.asarray(sc.lin_b, dtype=float)[0])
-    out = out + np.tensordot(lin_w, prim, axes=(0, 0))
-    diff = prim[None, :, :, :] - sc.centers[:, :, None, None]
+def _fast_shortcut(sc: Shortcut, prim, tang=None):
+    """Stacked shortcut output and tangent on (channels, K*D) inputs."""
+    diff = prim[None, :, :] - sc.centers[:, :, None]
     rbf = np.exp((diff**2).sum(axis=1) * (-1.0 / (2.0 * sc.width**2)))
-    out = out + np.tensordot(amp, rbf, axes=(0, 0))
+    out = float(sc.lin_b[0]) + sc.lin_w @ prim + sc.amp @ rbf
     if tang is None:
-        return out, None
-    ot = np.tensordot(lin_w, tang, axes=(0, 0))
-    inner = (diff * tang[None, :, :, :]).sum(axis=1)
-    ot = ot + np.tensordot(amp, rbf * inner * (-1.0 / sc.width**2), axes=(0, 0))
-    return out, ot
+        return out[None]
+    ot = sc.lin_w @ tang
+    inner = (diff * tang[None, :, :]).sum(axis=1)
+    ot = ot + sc.amp @ (rbf * inner * (-1.0 / sc.width**2))
+    return np.stack((out, ot))
 
 
 def _shortcut_backward(sc: Shortcut, prim, tang, bar_o, bar_ot):
@@ -349,70 +387,32 @@ def _shortcut_backward(sc: Shortcut, prim, tang, bar_o, bar_ot):
     to ot.  Returns ([d/dlin_w, d/dlin_b, d/damp], d/dx, d/dxt).
     """
     k = -1.0 / sc.width**2
-    lin_w = np.asarray(sc.lin_w, dtype=float)
-    amp = np.asarray(sc.amp, dtype=float)
-    diff = prim[None, :, :, :] - sc.centers[:, :, None, None]
+    diff = prim[None, :, :] - sc.centers[:, :, None]
     rbf = np.exp((diff**2).sum(axis=1) * (0.5 * k))
-    inner = (diff * tang[None, :, :, :]).sum(axis=1)
-    both = ([1, 2], [0, 1])
-    g_lin = np.tensordot(prim, bar_o, axes=both) + np.tensordot(tang, bar_ot, axes=both)
-    g_amp = (np.tensordot(rbf, bar_o, axes=both)
-             + k * np.tensordot(rbf * inner, bar_ot, axes=both))
-    q = k * amp[:, None, None] * rbf
-    bar_x = (lin_w[:, None, None] * bar_o
-             + np.einsum("rkd,rckd->ckd", q * (bar_o + k * inner * bar_ot), diff)
+    inner = (diff * tang[None, :, :]).sum(axis=1)
+    g_lin = prim @ bar_o + tang @ bar_ot
+    g_amp = rbf @ bar_o + k * ((rbf * inner) @ bar_ot)
+    q = k * sc.amp[:, None] * rbf
+    bar_x = (sc.lin_w[:, None] * bar_o
+             + np.einsum("rn,rcn->cn", q * (bar_o + k * inner * bar_ot), diff)
              + tang * (bar_ot * q.sum(axis=0)))
-    bar_xt = (lin_w[:, None, None] * bar_ot
-              + np.einsum("rkd,rckd->ckd", q * bar_ot, diff))
+    bar_xt = (sc.lin_w[:, None] * bar_ot
+              + np.einsum("rn,rcn->cn", q * bar_ot, diff))
     return [g_lin, np.array([bar_o.sum()]), g_amp], bar_x, bar_xt
 
 
-def input_channels(u_hat, p, onehot, du_star=None, du_seed=None,
-                   dp_seed=None):
-    """Stacked (channels, K, D) network inputs and their tangent.
-
-    The channels are the squashed U_hat (K,) and p, then the squashed
-    dU_star when it is given (the D net), then the rows of ``onehot``.
-    du_seed rides the potential channel and dp_seed the momentum channel;
-    the tangent is None when neither is given.
-    """
-    p = np.asarray(p, dtype=float)
-    iu, diu = _squash_u_np(u_hat)
-    ip, dip = _squash_p_np(p)
-    parts = [iu[:, None], ip]
-    if du_star is not None:
-        parts.append(_squash_g_np(du_star)[0])
-    prim = np.empty((len(parts) + len(onehot),) + p.shape)
-    for i, part in enumerate(parts + list(onehot)):
-        prim[i] = part
-    if du_seed is None and dp_seed is None:
-        return prim, None
-    tang = np.zeros_like(prim)
-    if du_seed is not None:
-        tang[0] = diu[:, None] * du_seed
-    if dp_seed is not None:
-        tang[1] = dip * dp_seed
-    return prim, tang
-
-
-def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
+def fast_q_eval(nets: StrategyNets, x: Features, onehot, sigma,
                 du_seed=None, dp_seed=None, record=None):
-    """G_ii over a (K, D) batch, plus its directional derivative when an
-    input seed is given.
-
-    u_hat is (K,).  du_seed rides the potential channel (giving
-    dG/dtheta_i when seeded with dU_hat/dtheta_i) and dp_seed the momentum
-    channel (giving dG/dp_i when seeded with one); the tangent is None
-    when unseeded.  When ``record`` is a list, the pass appends (layer
-    records for ``_fast_backward``, o, o tangent, Sigmoid(5 o), G) to it.
+    """G_ii over the (K, D) batch of ``x`` and, for a seed, its directional
+    derivative (else None): du_seed = dU_hat/dtheta_i gives dG/dtheta_i,
+    dp_seed = 1 dG/dp_i.  A ``record`` list receives (layer records for
+    ``_fast_backward``, o, o tangent, Sigmoid(5 o), G), the last four (K, D).
     """
     cfg = nets.cfg
-    prim, tang = input_channels(u_hat, p, onehot, du_seed=du_seed,
-                                dp_seed=dp_seed)
     acts = None if record is None else []
-    o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, prim, tang,
-                          cfg.leaky_slope, acts)
-    s = _expit(5.0 * o)
+    o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, x.rows[:2], onehot,
+                          x.seed(du_seed, dp_seed), cfg.leaky_slope, acts)
+    s = expit(5.0 * o)
     g = sigma * (cfg.c1 + cfg.m_q * s)
     if record is not None:
         record.append((acts, o, ot, s, g))
@@ -421,16 +421,16 @@ def fast_q_eval(nets: StrategyNets, u_hat, p, onehot, sigma,
     return g, sigma * (cfg.m_q * (5.0 * s * (1.0 - s)) * ot)
 
 
-def fast_d_eval(nets: StrategyNets, u_hat, p, du_star, onehot, dp_seed=None,
+def fast_d_eval(nets: StrategyNets, x: Features, onehot, dp_seed=None,
                 record=None):
-    """C_ii over a (K, D) batch, plus dC/dp_i when the momentum channel
-    is seeded; ``record`` as in ``fast_q_eval``, ending in C."""
+    """C_ii over the (K, D) batch of ``x``, which must carry dU_star, plus
+    dC/dp_i when the momentum channel is seeded; ``record`` as in
+    ``fast_q_eval``, ending in C."""
     cfg = nets.cfg
-    prim, tang = input_channels(u_hat, p, onehot, du_star, dp_seed=dp_seed)
     acts = None if record is None else []
-    o, ot = _fast_forward(nets.d_layers, nets.d_shortcut, prim, tang,
-                          cfg.leaky_slope, acts)
-    s = _expit(5.0 * o)
+    o, ot = _fast_forward(nets.d_layers, nets.d_shortcut, x.rows, onehot,
+                          x.seed(dp_seed=dp_seed), cfg.leaky_slope, acts)
+    s = expit(5.0 * o)
     c = cfg.c2 + cfg.m_d * s
     if record is not None:
         record.append((acts, o, ot, s, c))

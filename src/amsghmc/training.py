@@ -299,8 +299,8 @@ def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
             nets.q_layers, nets.q_shortcut, h_acts, bar_o,
             q_scale * bar_g_hat_p * a1_h)
         _, dip = sn._squash_p_np(p1)
-        bar_p1 = (eta * cot * g_hat + bar_x[1] * dip
-                  + bar_xt[1] * sn._squash_p_curvature(p1))
+        bar_p1 = (eta * cot * g_hat + bar_x[1].reshape(p1.shape) * dip
+                  + bar_xt[1].reshape(p1.shape) * sn._squash_p_curvature(p1))
         # p1 = (1 - eta c) p - eta g grad + eta gamma + sqrt(2 eta c) xi
         bar_c = bar_p1 * (eta * xi / np.sqrt(2.0 * eta * c) - eta * p)
         bar_gamma = 0.0 if detach_gamma else eta * bar_p1
@@ -482,12 +482,11 @@ def _init_shortcuts(nets: sn.StrategyNets, state: samplers.ChainState,
                     stats, oh, rng: np.random.Generator) -> None:
     """Place RBF centers on the network inputs of the current states."""
     u_hat, du_star = samplers.normalize_inputs(state.u, state.grad, stats)
-    q_in, _ = sn.input_channels(u_hat, state.p, oh)
-    d_in, _ = sn.input_channels(u_hat, state.p, oh, du_star)
-    nets.q_shortcut = sn.init_shortcut(q_in.reshape(len(q_in), -1).T,
-                                       nets.cfg.n_rbf, rng)
-    nets.d_shortcut = sn.init_shortcut(d_in.reshape(len(d_in), -1).T,
-                                       nets.cfg.n_rbf, rng)
+    rows = sn.features(u_hat, state.p, du_star).rows
+    q_in = sn.input_channels(rows[:2], oh)[0]
+    d_in = sn.input_channels(rows, oh)[0]
+    nets.q_shortcut = sn.init_shortcut(q_in.T, nets.cfg.n_rbf, rng)
+    nets.d_shortcut = sn.init_shortcut(d_in.T, nets.cfg.n_rbf, rng)
 
 
 def _restart_row(buffer: ReplayBuffer, problem, fn, gen, driver):

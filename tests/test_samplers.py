@@ -161,6 +161,17 @@ def test_adaptive_stats_screens_runaway_rows():
     assert bare.theta_est.t == 1
 
 
+def test_column_medians_have_the_bits_of_np_median():
+    rng = np.random.default_rng(11)
+    for n_rows in (3, 4, 7, 64):
+        x = rng.normal(scale=10.0, size=(n_rows, 6))
+        x[0, 0], x[1, 0] = -0.0, 0.0
+        x[:, 1] = np.round(x[:, 1])  # ties
+        x[:, 2] *= 1e300
+        np.testing.assert_array_equal(sp._column_medians(x),
+                                      np.median(x, axis=0))
+
+
 def test_v0_star_bridges_categories_between_tasks():
     sig = np.array([0.2, 0.4, 3.0])
     train_cats = [0, 0, 1]
@@ -401,6 +412,7 @@ def test_trace_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.potentials, tr.potentials)
     assert back.meta["sampler"] == "sghmc"
     assert back.meta["steps"] == tr.meta["steps"]
+
 
 
 def _trace(k, n_rows, d, seed=0):

@@ -36,17 +36,18 @@ def batch(z):
 def forward(nets, z, sigma):
     """(G_ii, C_ii) at features z."""
     u_hat, p, du_star, oh = batch(z)
-    g, _ = sn.fast_q_eval(nets, u_hat, p, oh, sigma)
-    c, _ = sn.fast_d_eval(nets, u_hat, p, du_star, oh)
+    g, _ = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sigma)
+    c, _ = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh)
     return g, c
 
 
 def partials(nets, z, sigma, du_hat_dtheta):
     """(dG/dtheta_i, dC/dp_i, dG/dp_i) at features z, by forward mode."""
     u_hat, p, du_star, oh = batch(z)
-    _, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, sigma, du_seed=du_hat_dtheta)
-    _, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
-    _, dg_dp = sn.fast_q_eval(nets, u_hat, p, oh, sigma, dp_seed=1.0)
+    x = sn.features(u_hat, p, du_star)
+    _, dg_dth = sn.fast_q_eval(nets, x, oh, sigma, du_seed=du_hat_dtheta)
+    _, dc_dp = sn.fast_d_eval(nets, x, oh, dp_seed=1.0)
+    _, dg_dp = sn.fast_q_eval(nets, x, oh, sigma, dp_seed=1.0)
     return dg_dth, dc_dp, dg_dp
 
 
@@ -316,21 +317,22 @@ def test_fast_eval_matches_generic_path():
     oh = sn.one_hot([0, 1, 2, 1, 0], 3)
 
     g_ref, gt_ref = sn.q_eval(nets, u_hat[:, None], p, oh, sigma, du_seed=duh)
-    g, gt = sn.fast_q_eval(nets, u_hat, p, oh, sigma, du_seed=duh)
+    g, gt = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sigma, du_seed=duh)
     np.testing.assert_allclose(g, g_ref, rtol=1e-12)
     np.testing.assert_allclose(gt, gt_ref, rtol=1e-9, atol=1e-14)
 
     g_ref, gt_ref = sn.q_eval(nets, u_hat[:, None], p, oh, sigma, dp_seed=1.0)
-    g, gt = sn.fast_q_eval(nets, u_hat, p, oh, sigma, dp_seed=1.0)
+    g, gt = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sigma, dp_seed=1.0)
     np.testing.assert_allclose(g, g_ref, rtol=1e-12)
     np.testing.assert_allclose(gt, gt_ref, rtol=1e-9, atol=1e-14)
 
     c_ref, ct_ref = sn.d_eval(nets, u_hat[:, None], p, du_star, oh, dp_seed=1.0)
-    c, ct = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
+    c, ct = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh,
+                           dp_seed=1.0)
     np.testing.assert_allclose(c, c_ref, rtol=1e-12)
     np.testing.assert_allclose(ct, ct_ref, rtol=1e-9, atol=1e-14)
 
-    c, ct = sn.fast_d_eval(nets, u_hat, p, du_star, oh)
+    c, ct = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh)
     assert ct is None
     np.testing.assert_allclose(c, c_ref, rtol=1e-12)
 
@@ -356,12 +358,13 @@ def test_fast_eval_matches_generic_with_shortcut():
     oh = sn.one_hot([0, 1, 2, 0], 3)
 
     g_ref, gt_ref = sn.q_eval(nets, u_hat[:, None], p, oh, sigma, du_seed=duh)
-    g, gt = sn.fast_q_eval(nets, u_hat, p, oh, sigma, du_seed=duh)
+    g, gt = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sigma, du_seed=duh)
     np.testing.assert_allclose(g, g_ref, rtol=1e-12)
     np.testing.assert_allclose(gt, gt_ref, rtol=1e-9, atol=1e-14)
 
     c_ref, ct_ref = sn.d_eval(nets, u_hat[:, None], p, du_star, oh, dp_seed=1.0)
-    c, ct = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
+    c, ct = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh,
+                           dp_seed=1.0)
     np.testing.assert_allclose(c, c_ref, rtol=1e-12)
     np.testing.assert_allclose(ct, ct_ref, rtol=1e-9, atol=1e-14)
 
@@ -373,8 +376,9 @@ def test_fast_eval_zero_nets_exact_constants():
     p = np.ones((k, d))
     sigma = np.array([1.0, 2.0, 0.5])
     oh = sn.one_hot([0, 1, 2], 3)
-    g, gt = sn.fast_q_eval(nets, u_hat, p, oh, sigma, du_seed=np.ones((k, d)))
-    c, ct = sn.fast_d_eval(nets, u_hat, p, p, oh, dp_seed=1.0)
+    g, gt = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sigma,
+                           du_seed=np.ones((k, d)))
+    c, ct = sn.fast_d_eval(nets, sn.features(u_hat, p, p), oh, dp_seed=1.0)
     np.testing.assert_array_equal(
         g, np.broadcast_to(sigma * (CFG.c1 + CFG.m_q * 0.5), (k, d)))
     np.testing.assert_array_equal(c, np.full((k, d), CFG.c2 + CFG.m_d * 0.5))

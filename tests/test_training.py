@@ -379,10 +379,11 @@ def detached_theta1(nets, theta, p, u, grad, xi, eta, stats, oh, gamma):
     """samplers.am_update with Gamma pinned to the given value."""
     u_hat, du_star = sp.normalize_inputs(u, grad, stats)
     sig = stats.sigma_i
-    g, _ = sn.fast_q_eval(nets, u_hat, p, oh, sig)
-    c, _ = sn.fast_d_eval(nets, u_hat, p, du_star, oh)
+    g, _ = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, sig)
+    c, _ = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh)
     p1 = sp.momentum_update(p, grad, eta, g, c, gamma, xi)
-    g_hat, dg_dp = sn.fast_q_eval(nets, u_hat, p1, oh, sig, dp_seed=1.0)
+    g_hat, dg_dp = sn.fast_q_eval(nets, sn.features(u_hat, p1), oh, sig,
+                                  dp_seed=1.0)
     return sp.position_update(theta, p1, eta, g_hat, dg_dp)
 
 
@@ -417,9 +418,10 @@ def test_am_update_vjp_matches_finite_differences(case):
     flat0 = sn.get_trainable_flat(nets)
     assert vjp.shape == flat0.shape
 
-    _, dg_dth = sn.fast_q_eval(nets, u_hat, p, oh, stats.sigma_i,
+    _, dg_dth = sn.fast_q_eval(nets, sn.features(u_hat, p), oh, stats.sigma_i,
                                du_seed=du_star / stats.sigma_i)
-    _, dc_dp = sn.fast_d_eval(nets, u_hat, p, du_star, oh, dp_seed=1.0)
+    _, dc_dp = sn.fast_d_eval(nets, sn.features(u_hat, p, du_star), oh,
+                              dp_seed=1.0)
     gamma0 = dg_dth + dc_dp
 
     def objective(flat):
@@ -451,28 +453,36 @@ GOLDEN_THETA1 = [[43.67207085092423, -200.6600832941359, 15.888587925486227],
 GOLDEN_P1 = [[3.524901380744818, -14.717463936187912, 5.484238756126317],
              [17.969067678883352, 9.115384165428901, 20.077088850672023]]
 GOLDEN_PULLBACK = [
-    300.3546400016605, -166.12353482059373, 0.01505242630058215, -145.3060365617029,
-    -509.5398760547379, 25.40729354815015, 14.308163975491318, 1.0602314583661667,
-    -16.694273430414533, -39.758742667957804, -155.44839405808682, 85.53757265557525,
-    -1.2916770298974176, 75.48795278984666, 264.71110917563925, -654.8308601901401,
-    -55.39278464000617, 338.90738493558854, 412.87632503114537, 63.29875673340834,
-    1205.0769812214921, 11.73722975975837, 1.7994542342214004, 34.25787469341019,
-    -458.74391673321315, -71.46899031336783, -1345.6571206620517, 837.6519755303941,
-    23.812733013388634, -935.3611837007321, 1503.5575730738283, -8.129178176052411,
-    168.8663776588822, 2260.475200383865, 2.248238554898248, 0.5144792768591019,
-    0.33757852056798504, -0.1025139414387793, -1.6248971664722593, -3.174181179155072,
-    18.94202183857415, -3.702103655370547, 1.8513543812639928, -28.12897602991857,
-    -4.458583174667666, -8.709690121162007, -1.9305844272102866, -0.4417883848947446,
-    -0.28988197598040727, 0.08802972375082851, 1.3953150828122156, 2.7257004112262067,
-    -4.90159228706611, -41.29724932574824, 4.20904521778925, -7.296642278815874,
-    -12.946932653353187, -2.2199452148371415, -0.35685762322777775, -0.6331969470641927,
-    -0.10857108554747769, -0.04787044463301079, -0.08493981191171163, -0.014564200961818902,
-    -30.65655140950739, -1.499323065914693, -0.20112576316760736, 172.18865838785584,
-    135.7194382042841, -1.0712884506577585, 119.94498825796612, -1036.8237911799624,
-    569.6219433281105, -11.256584189300765, 504.08246487890426, 1767.6493196942615,
-    2260.475200383865, 1301.8849400589602, 1596.1374426228901, -55.015784927674446,
-    10.75250256913202, -5.377130030391446, 81.69865438262002, 12.949644716391507,
-    25.296689158954592, 119.94498825796612, 89.19771818295736, 73.25693623282206,
+    300.3546400016605, -166.12353482059373, 0.01505242630058215,
+    -145.3060365617029, -509.5398760547379, 25.40729354815015,
+    14.308163975491318, 1.0602314583661667, -16.694273430414533,
+    -39.758742667957804, -155.44839405808682, 85.53757265557525,
+    -1.2916770298974176, 75.48795278984666, 264.71110917563925,
+    -654.8308601901401, -55.39278464000617, 338.90738493558854,
+    412.87632503114537, 63.29875673340834, 1205.0769812214921,
+    11.73722975975837, 1.7994542342214004, 34.25787469341019,
+    -458.74391673321315, -71.46899031336783, -1345.6571206620517,
+    837.6519755303941, 23.812733013388634, -935.3611837007321,
+    1503.5575730738283, -8.129178176052411, 168.8663776588822,
+    2260.475200383865, 2.248238554898248, 0.5144792768591019,
+    0.33757852056798504, -0.1025139414387793, -1.6248971664722593,
+    -3.174181179155072, 18.94202183857415, -3.702103655370547,
+    1.8513543812639928, -28.12897602991857, -4.458583174667666,
+    -8.709690121162007, -1.9305844272102866, -0.4417883848947446,
+    -0.28988197598040727, 0.08802972375082851, 1.3953150828122156,
+    2.7257004112262067, -4.90159228706611, -41.29724932574824,
+    4.20904521778925, -7.296642278815874, -12.946932653353187,
+    -2.2199452148371415, -0.35685762322777775, -0.6331969470641927,
+    -0.10857108554747769, -0.04787044463301079, -0.08493981191171163,
+    -0.014564200961818902, -30.65655140950739, -1.499323065914693,
+    -0.20112576316760736, 172.18865838785584, 135.7194382042841,
+    -1.0712884506577585, 119.94498825796612, -1036.8237911799624,
+    569.6219433281105, -11.256584189300765, 504.08246487890426,
+    1767.6493196942615, 2260.475200383865, 1301.8849400589602,
+    1596.1374426228901, -55.015784927674446, 10.75250256913202,
+    -5.377130030391446, 81.69865438262002, 12.949644716391507,
+    25.296689158954592, 119.94498825796612, 89.19771818295736,
+    73.25693623282206,
 ]
 
 
@@ -725,10 +735,10 @@ def test_checkpoint_roundtrip_and_dimension_portability(tmp_path):
 
     u_hat, p, du_star = np.array([0.3]), np.array([[0.1, -0.2]]), np.array([[0.5, 0.5]])
     oh = sn.one_hot([0, 1], 3)
-    g1, _ = sn.fast_q_eval(result.nets, u_hat, p, oh, np.ones(2))
-    g2, _ = sn.fast_q_eval(nets2, u_hat, p, oh, np.ones(2))
-    c1, _ = sn.fast_d_eval(result.nets, u_hat, p, du_star, oh)
-    c2, _ = sn.fast_d_eval(nets2, u_hat, p, du_star, oh)
+    g1, _ = sn.fast_q_eval(result.nets, sn.features(u_hat, p), oh, np.ones(2))
+    g2, _ = sn.fast_q_eval(nets2, sn.features(u_hat, p), oh, np.ones(2))
+    c1, _ = sn.fast_d_eval(result.nets, sn.features(u_hat, p, du_star), oh)
+    c2, _ = sn.fast_d_eval(nets2, sn.features(u_hat, p, du_star), oh)
     np.testing.assert_allclose(g1, g2, rtol=1e-15)
     np.testing.assert_allclose(c1, c2, rtol=1e-15)
 
