@@ -350,13 +350,21 @@ def conditional_mean_surface(projected, i: int, j: int, k: int, *,
 # --- CSV export ----------------------------------------------------------------------
 
 
+def _write_table(path, header: str, table) -> None:
+    """``header`` and the rows of ``table`` with the bytes np.savetxt
+    writes with fmt "%.10e" and "," as the delimiter, formatted in one
+    pass."""
+    row = ",".join(["%.10e"] * table.shape[1]) + "\n"
+    Path(path).write_text(header + "\n"
+                          + (row * len(table)) % tuple(table.ravel().tolist()))
+
+
 def save_surface(path, gx, gy, values) -> None:
     """Long-format CSV (x, y, value) with NaN for missing nodes."""
     gxg, gyg = np.meshgrid(gx, gy, indexing="ij")
     table = np.column_stack([gxg.ravel(), gyg.ravel(),
                              np.asarray(values).ravel()])
-    np.savetxt(Path(path), table, delimiter=",", header="x,y,value",
-               comments="", fmt="%.10e")
+    _write_table(path, "x,y,value", table)
 
 
 def save_projection(path, projected, components) -> None:
@@ -364,7 +372,5 @@ def save_projection(path, projected, components) -> None:
     projected = _as_matrix(projected)
     lines = ["component_%d: %s" % (idx + 1, " ".join("%.10e" % v for v in row))
              for idx, row in enumerate(np.atleast_2d(components))]
-    header = "\n".join(lines + [",".join(
-        f"pc_{idx + 1}" for idx in range(projected.shape[1]))])
-    np.savetxt(Path(path), projected, delimiter=",", header=header,
-               fmt="%.10e")
+    lines.append(",".join(f"pc_{i + 1}" for i in range(projected.shape[1])))
+    _write_table(path, "\n".join("# " + line for line in lines), projected)

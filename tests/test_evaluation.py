@@ -463,3 +463,27 @@ def test_surface_csv_roundtrip(tmp_path):
     ev.save_projection(ppath, proj, comps)
     back = np.genfromtxt(ppath, delimiter=",", skip_header=3)
     np.testing.assert_allclose(back, proj, rtol=1e-9)
+
+
+def test_plot_files_have_the_bytes_of_savetxt(tmp_path):
+    vals = np.array([[1.0, np.nan], [-0.0, 5e-324]])
+    ev.save_surface(tmp_path / "surface.csv", np.array([0.0, 1.0]),
+                    np.array([-1.5e300, 3.0]), vals)
+    table = np.column_stack([[0.0, 0.0, 1.0, 1.0],
+                             [-1.5e300, 3.0, -1.5e300, 3.0], vals.ravel()])
+    np.savetxt(tmp_path / "ref_surface.csv", table, delimiter=",",
+               header="x,y,value", comments="", fmt="%.10e")
+    assert ((tmp_path / "surface.csv").read_bytes()
+            == (tmp_path / "ref_surface.csv").read_bytes())
+
+    proj = np.random.default_rng(1).standard_normal((5, 3))
+    proj[0] = [-0.0, 1.7976931348623157e308, -2.5e-308]
+    comps = np.random.default_rng(2).standard_normal((3, 3))
+    ev.save_projection(tmp_path / "projection.csv", proj, comps)
+    header = "\n".join(
+        [f"component_{i + 1}: " + " ".join("%.10e" % v for v in row)
+         for i, row in enumerate(comps)] + ["pc_1,pc_2,pc_3"])
+    np.savetxt(tmp_path / "ref_projection.csv", proj, delimiter=",",
+               header=header, fmt="%.10e")
+    assert ((tmp_path / "projection.csv").read_bytes()
+            == (tmp_path / "ref_projection.csv").read_bytes())

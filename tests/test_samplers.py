@@ -413,6 +413,13 @@ def test_trace_save_load_roundtrip(tmp_path):
     assert back.meta["sampler"] == "sghmc"
     assert back.meta["steps"] == tr.meta["steps"]
 
+    odd = _trace(2, 3, 3)
+    odd.samples[0, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    odd.potentials[1, 2] = -1.7976931348623157e308
+    sp.save_trace(odd, tmp_path / "odd")
+    back = sp.load_trace(tmp_path / "odd")
+    assert back.samples.tobytes() == odd.samples.tobytes()
+    assert back.potentials.tobytes() == odd.potentials.tobytes()
 
 
 def _trace(k, n_rows, d, seed=0):
