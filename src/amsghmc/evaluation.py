@@ -50,9 +50,11 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Uses the BLAS form |a|^2 + |b|^2 - 2 a b^T, clamped at 0, so no
     (n, m, D) difference tensor is formed.  The cancellation error grows
-    with the norms, so callers center their points first.
+    with the norms, so callers center their points first.  b^T is copied
+    to a contiguous array because numpy sends a @ a.T to a symmetric
+    rank-k update, which is about twice as slow here as the plain product.
     """
-    out = a @ b.T
+    out = a @ np.ascontiguousarray(b.T)
     out *= -2.0
     out += (a * a).sum(axis=1)[:, None]
     out += (b * b).sum(axis=1)[None, :]
