@@ -695,4 +695,3 @@ def load_trace(trace_dir) -> Trace:
     if not samples:
         raise FileNotFoundError(f"no chain files under {folder}")
     return Trace(np.stack(samples), np.stack(pots), meta)
-
