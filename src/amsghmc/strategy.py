@@ -404,10 +404,10 @@ def _shortcut_backward(sc: Shortcut, prim, tang, bar_o, bar_ot):
 def fast_q_eval(nets: StrategyNets, x: Features, onehot, sigma,
                 du_seed=None, dp_seed=None, record=None):
     """G_ii over the (K, D) batch of ``x`` and, for a seed, its directional
-    derivative (else None): du_seed = dU_hat/dtheta_i gives dG/dtheta_i,
-    dp_seed = 1 dG/dp_i.  A ``record`` list receives (layer records for
-    ``_fast_backward``, o, o tangent, Sigmoid(5 o), G), the last four (K, D).
-    """
+    derivative (else None): du_seed = dU_hat/dtheta_i gives dG/dtheta_i and
+    dp_seed = 1 gives dG/dp_i.  A ``record`` list receives (layer records
+    for ``_fast_backward``, o, o tangent, Sigmoid(5 o), G), the last four
+    (K, D)."""
     cfg = nets.cfg
     acts = None if record is None else []
     o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, x.rows[:2], onehot,
