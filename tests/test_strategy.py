@@ -130,11 +130,23 @@ def active_shortcuts(nets, rng):
     return nets
 
 
+def shortcut_nets(seed):
+    """``random_nets(seed)`` with active shortcuts on both networks."""
+    cfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
+    return active_shortcuts(random_nets(seed, cfg),
+                            np.random.default_rng(seed + 1))
+
+
+def weight_probes(nets, n, rng):
+    """``n`` random indices into the MLP weights of the flat vector, then
+    every trainable shortcut entry, which the flattening puts last."""
+    n_mlp = sum(w.size + b.size for w, b in nets.q_layers + nets.d_layers)
+    return np.concatenate((rng.choice(n_mlp, size=n, replace=False),
+                           np.arange(n_mlp, sn.get_trainable_flat(nets).size)))
+
+
 def test_partials_match_finite_differences():
-    shortcut_cfg = sn.StrategyConfig(use_shortcut=True, n_rbf=4)
-    with_shortcut = active_shortcuts(random_nets(11, shortcut_cfg),
-                                     np.random.default_rng(12))
-    for nets in (random_nets(11), with_shortcut):
+    for nets in (random_nets(11), shortcut_nets(11)):
         check_partials_against_finite_differences(nets)
 
 
@@ -188,7 +200,11 @@ def test_category_equivariance():
 
 
 def test_weight_gradient_matches_finite_differences():
-    nets = random_nets(19)
+    for nets in (random_nets(19), shortcut_nets(19)):
+        check_weight_gradient(nets)
+
+
+def check_weight_gradient(nets):
     u, p, du = 0.2, 0.5, -3.0
     oh = sn.one_hot([1], 3)[:, 0]
     tape = ad.Tape()
@@ -199,8 +215,6 @@ def test_weight_gradient_matches_finite_differences():
     grads = tape.gradient(out, var_list)
 
     flat0 = sn.get_trainable_flat(nets)
-    rng = np.random.default_rng(5)
-    idx = rng.choice(flat0.size, size=30, replace=False)
     h = 1e-6
 
     def value(flat):
@@ -210,7 +224,7 @@ def test_weight_gradient_matches_finite_differences():
         cc, _ = sn.d_eval(probe, u, p, du, oh)
         return scalar(gg) + scalar(cc)
 
-    for i in idx:
+    for i in weight_probes(nets, 30, np.random.default_rng(5)):
         fp = flat0.copy()
         fm = flat0.copy()
         fp[i] += h
@@ -222,7 +236,11 @@ def test_weight_gradient_matches_finite_differences():
 def test_momentum_partial_is_differentiable_wrt_weights():
     # The theta update uses dG/dp at the half-updated state; its weight
     # gradient must agree with finite differences of the numpy-mode partial.
-    nets = random_nets(23)
+    for nets in (random_nets(23), shortcut_nets(23)):
+        check_momentum_partial_weight_gradient(nets)
+
+
+def check_momentum_partial_weight_gradient(nets):
     u, p = 0.1, 0.8
     oh = sn.one_hot([0], 3)[:, 0]
     tape = ad.Tape()
@@ -239,8 +257,7 @@ def test_momentum_partial_is_differentiable_wrt_weights():
         _, t = sn.q_eval(probe, u, p, oh, 1.0, dp_seed=1.0)
         return scalar(t)
 
-    rng = np.random.default_rng(3)
-    for i in rng.choice(flat0.size, size=12, replace=False):
+    for i in weight_probes(nets, 12, np.random.default_rng(3)):
         fp = flat0.copy()
         fm = flat0.copy()
         fp[i] += h
