@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from amsghmc import cli, harness, samplers as sp, strategy as sn, training as tr
+from amsghmc import autodiff as ad, cli, harness, samplers as sp, strategy as sn, training as tr
 
 
 # --- fixtures: tiny generated problems and a handcrafted checkpoint ---------------
@@ -39,6 +39,17 @@ def checkpoint(tmp_path_factory):
     stats = sp.AdaptiveStats.fixed(np.full(5, 0.3), 50.0, 25.0)
     tr.save_checkpoint(path, nets, stats, {"categories": [0, 0, 1, 1, 2]})
     return path
+
+
+@pytest.fixture
+def no_tape(monkeypatch):
+    """Make the scalar tape path raise: no stage may reach it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stage reached the scalar tape path")
+
+    for owner, name in ((sn, "q_eval"), (sn, "d_eval"),
+                        (sn, "build_tape_nets"), (ad.Tape, "gradient")):
+        monkeypatch.setattr(owner, name, forbidden)
 
 
 def run_settings():
@@ -297,6 +308,7 @@ def test_generate_reruns_are_byte_identical(tmp_path):
 # --- sample / evaluate -------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_tape")
 def test_sample_then_evaluate_sghmc(two_story, tmp_path):
     out = tmp_path / "run"
     cfg = harness.ExperimentConfig.from_dict({
@@ -346,6 +358,7 @@ def test_compute_metrics_energy_quantiles():
     assert quantiles == pytest.approx({"q05": 5.95, "q50": 59.5, "q95": 113.05}, abs=1e-12)
 
 
+@pytest.mark.usefixtures("no_tape")
 def test_sample_hmc_reports_acceptance(two_story, tmp_path):
     cfg = harness.ExperimentConfig.from_dict({
         "seed": 6, "out": str(tmp_path / "h"), "problem": str(two_story["problem"]),
@@ -420,6 +433,7 @@ def test_metrics_embed_the_traces_own_run_settings(two_story, tmp_path):
 # --- train -------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_tape")
 def test_train_stage_writes_checkpoint(two_story, tmp_path):
     out = tmp_path / "trn"
     cfg = harness.ExperimentConfig.from_dict({
@@ -443,6 +457,7 @@ def test_train_stage_writes_checkpoint(two_story, tmp_path):
 # --- compare -----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_tape")
 def test_compare_stage(two_story, checkpoint, tmp_path):
     out = tmp_path / "cmp"
     cfg = harness.ExperimentConfig.from_dict({
