@@ -1,15 +1,22 @@
-"""Reverse-mode tape and forward-mode dual numbers for scalar-valued graphs.
+"""Reverse-mode tape and forward-mode dual numbers for the generic
+strategy-network path (``strategy.q_eval``, ``d_eval`` and
+``build_tape_nets``).
 
-The engine differentiates compositions of a fixed primitive set
-(+, -, *, /, neg, exp, log, tanh, sigmoid, relu, leaky-relu, sqrt,
-integer/real powers with constant exponent, and a fused affine node).
+The primitives are the ones that path composes:
+
+* on tape nodes (``Var``): ``+`` and ``*`` with a node or a constant,
+  constant ``-`` node, and ``sigmoid``, ``relu`` and ``leaky_relu``;
+* on dual numbers (``DualValue``): ``+`` and ``*`` with a dual or any
+  other operand, ``-`` and ``/`` by a constant, and ``exp``, ``log``,
+  ``sigmoid``, ``relu`` and ``leaky_relu``.
+
 Values held by tape nodes may be Python floats or numpy arrays treated as
 batched scalars: every operation is elementwise, and adjoints are reduced
 back to each node's own shape on the reverse sweep.
 
 Two structures cooperate:
 
-* ``Tape``/``Var`` give reverse-mode gradients of a recorded scalar output
+* ``Tape``/``Var`` give reverse-mode gradients of a recorded output
   with respect to any recorded leaves.
 * ``DualValue`` gives forward-mode directional derivatives. Its components
   may themselves be ``Var`` handles, in which case the forward-mode
@@ -19,26 +26,10 @@ Two structures cooperate:
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
-
-
-class EvaluationFailure(RuntimeError):
-    """A non-finite intermediate value was produced at a tape node."""
-
-    def __init__(self, node_index: int, op: str):
-        super().__init__(f"non-finite value at node {node_index} (op '{op}')")
-        self.node_index = node_index
-        self.op = op
-
-
-def _isfinite(v) -> bool:
-    if isinstance(v, np.ndarray):
-        return bool(np.isfinite(v).all())
-    return math.isfinite(v)
 
 
 def _unbroadcast(grad, like):
@@ -75,167 +66,65 @@ class Var:
     def value(self):
         return self.tape.values[self.idx]
 
-    def __repr__(self):
-        return f"Var(idx={self.idx}, value={self.value!r})"
-
     def __add__(self, other):
-        return _add(self, other)
+        if isinstance(other, DualValue):
+            return NotImplemented
+        if isinstance(other, Var):
+            return self.tape._push(self.value + other.value,
+                                   (self.idx, other.idx), (1.0, 1.0))
+        return self.tape._push(self.value + other, (self.idx,), (1.0,))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return _sub(self, other)
-
     def __rsub__(self, other):
-        return _rsub(self, other)
+        return self.tape._push(other - self.value, (self.idx,), (-1.0,))
 
     def __mul__(self, other):
-        return _mul(self, other)
+        if isinstance(other, DualValue):
+            return NotImplemented
+        if isinstance(other, Var):
+            return self.tape._push(self.value * other.value, (self.idx, other.idx),
+                                   (other.value, self.value))
+        return self.tape._push(self.value * other, (self.idx,), (other,))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return _div(self, other)
-
-    def __rtruediv__(self, other):
-        return _rdiv(self, other)
-
-    def __neg__(self):
-        return self.tape._push(-self.value, "neg", (self.idx,), (-1.0,), None)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Var):
-            raise TypeError("pow supports constant exponents only")
-        v = self.value
-        return self.tape._push(
-            v**exponent, "pow_c", (self.idx,), (exponent * v ** (exponent - 1),), exponent
-        )
-
 
 class Tape:
-    """Ordered record of primitive operations with local partials.
+    """Ordered record of nodes with their values and local partials.
 
-    Nodes are appended eagerly with their computed values; ``replay``
-    recomputes every value from the leaves in order, and ``gradient``
-    runs one reverse sweep over the node list.
+    Nodes are appended eagerly with their computed values, and
+    ``gradient`` runs one reverse sweep over the node list.
     """
 
     def __init__(self):
         self.values: list = []
-        self._ops: list[str] = []
         self._parents: list[tuple] = []
         self._partials: list[tuple] = []
-        self._aux: list = []
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def _push(self, value, op, parents, partials, aux) -> Var:
+    def _push(self, value, parents, partials) -> Var:
         self.values.append(value)
-        self._ops.append(op)
         self._parents.append(parents)
         self._partials.append(partials)
-        self._aux.append(aux)
         return Var(self, len(self.values) - 1)
 
     def leaf(self, value) -> Var:
-        return self._push(value, "leaf", (), (), None)
+        return self._push(value, (), ())
 
-    def inject(self, value, parents: Sequence[Var], partials: Sequence) -> Var:
-        """Record a node with externally supplied local partials.
-
-        Used for scalar terms whose value is computed outside the tape but
-        whose derivative with respect to the given parents is known (for
-        example a Monte Carlo average with precomputed per-sample scores).
-        Replay returns the recorded value.
-        """
-        idx = tuple(p.idx for p in parents)
-        return self._push(value, "inject", idx, tuple(partials), value)
-
-    def affine(self, terms: Sequence[tuple], bias=0.0) -> Var:
-        """Fused sum of products: sum_k a_k * b_k + bias.
-
-        Each term is an ``(a, b)`` pair where either element may be a Var
-        or a constant; constant-constant pairs fold into the bias. One node
-        replaces the mul/add chain of a dense-layer unit.
-        """
-        value = bias
-        parents: list[int] = []
-        partials: list = []
-        aux_entries: list = []
-        for a, b in terms:
-            a_is = isinstance(a, Var)
-            b_is = isinstance(b, Var)
-            if a_is and b_is:
-                value = value + a.value * b.value
-                parents.extend((a.idx, b.idx))
-                partials.extend((b.value, a.value))
-                aux_entries.append(("vv", a.idx, b.idx))
-            elif a_is:
-                value = value + a.value * b
-                parents.append(a.idx)
-                partials.append(b)
-                aux_entries.append(("vc", a.idx, b))
-            elif b_is:
-                value = value + b.value * a
-                parents.append(b.idx)
-                partials.append(a)
-                aux_entries.append(("vc", b.idx, a))
-            else:
-                bias = bias + a * b
-                value = value + a * b
-        return self._push(value, "affine", tuple(parents), tuple(partials), (aux_entries, bias))
-
-    def first_nonfinite(self):
-        """Index and op of the first non-finite node value, or None."""
-        for i, v in enumerate(self.values):
-            if not _isfinite(v):
-                return i, self._ops[i]
-        return None
-
-    def check_finite(self) -> None:
-        bad = self.first_nonfinite()
-        if bad is not None:
-            raise EvaluationFailure(*bad)
-
-    def replay(self) -> list:
-        """Recompute all node values in order; leaves keep their values."""
-        out: list = []
-        for i, op in enumerate(self._ops):
-            parents = self._parents[i]
-            aux = self._aux[i]
-            if op == "leaf":
-                out.append(self.values[i])
-            elif op == "inject":
-                out.append(aux)
-            elif op == "affine":
-                entries, bias = aux
-                v = bias
-                for kind, ia, ib in entries:
-                    if kind == "vv":
-                        v = v + out[ia] * out[ib]
-                    else:
-                        v = v + out[ia] * ib
-                out.append(v)
-            else:
-                out.append(_REPLAY[op](out, parents, aux))
-        return out
-
-    def gradient(self, output: Var, wrt: Sequence[Var], seed=1.0) -> list:
+    def gradient(self, output: Var, wrt: Sequence[Var]) -> list:
         """Adjoints of ``output`` with respect to ``wrt`` (one reverse sweep)."""
         if output.tape is not self:
             raise ValueError("output was recorded on a different tape")
         adj: list = [None] * (output.idx + 1)
-        adj[output.idx] = seed
+        adj[output.idx] = 1.0
         for i in range(output.idx, -1, -1):
             a = adj[i]
             if a is None:
                 continue
-            parents = self._parents[i]
-            if not parents:
-                continue
-            partials = self._partials[i]
-            for p, lp in zip(parents, partials):
+            for p, lp in zip(self._parents[i], self._partials[i]):
                 contrib = _unbroadcast(a * lp, self.values[p])
                 if adj[p] is None:
                     adj[p] = contrib
@@ -250,236 +139,72 @@ class Tape:
         return result
 
 
-_REPLAY: dict[str, Callable] = {
-    "add": lambda v, p, a: v[p[0]] + v[p[1]],
-    "add_c": lambda v, p, a: v[p[0]] + a,
-    "sub": lambda v, p, a: v[p[0]] - v[p[1]],
-    "mul": lambda v, p, a: v[p[0]] * v[p[1]],
-    "mul_c": lambda v, p, a: v[p[0]] * a,
-    "div": lambda v, p, a: v[p[0]] / v[p[1]],
-    "rdiv_c": lambda v, p, a: a / v[p[0]],
-    "rsub_c": lambda v, p, a: a - v[p[0]],
-    "neg": lambda v, p, a: -v[p[0]],
-    "pow_c": lambda v, p, a: v[p[0]] ** a,
-    "exp": lambda v, p, a: np.exp(v[p[0]]),
-    "log": lambda v, p, a: np.log(v[p[0]]),
-    "tanh": lambda v, p, a: np.tanh(v[p[0]]),
-    "sigmoid": lambda v, p, a: expit(v[p[0]]),
-    "sqrt": lambda v, p, a: np.sqrt(v[p[0]]),
-    "leaky_relu": lambda v, p, a: v[p[0]] * _pos_slope(v[p[0]], a),
-}
-
-
-def _add(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    t = a.tape
-    if isinstance(b, Var):
-        return t._push(a.value + b.value, "add", (a.idx, b.idx), (1.0, 1.0), None)
-    return t._push(a.value + b, "add_c", (a.idx,), (1.0,), b)
-
-
-def _sub(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    if isinstance(b, Var):
-        return a.tape._push(a.value - b.value, "sub", (a.idx, b.idx), (1.0, -1.0), None)
-    return a.tape._push(a.value - b, "add_c", (a.idx,), (1.0,), -b)
-
-
-def _rsub(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    return a.tape._push(b - a.value, "rsub_c", (a.idx,), (-1.0,), b)
-
-
-def _mul(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    t = a.tape
-    if isinstance(b, Var):
-        return t._push(a.value * b.value, "mul", (a.idx, b.idx), (b.value, a.value), None)
-    return t._push(a.value * b, "mul_c", (a.idx,), (b,), b)
-
-
-def _div(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    t = a.tape
-    if isinstance(b, Var):
-        inv = 1.0 / b.value
-        return t._push(
-            a.value * inv, "div", (a.idx, b.idx), (inv, -a.value * inv * inv), None
-        )
-    return t._push(a.value / b, "mul_c", (a.idx,), (1.0 / b,), 1.0 / b)
-
-
-def _rdiv(a: Var, b):
-    if isinstance(b, DualValue):
-        return NotImplemented
-    v = b / a.value
-    return a.tape._push(v, "rdiv_c", (a.idx,), (-v / a.value,), b)
-
-
 class DualValue:
     """First-order dual number generic over its component type.
 
     ``primal`` and ``tangent`` may be floats, numpy arrays, or ``Var``
-    handles. A scalar-zero tangent is kept as the float 0.0 and skipped in
-    arithmetic, which keeps tapes free of dead nodes when only one input
-    channel is seeded.
+    handles; a ``Var`` operand counts as a constant.
     """
 
     __slots__ = ("primal", "tangent")
     __array_ufunc__ = None
 
-    def __init__(self, primal, tangent=0.0):
+    def __init__(self, primal, tangent):
         self.primal = primal
         self.tangent = tangent
 
-    def __repr__(self):
-        return f"DualValue({self.primal!r}, {self.tangent!r})"
-
     def __add__(self, other):
         if isinstance(other, DualValue):
-            return DualValue(self.primal + other.primal, _tadd(self.tangent, other.tangent))
+            return DualValue(self.primal + other.primal, self.tangent + other.tangent)
         return DualValue(self.primal + other, self.tangent)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, DualValue):
-            return DualValue(self.primal - other.primal, _tsub(self.tangent, other.tangent))
+        """Subtract a constant."""
         return DualValue(self.primal - other, self.tangent)
-
-    def __rsub__(self, other):
-        return DualValue(other - self.primal, _tneg(self.tangent))
 
     def __mul__(self, other):
         if isinstance(other, DualValue):
-            return DualValue(
-                self.primal * other.primal,
-                _tadd(_tscale(self.tangent, other.primal), _tscale(other.tangent, self.primal)),
-            )
-        return DualValue(self.primal * other, _tscale(self.tangent, other))
+            return DualValue(self.primal * other.primal,
+                             self.tangent * other.primal + other.tangent * self.primal)
+        return DualValue(self.primal * other, self.tangent * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, DualValue):
-            q = self.primal / other.primal
-            tan = _tsub(
-                _tdiv(self.tangent, other.primal),
-                _tscale(_tdiv(other.tangent, other.primal), q),
-            )
-            return DualValue(q, tan)
-        return DualValue(self.primal / other, _tdiv(self.tangent, other))
-
-    def __rtruediv__(self, other):
-        q = other / self.primal
-        return DualValue(q, _tneg(_tscale(_tdiv(self.tangent, self.primal), q)))
-
-    def __neg__(self):
-        return DualValue(-self.primal, _tneg(self.tangent))
-
-    def __pow__(self, exponent):
-        p = self.primal**exponent
-        return DualValue(p, _tscale(self.tangent, exponent * self.primal ** (exponent - 1)))
-
-
-def _tzero(t) -> bool:
-    return isinstance(t, float) and t == 0.0
-
-
-def _tadd(a, b):
-    if _tzero(a):
-        return b
-    if _tzero(b):
-        return a
-    return a + b
-
-
-def _tsub(a, b):
-    if _tzero(b):
-        return a
-    if _tzero(a):
-        return -b
-    return a - b
-
-
-def _tneg(a):
-    return a if _tzero(a) else -a
-
-
-def _tscale(t, s):
-    return 0.0 if _tzero(t) else t * s
-
-
-def _tdiv(t, s):
-    return 0.0 if _tzero(t) else t / s
-
-
-def value_of(x):
-    """Plain numeric payload of a float, array, Var, or DualValue primal."""
-    if isinstance(x, DualValue):
-        return value_of(x.primal)
-    if isinstance(x, Var):
-        return x.value
-    return x
+        """Divide by a constant."""
+        return DualValue(self.primal / other, self.tangent / other)
 
 
 # --- generic elementwise functions -----------------------------------------
 #
-# Each dispatches on Var (tape node), DualValue (chain rule; components may
-# themselves be Vars), or plain numerics. Strategy-network code is written
-# once against these and runs in all three modes.
+# Each dispatches on DualValue (chain rule; components may themselves be
+# Vars), Var (tape node; sigmoid and the ReLUs only) or plain numerics.
+# Strategy-network code is written once against these and runs in all
+# three modes.
 
 
 def exp(x):
     if isinstance(x, DualValue):
-        e = exp(x.primal)
-        return DualValue(e, _tscale(x.tangent, e))
-    if isinstance(x, Var):
-        v = np.exp(x.value)
-        return x.tape._push(v, "exp", (x.idx,), (v,), None)
+        e = np.exp(x.primal)
+        return DualValue(e, x.tangent * e)
     return np.exp(x)
 
 
 def log(x):
     if isinstance(x, DualValue):
-        return DualValue(log(x.primal), _tdiv(x.tangent, x.primal))
-    if isinstance(x, Var):
-        return x.tape._push(np.log(x.value), "log", (x.idx,), (1.0 / x.value,), None)
+        return DualValue(np.log(x.primal), x.tangent / x.primal)
     return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, DualValue):
-        s = sqrt(x.primal)
-        return DualValue(s, _tdiv(x.tangent, 2.0 * s))
-    if isinstance(x, Var):
-        s = np.sqrt(x.value)
-        return x.tape._push(s, "sqrt", (x.idx,), (0.5 / s,), None)
-    return np.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, DualValue):
-        t = tanh(x.primal)
-        return DualValue(t, _tscale(x.tangent, 1.0 - t * t))
-    if isinstance(x, Var):
-        t = np.tanh(x.value)
-        return x.tape._push(t, "tanh", (x.idx,), (1.0 - t * t,), None)
-    return np.tanh(x)
 
 
 def sigmoid(x):
     if isinstance(x, DualValue):
         s = sigmoid(x.primal)
-        return DualValue(s, _tscale(x.tangent, s * (1.0 - s)))
+        return DualValue(s, x.tangent * (s * (1.0 - s)))
     if isinstance(x, Var):
         s = expit(x.value)
-        return x.tape._push(s, "sigmoid", (x.idx,), (s * (1.0 - s),), None)
+        return x.tape._push(s, (x.idx,), (s * (1.0 - s),))
     return expit(x)
 
 
@@ -497,59 +222,10 @@ def relu(x):
 def leaky_relu(x, slope: float = 0.01):
     # Subgradient at exactly 0 is the negative-side slope (gate is strict >).
     if isinstance(x, DualValue):
-        mask = _pos_slope(value_of(x.primal), slope)
-        return DualValue(x.primal * mask, _tscale(x.tangent, mask))
+        p = x.primal
+        mask = _pos_slope(p.value if isinstance(p, Var) else p, slope)
+        return DualValue(p * mask, x.tangent * mask)
     if isinstance(x, Var):
         mask = _pos_slope(x.value, slope)
-        return x.tape._push(x.value * mask, "leaky_relu", (x.idx,), (mask,), slope)
+        return x.tape._push(x.value * mask, (x.idx,), (mask,))
     return x * _pos_slope(x, slope)
-
-
-# --- top-level drivers ------------------------------------------------------
-
-
-def evaluate_with_gradient(f: Callable, x: Sequence[float]):
-    """Value and full gradient of a scalar function at a point.
-
-    ``f`` receives a list of Var handles and must return a single Var
-    composed of supported primitives. Raises EvaluationFailure (carrying the
-    node index) if any intermediate is non-finite.
-    """
-    tape = Tape()
-    leaves = [tape.leaf(float(xi)) for xi in np.asarray(x, dtype=float).ravel()]
-    out = f(leaves)
-    if not isinstance(out, Var):
-        raise TypeError("function under differentiation must return a Var")
-    tape.check_finite()
-    grads = tape.gradient(out, leaves)
-    return out.value, np.array([float(g) for g in grads])
-
-
-def partial(f: Callable, x: Sequence, i: int, tape: Tape | None = None):
-    """Single partial derivative via forward-mode propagation.
-
-    Without a tape, returns the float d f/d x_i at ``x``. With a tape, the
-    inputs become recorded leaves and the returned tangent is a Var on that
-    tape (or the float 0.0 when x_i never reaches the output), so the
-    partial itself can be differentiated with respect to other tape leaves.
-    """
-    xs = list(x)
-    if not 0 <= i < len(xs):
-        raise IndexError(f"input index {i} out of range for {len(xs)} inputs")
-    own_tape = tape is None
-    t = Tape() if own_tape else tape
-    duals = []
-    for j, xj in enumerate(xs):
-        primal = xj if isinstance(xj, Var) else t.leaf(float(xj))
-        duals.append(DualValue(primal, 1.0 if j == i else 0.0))
-    out = f(duals)
-    if not isinstance(out, DualValue):
-        raise TypeError("function under differentiation must return a DualValue")
-    t.check_finite()
-    tangent = out.tangent
-    if own_tape:
-        val = value_of(tangent)
-        if not _isfinite(np.asarray(val)):
-            raise EvaluationFailure(len(t), "tangent")
-        return float(val) if np.ndim(val) == 0 else val
-    return tangent
