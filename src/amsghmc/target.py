@@ -246,7 +246,6 @@ class UpdatingProblem:
     priors: PriorSpec
     transform: BoundedTransform
     sigma0: float = 1.0
-    flat_likelihood: bool = False
 
     def __post_init__(self):
         d = 2 * self.building.n_stories + 1
@@ -268,7 +267,6 @@ def default_problem(
     building: structural.ShearBuilding,
     dataset: structural.Dataset,
     sigma0: float = 1.0,
-    flat_likelihood: bool = False,
 ) -> UpdatingProblem:
     """Standard shear-building task: ratio priors and saturation knots.
 
@@ -296,7 +294,6 @@ def default_problem(
         priors=PriorSpec(priors, categories),
         transform=BoundedTransform.from_knots(knots),
         sigma0=sigma0,
-        flat_likelihood=flat_likelihood,
     )
 
 
@@ -353,11 +350,7 @@ def potential_energy_batch(thetas: np.ndarray, problem: UpdatingProblem):
     w, t, dt = transform_details(thetas, problem.transform)
     slope = np.exp(t)
     lp, dlp = _prior_terms(w, problem.priors)
-    if problem.flat_likelihood:
-        ll = np.zeros(thetas.shape[0])
-        dll = np.zeros_like(thetas)
-    else:
-        ll, dll = _likelihood_batch(w, problem)
+    ll, dll = _likelihood_batch(w, problem)
     u = -(ll + lp) - t.sum(axis=-1)
     grad = -(dll + dlp) * slope - dt
     return u, grad
@@ -408,7 +401,6 @@ def save_problem(path, problem: UpdatingProblem, dataset_path) -> None:
         "damping_nominal": problem.building.damping.tolist(),
         "mass": problem.building.mass.tolist(),
         "sigma0": problem.sigma0,
-        "flat_likelihood": problem.flat_likelihood,
         "dataset": str(dataset_path),
         "priors": [_prior_to_dict(p) for p in problem.priors.priors],
         "categories": list(problem.priors.categories),
@@ -426,6 +418,9 @@ def load_problem(path) -> UpdatingProblem:
     """Read a JSON problem definition; dataset path resolves relative to it."""
     path = Path(path)
     spec = json.loads(path.read_text())
+    if spec.get("flat_likelihood", False):
+        raise ValueError("flat_likelihood is no longer supported: every problem "
+                         "samples the full posterior; remove the key")
     dataset_path = Path(spec["dataset"])
     if not dataset_path.is_absolute():
         dataset_path = path.parent / dataset_path
@@ -452,5 +447,4 @@ def load_problem(path) -> UpdatingProblem:
         priors=priors,
         transform=transform,
         sigma0=float(spec.get("sigma0", 1.0)),
-        flat_likelihood=bool(spec.get("flat_likelihood", False)),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -223,19 +224,15 @@ def test_potential_gradient_matches_finite_differences(small_problem):
 
 
 def test_flat_likelihood_reduces_to_prior_and_jacobian(small_problem):
-    prob = target.UpdatingProblem(
-        building=small_problem.building,
-        dataset=small_problem.dataset,
-        priors=small_problem.priors,
-        transform=small_problem.transform,
-        sigma0=small_problem.sigma0,
-        flat_likelihood=True,
-    )
+    # U + log L = -log prior - log Jacobian: the likelihood enters U only
+    # through its own term.
     theta = np.array([1.2, 0.7, 1.5, 0.3, 1.1])
-    u, _ = target.potential_energy_batch(theta[None], prob)
-    w = to_params(theta, prob.transform)
-    expected = -target._prior_terms(w, prob.priors)[0] - log_jacobian(theta, prob.transform)
-    assert u[0] == pytest.approx(expected, rel=1e-14)
+    u, _ = target.potential_energy_batch(theta[None], small_problem)
+    w = to_params(theta, small_problem.transform)
+    ll, _ = target._likelihood_batch(w[None], small_problem)
+    expected = (-target._prior_terms(w, small_problem.priors)[0]
+                - log_jacobian(theta, small_problem.transform))
+    assert u[0] + ll[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_potential_finite_far_out(small_problem):
@@ -267,6 +264,20 @@ def test_problem_roundtrip(tmp_path, small_problem):
     assert u1 == pytest.approx(u2, rel=1e-12)
     np.testing.assert_allclose(g1, g2, rtol=1e-12)
     assert loaded.priors.categories == small_problem.priors.categories
+
+
+def test_load_problem_rejects_flat_likelihood(tmp_path, small_problem):
+    structural.save_dataset(tmp_path / "data.csv", small_problem.dataset)
+    prob_path = tmp_path / "problem.json"
+    target.save_problem(prob_path, small_problem, "data.csv")
+    spec = json.loads(prob_path.read_text())
+    spec["flat_likelihood"] = False
+    prob_path.write_text(json.dumps(spec))
+    target.load_problem(prob_path)
+    spec["flat_likelihood"] = True
+    prob_path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match="flat_likelihood"):
+        target.load_problem(prob_path)
 
 
 @given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
