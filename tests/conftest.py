@@ -14,7 +14,7 @@ HERE = Path(__file__).resolve().parent
 
 # When a hypothesis test fails, its report hook imports this module,
 # whose dependencies (libcst -> mypy_extensions) warn on import; under
-# the filter below that warning would abort the whole session instead of
+# the filter below that warning would abort the whole pytest run instead of
 # reporting the failure.  Importing it once here, outside any test, keeps
 # those third-party warnings out of the filter's reach.
 with warnings.catch_warnings():
