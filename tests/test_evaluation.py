@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import logsumexp
 
 from amsghmc import evaluation as ev
@@ -349,6 +350,60 @@ def test_ess_thinning_raises_per_sample_fraction():
 def test_ess_short_chain_rejected():
     with pytest.raises(ValueError):
         ev.effective_sample_size(np.zeros(5))
+
+
+def _loop_ess(chain):
+    """ESS per dimension by the per-dimension, per-lag loop it once ran as."""
+    t, d = chain.shape
+    centered = chain - chain.mean(axis=0)
+    degenerate = (centered**2).sum(axis=0) == 0.0
+    max_lag = min(1000, t // 3 - 1)
+    nfft = next_fast_len(2 * t)
+    spec = rfft(centered, nfft, axis=0)
+    acov = irfft(spec * spec.conj(), nfft, axis=0)[: max_lag + 1].real
+    ess = np.full(d, float(t))
+    for dim in range(d):
+        if degenerate[dim]:
+            continue
+        rho0 = acov[0, dim] / t
+        acc = 0.0
+        prev = 1.0
+        for s in range(1, max_lag + 1):
+            rho = acov[s, dim] / (t - s) / rho0
+            if s % 2 == 0 and prev + rho < 0:
+                break
+            acc += (1.0 - s / t) * rho
+            prev = rho
+        denom = 1.0 + 2.0 * acc
+        ess[dim] = t if denom <= 0 else min(t / denom, float(t))
+    return ess
+
+
+def _mixed_chains(rng, k, t, d):
+    """(k, t, d) AR(1) chains with coefficients from -0.95 to 0.99 and a
+    constant dimension in every third chain."""
+    phi = rng.uniform(-0.95, 0.99, (k, 1, d))
+    x = np.empty((k, t, d))
+    x[:, 0] = rng.standard_normal((k, d))
+    for s in range(1, t):
+        x[:, s] = phi[:, 0] * x[:, s - 1] + rng.standard_normal((k, d))
+    x[::3, :, 1] = 2.5
+    return x * np.exp(rng.uniform(-2.0, 2.0, d))
+
+
+@pytest.mark.parametrize("k, t, d", [(200, 60, 4), (32, 130, 11), (7, 3500, 3),
+                                      (5, 10, 2)])
+def test_ess_bit_identical_to_loop(k, t, d):
+    samples = _mixed_chains(np.random.default_rng(k * t + d), k, t, d)
+    want = np.stack([_loop_ess(c) for c in samples])
+    assert (want < t).any() and (want == t).any()
+    agg, per_chain = ev.aggregate_ess(samples)
+    np.testing.assert_array_equal(per_chain, want)
+    assert agg == want.min(axis=1).mean()
+    for chain, row in zip(samples[:10], want):
+        res = ev.effective_sample_size(chain)
+        np.testing.assert_array_equal(res.ess, row)
+        np.testing.assert_array_equal(res.degenerate, chain.std(axis=0) == 0.0)
 
 
 def test_aggregate_ess_mean_of_min():
