@@ -7,11 +7,22 @@ ELBO-style loss, effective sample size with the truncated autocorrelation
 sum, principal directions, and conditional-mean surfaces for visualizing
 nonlinear parameter couplings.  Everything here is read-only over sample
 arrays.
+
+The kernel density's three n^2-sized passes (building the squared
+distances, each Newton iteration over them, and ``KdeModel.log_density``)
+run their row blocks on every core this process may use: the calling
+thread works through blocks alongside a small thread pool, which numpy's
+large ufunc, reduction and BLAS calls let run while they hold no GIL.
+Each block writes only its own rows and keeps every row's reduction
+order, so the results do not depend on how many threads ran them.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +53,7 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     return cov + ridge * np.eye(d)
 
 
-# --- kernel density -----------------------------------------------------------
+# --- squared distances -----------------------------------------------------------
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,11 +65,94 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     to a contiguous array because numpy sends a @ a.T to a symmetric
     rank-k update, which is about twice as slow here as the plain product.
     """
-    out = a @ np.ascontiguousarray(b.T)
+    return _sq_rows(np.empty((len(a), len(b))), a, np.ascontiguousarray(b.T),
+                    (a * a).sum(axis=1), (b * b).sum(axis=1))
+
+
+def _sq_rows(out, a, b_t, a_norms, b_norms):
+    """sq_distances of the rows ``a`` into ``out``, given the contiguous
+    b^T and both row norms."""
+    np.matmul(a, b_t, out=out)
     out *= -2.0
-    out += (a * a).sum(axis=1)[:, None]
-    out += (b * b).sum(axis=1)[None, :]
+    out += a_norms[:, None]
+    out += b_norms
     return np.maximum(out, 0.0, out=out)
+
+
+# --- row blocks on every core ---------------------------------------------------
+
+# Elements in one row block of the n^2 passes' scratch: 512 KB of float64,
+# so a block stays in a core's cache through its passes, and its numpy
+# calls run long enough that the GIL is held for a small part of a block.
+_BLOCK_ELEMENTS = 65536
+# Threads that share the row blocks, counting the calling thread: one per
+# core this process may run on.
+_WORKERS = len(os.sched_getaffinity(0))
+_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the executor but none of its threads.
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _row_blocks(n: int, width: int) -> list:
+    """Bounds of about n * width / _BLOCK_ELEMENTS near-equal row blocks.
+
+    A block holds at least two rows whenever n does: numpy sends a one-row
+    product to gemv instead of gemm, whose sums round differently.
+    """
+    count = max(1, -(-n // max(4, _BLOCK_ELEMENTS // width)))
+    return [b * n // count for b in range(count + 1)]
+
+
+def _block_scratch(bounds: list, width: int) -> np.ndarray:
+    """One (block rows, width) buffer for each thread that will run the
+    blocks of ``bounds``.  Callers allocate it, so that the pool's threads
+    allocate nothing larger than a row vector."""
+    shares = max(1, min(len(bounds) - 1, _WORKERS))
+    return np.empty((shares, max(np.diff(bounds), default=0), width))
+
+
+def _run_share(task, bounds, claim, scratch, err) -> None:
+    with np.errstate(**err):
+        block = claim()
+        while block < len(bounds) - 1:
+            task(bounds[block], bounds[block + 1], scratch)
+            block = claim()
+
+
+def _in_blocks(task, bounds: list, scratch) -> None:
+    """``task(start, stop, scratch[i])`` for every block of ``bounds``.
+
+    Share i takes blocks one at a time until none is left, with
+    ``scratch[i]`` as its buffer; the calling thread runs share 0 and the
+    pool the others, under the caller's numpy error state.  With one share
+    no thread is started.
+    """
+    global _pool
+    claim = itertools.count().__next__
+    err = np.geterr()
+    if len(scratch) == 1:
+        _run_share(task, bounds, claim, scratch[0], err)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS)
+    futures = [_pool.submit(_run_share, task, bounds, claim, buf, err)
+               for buf in scratch[1:]]
+    try:
+        _run_share(task, bounds, claim, scratch[0], err)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+# --- kernel density -----------------------------------------------------------
 
 
 @dataclass
@@ -97,24 +191,26 @@ class KdeModel:
         return solve_triangular(self._chol, (points - self._mean).T,
                                 lower=True).T
 
-    def log_density(self, queries, chunk: int = 64) -> np.ndarray:
+    def log_density(self, queries) -> np.ndarray:
         """log q-bar at each query point."""
         wq = self._whiten(_as_matrix(queries))
         out = np.empty(len(wq))
-        for start in range(0, len(wq), chunk):
-            z = wq[start:start + chunk] @ self._scaled.T
-            z += self._offset
-            top = z.max(axis=1)
+        scaled_t, offset = self._scaled.T, self._offset
+        bounds = _row_blocks(len(wq), len(offset))
+        scratch = _block_scratch(bounds, len(offset))
+
+        def chunk(start, stop, z):
+            z = z[:stop - start]
+            np.matmul(wq[start:stop], scaled_t, out=z)
+            z += offset
+            top = z.max(axis=1, out=out[start:stop])
             z -= top[:, None]
             np.exp(z, out=z)
-            out[start:start + chunk] = top + np.log(z.sum(axis=1))
+            top += np.log(z.sum(axis=1))
+
+        _in_blocks(chunk, bounds, scratch)
         out -= 0.5 * (wq * wq).sum(axis=1) / self.c_op
         return out + self._log_norm
-
-
-# Elements in one row block of the bandwidth search's scratch buffer:
-# 256 KB of float64, so a block stays in cache through its passes.
-_BLOCK_ELEMENTS = 32768
 
 
 def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
@@ -134,34 +230,42 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     over them in row blocks of about ``_BLOCK_ELEMENTS`` elements, which
     stay in cache from the exp to the last of the three row sums.  A row
     sum reduces the same contiguous row as a whole-matrix pass would, so
-    the result does not depend on the block size.
+    the result depends neither on the block size nor on the threads.
     """
     n, d = white.shape
-    sq = sq_distances(white, white)
-    np.fill_diagonal(sq, np.inf)
-    near = sq.min(axis=1)
-    # Each row is shifted by its nearest-neighbor distance, so the largest
-    # exp term is 1; in the shifted sq, e_ij = (sq_ij + near_i) / 2c.
-    sq -= near[:, None]
-    np.fill_diagonal(sq, 0.0)
-    rows = max(1, min(n, _BLOCK_ELEMENTS // n))
-    buf = np.empty((rows, n))
-    total, s1, s2 = np.empty((3, n))
+    sq = np.empty((n, n))
+    near, total, s1, s2 = np.empty((4, n))
+    white_t, norms = np.ascontiguousarray(white.T), (white * white).sum(axis=1)
+    bounds = _row_blocks(n, n)
+    scratch = _block_scratch(bounds, n)
+
+    def distances(start, stop, _):
+        # Each row is shifted by its nearest-neighbor distance, so the
+        # largest exp term is 1; in the shifted sq, e_ij = (sq_ij + near_i) / 2c.
+        part = _sq_rows(sq[start:stop], white[start:stop], white_t,
+                        norms[start:stop], norms)
+        np.fill_diagonal(part[:, start:], np.inf)
+        part.min(axis=1, out=near[start:stop])
+        part -= near[start:stop, None]
+        np.fill_diagonal(part[:, start:], 0.0)
+
+    def moments(start, stop, buf):
+        part, w = sq[start:stop], buf[:stop - start]
+        np.multiply(part, -inv, out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w[:, start:], 0.0)
+        w.sum(axis=1, out=total[start:stop])
+        w *= part
+        w.sum(axis=1, out=s1[start:stop])
+        w *= part
+        w.sum(axis=1, out=s2[start:stop])
+
+    _in_blocks(distances, bounds, scratch)
     # Scott's rule factor for whitened data as the starting point.
     log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
     for _ in range(200):
         inv = 0.5 * np.exp(-log_c)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            part, w = sq[start:stop], buf[:stop - start]
-            np.multiply(part, -inv, out=w)
-            np.exp(w, out=w)
-            np.fill_diagonal(w[:, start:], 0.0)
-            w.sum(axis=1, out=total[start:stop])
-            w *= part
-            w.sum(axis=1, out=s1[start:stop])
-            w *= part
-            w.sum(axis=1, out=s2[start:stop])
+        _in_blocks(moments, bounds, scratch)
         m1 = s1 / total
         m2 = s2 / total
         mean_e = (m1 + near) * inv
@@ -228,6 +332,47 @@ class EssResult:
     degenerate: np.ndarray
 
 
+def _chain_ess(chains: np.ndarray) -> EssResult:
+    """ESS of each (chain, dimension) of (K, T, D) samples, all chains at
+    once: the autocovariances by one FFT per group of chains whose
+    transforms fill about one row block, and the lag sum as a running sum
+    read at each cutoff, which adds the terms in lag order."""
+    k, t, d = chains.shape
+    if t < 10:
+        raise ValueError("need at least 10 samples per chain")
+    centered = chains - chains.mean(axis=1, keepdims=True)
+    degenerate = (centered**2).sum(axis=1) == 0.0
+
+    max_lag = min(1000, t // 3 - 1)
+    nfft = next_fast_len(2 * t)
+    acov = np.empty((k, max_lag + 1, d))
+    group = max(1, _BLOCK_ELEMENTS // (nfft * d))
+    for lo in range(0, k, group):
+        spec = rfft(centered[lo:lo + group], nfft, axis=1)
+        for chain in spec:
+            # One product per chain: how numpy's loop rounds the (zero)
+            # imaginary part, which irfft reads, depends on the array it walks.
+            chain[...] = chain * chain.conj()
+        acov[lo:lo + group] = irfft(spec, nfft, axis=1)[:, : max_lag + 1]
+
+    lags = np.arange(1, max_lag + 1)
+    rho0 = np.where(degenerate, 1.0, acov[:, 0] / t)
+    rho = acov[:, 1:] / (t - lags)[:, None] / rho0[:, None]
+    # The sum stops before the first even lag s whose pair rho_{s-1} + rho_s
+    # is negative, so it holds 2j + 1 terms when pair j is the first such.
+    pairs = rho[:, 0:max_lag - 1:2] + rho[:, 1::2]
+    negative = pairs < 0
+    terms = np.where(negative.any(axis=1), 2 * negative.argmax(axis=1) + 1,
+                     max_lag)
+    acc = np.cumsum((1.0 - lags / t)[:, None] * rho, axis=1)
+    denom = 1.0 + 2.0 * np.take_along_axis(acc, terms[:, None] - 1, axis=1)[:, 0]
+
+    ess = np.full((k, d), float(t))
+    mixing = ~degenerate & ~(denom <= 0)
+    ess[mixing] = np.minimum(t / denom[mixing], float(t))
+    return EssResult(ess, degenerate)
+
+
 def effective_sample_size(chain) -> EssResult:
     """ESS per dimension from the truncated weighted autocorrelation sum.
 
@@ -235,35 +380,8 @@ def effective_sample_size(chain) -> EssResult:
     even lag whose adjacent autocorrelation pair sums negative.
     Zero-variance dimensions are flagged and reported as T.
     """
-    chain = _as_matrix(chain)
-    t, d = chain.shape
-    if t < 10:
-        raise ValueError("need at least 10 samples per chain")
-    centered = chain - chain.mean(axis=0)
-    var = (centered**2).sum(axis=0)
-    degenerate = var == 0.0
-
-    max_lag = min(1000, t // 3 - 1)
-    nfft = next_fast_len(2 * t)
-    spec = rfft(centered, nfft, axis=0)
-    acov = irfft(spec * spec.conj(), nfft, axis=0)[: max_lag + 1].real
-
-    ess = np.full(d, float(t))
-    for dim in range(d):
-        if degenerate[dim]:
-            continue
-        rho0 = acov[0, dim] / t
-        acc = 0.0
-        prev = 1.0
-        for s in range(1, max_lag + 1):
-            rho = acov[s, dim] / (t - s) / rho0
-            if s % 2 == 0 and prev + rho < 0:
-                break
-            acc += (1.0 - s / t) * rho
-            prev = rho
-        denom = 1.0 + 2.0 * acc
-        ess[dim] = t if denom <= 0 else min(t / denom, float(t))
-    return EssResult(ess, degenerate)
+    res = _chain_ess(_as_matrix(chain)[None])
+    return EssResult(res.ess[0], res.degenerate[0])
 
 
 def aggregate_ess(samples):
@@ -272,7 +390,7 @@ def aggregate_ess(samples):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3:
         raise ValueError("expected (chains, steps, dimensions) samples")
-    per_chain = np.stack([effective_sample_size(c).ess for c in samples])
+    per_chain = _chain_ess(samples).ess
     return float(per_chain.min(axis=1).mean()), per_chain
 
 

@@ -354,9 +354,12 @@ def _write_metrics(path: Path, cfg: ExperimentConfig, trace: samplers.Trace,
                    metrics: dict, written: list) -> None:
     """metrics.json: the metrics next to the stage's config and the run
     settings recorded in the trace itself, which may differ from the
-    stage's (``evaluate`` reads traces that other configs produced)."""
+    stage's (``evaluate`` reads traces that other configs produced), with
+    the chains the trace kept and the indices of those that diverged."""
     run = {key: trace.meta.get(key)
            for key in ("sampler", "eta", "k_chains", "n_steps", "burn_in")}
+    run["kept_chains"] = trace.k_chains
+    run["diverged_chains"] = trace.meta.get("diverged")
     _write_json(path, {"seed": cfg.seed, "config": cfg.resolved(),
                        "trace": run, "metrics": metrics}, written)
 

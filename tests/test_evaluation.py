@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import logsumexp
 
 from amsghmc import evaluation as ev
+from amsghmc import training as tr
 
 
 # --- density fit -------------------------------------------------------------
@@ -106,7 +110,7 @@ def test_log_density_matches_broadcast_reference():
     far = centers.mean(axis=0) + 1e3 * unit @ chol.T
     near = centers.mean(axis=0) + rng.standard_normal((150, 4)) @ chol.T
     queries = np.vstack([near, centers[:30], far])
-    got = kde.log_density(queries, chunk=64)
+    got = kde.log_density(queries)
     want = _broadcast_log_density(kde, queries)
     assert np.isfinite(want).all() and want[-20:].max() < -1e5
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -239,6 +243,124 @@ def test_loo_search_bit_identical_to_full_matrix(case, monkeypatch):
     blocked = ev.fit_cop(samples).c_op
     monkeypatch.setattr(ev, "_loo_max_log_c", _full_matrix_loo_max_log_c)
     assert blocked == ev.fit_cop(samples).c_op
+
+
+@pytest.fixture
+def share_threads(monkeypatch):
+    """The ids of the threads that ran a share of row blocks."""
+    seen = set()
+    run_share = ev._run_share
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        run_share(*args)
+
+    monkeypatch.setattr(ev, "_run_share", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["ar1_2080", "short_last_block_1000"])
+def test_pool_bit_identical_to_one_thread(case, monkeypatch, share_threads):
+    samples = _block_cases()[case]
+    runs = []
+    for workers in (3, 1):
+        monkeypatch.setattr(ev, "_WORKERS", workers)
+        share_threads.clear()
+        kde = ev.fit_cop(samples)
+        runs.append((kde.c_op, kde.log_density(samples), len(share_threads)))
+    (c_pool, dens_pool, threads_pool), (c_one, dens_one, threads_one) = runs
+    assert threads_pool >= 2 and threads_one == 1
+    assert c_pool == c_one
+    np.testing.assert_array_equal(dens_pool, dens_one)
+
+
+def test_shares_keep_the_callers_error_state_and_raise_its_errors(monkeypatch):
+    monkeypatch.setattr(ev, "_WORKERS", 3)
+    bounds = ev._row_blocks(4000, 4000)
+    scratch = ev._block_scratch(bounds, 1)
+    assert len(bounds) > 4 and len(scratch) == 3
+    seen = []
+
+    def record(start, stop, buf):
+        time.sleep(0.001)
+        seen.append((threading.get_ident(), np.geterr()["under"]))
+
+    with np.errstate(under="raise"):
+        ev._in_blocks(record, bounds, scratch)
+    assert len(seen) == len(bounds) - 1
+    assert len({ident for ident, _ in seen}) >= 2
+    assert {state for _, state in seen} == {"raise"}
+
+    def fail_late(start, stop, buf):
+        time.sleep(0.001)
+        if stop == bounds[-1]:
+            raise FloatingPointError("last block")
+
+    with pytest.raises(FloatingPointError, match="last block"):
+        ev._in_blocks(fail_late, bounds, scratch)
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a row-block pass was sent to the pool")
+
+
+def test_training_entropy_terms_never_dispatch(monkeypatch):
+    monkeypatch.setattr(ev, "_WORKERS", 2)
+    monkeypatch.setattr(ev, "_pool", _NoPool())
+    cfg = tr.TrainingConfig()
+    # D = 11 is the shipped 5-story problem: 5 stiffness, 5 damping, 1 noise.
+    samples = np.random.default_rng(17).standard_normal((cfg.T_T + 1, cfg.K, 11))
+    terms = tr.entropy_terms(samples, cfg.M)
+    assert sorted(terms) == list(range(cfg.M + 1, cfg.T_T + 1))
+    with pytest.raises(AssertionError, match="sent to the pool"):
+        ev.fit_cop(_block_cases()["short_last_block_1000"])
+
+
+def test_log_density_rows_do_not_depend_on_their_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    kde = ev.KdeModel(rng.standard_normal((2000, 3)), np.eye(3), 0.2)
+    # One query more than a multiple of the chunk rows: cut into chunks of
+    # exactly that many rows, its last chunk would hold a single query.
+    rows = ev._BLOCK_ELEMENTS // 2000
+    queries = rng.standard_normal((5 * rows + 1, 3))
+    got = kde.log_density(queries)
+    np.testing.assert_allclose(got, _broadcast_log_density(kde, queries),
+                               rtol=1e-12, atol=0.0)
+    doubled = kde.log_density(np.vstack([queries, queries]))
+    np.testing.assert_array_equal(doubled[:len(queries)], got)
+    np.testing.assert_array_equal(doubled[len(queries):], got)
+    monkeypatch.setattr(ev, "_WORKERS", 1)
+    np.testing.assert_array_equal(kde.log_density(queries), got)
+    one = kde.log_density(queries[7:8])
+    assert one.shape == (1,)
+    np.testing.assert_allclose(one, got[7:8], rtol=1e-12, atol=0.0)
+    assert kde.log_density(np.empty((0, 3))).shape == (0,)
+
+
+def _fit_in_child(samples, queue):
+    queue.put(ev.fit_cop(samples).c_op)
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_fits_after_the_parent_used_the_pool(monkeypatch):
+    monkeypatch.setattr(ev, "_WORKERS", max(2, ev._WORKERS))
+    samples = _block_cases()["short_last_block_1000"]
+    want = ev.fit_cop(samples).c_op
+    assert ev._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_fit_in_child, args=(samples, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == want
+    assert child.exitcode == 0
 
 
 def test_fit_cop_peak_memory_one_square_matrix():

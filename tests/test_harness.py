@@ -426,8 +426,25 @@ def test_metrics_embed_the_traces_own_run_settings(two_story, tmp_path):
     harness.run_experiment("evaluate", elsewhere)
     doc = json.loads((tmp_path / "dst" / "metrics.json").read_text())
     assert doc["trace"] == {"sampler": "sghmc", "eta": 0.003, "k_chains": 4,
-                            "n_steps": 60, "burn_in": 20}
+                            "n_steps": 60, "burn_in": 20, "kept_chains": 4,
+                            "diverged_chains": []}
     assert doc["config"] == elsewhere.resolved()
+
+
+def test_metrics_record_the_chains_a_trace_lost(tmp_path):
+    rng = np.random.default_rng(7)
+    meta = {"sampler": "sghmc", "eta": 0.01, "k_chains": 5, "n_steps": 40,
+            "burn_in": 0, "steps": list(range(1, 41)), "diverged": [1, 3]}
+    samples = rng.standard_normal((3, 40, 3))
+    sp.save_trace(sp.Trace(samples, (samples**2).sum(axis=2), meta),
+                  tmp_path / "trace")
+    harness.run_experiment("evaluate", harness.ExperimentConfig.from_dict({
+        "seed": 1, "out": str(tmp_path / "eval"), "trace": str(tmp_path / "trace"),
+    }))
+    doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert doc["trace"]["k_chains"] == 5
+    assert doc["trace"]["kept_chains"] == 3
+    assert doc["trace"]["diverged_chains"] == [1, 3]
 
 
 # --- train -------------------------------------------------------------------------
