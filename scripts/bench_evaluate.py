@@ -9,8 +9,10 @@ trace's 32x6000x11) and every repeat, each tree runs in its own process
 with BLAS pinned to one thread; the trees alternate which goes first.  A
 run builds a seeded AR(1) trace like perfbench's ``evaluate`` workload,
 times one ``compute_metrics`` call and splits it into ``fit_cop``,
-``KdeModel.log_density`` and ``aggregate_ess`` by wrapping them.  Only
-the labels, never the paths, go into the output file.
+``KdeModel.log_density`` and ``aggregate_ess`` by wrapping them, and
+records how many threads share the KDE's row blocks (1 for a tree
+without the pool).  Only the labels, never the paths, go into the output
+file.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def measure(src: str, size: str, seed: int) -> dict:
         "log_density_s": totals["log_density"],
         "aggregate_ess_s": totals["aggregate_ess"],
         "peak_rss_mb": rss_kb / 1024.0,
+        "workers": getattr(evaluation, "_WORKERS", 1),
         "c_op": last["fit_cop"].c_op,
         "naive_loss": metrics["naive_loss"],
         "ess_aggregate": metrics["ess_aggregate"],
@@ -131,7 +134,8 @@ def main(argv=None) -> int:
 
     doc = {
         "what": "harness.compute_metrics on a seeded AR(1) trace, one call "
-                "per process, BLAS pinned to one thread; medians over repeats",
+                "per process, BLAS pinned to one thread, 'workers' threads "
+                "sharing the KDE's row blocks; medians over repeats",
         "command": "python3 scripts/bench_evaluate.py " + " ".join(
             f"--tree {label}=..." for label, _ in trees)
             + f" --repeats {args.repeats} --seed {args.seed}",

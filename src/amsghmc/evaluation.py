@@ -19,8 +19,8 @@ order, so the results do not depend on how many threads ran them.
 
 from __future__ import annotations
 
-import itertools
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -120,10 +120,8 @@ def _block_scratch(bounds: list, width: int) -> np.ndarray:
 
 def _run_share(task, bounds, claim, scratch, err) -> None:
     with np.errstate(**err):
-        block = claim()
-        while block < len(bounds) - 1:
+        while (block := claim()) is not None:
             task(bounds[block], bounds[block + 1], scratch)
-            block = claim()
 
 
 def _in_blocks(task, bounds: list, scratch) -> None:
@@ -135,7 +133,12 @@ def _in_blocks(task, bounds: list, scratch) -> None:
     no thread is started.
     """
     global _pool
-    claim = itertools.count().__next__
+    blocks, lock = iter(range(len(bounds) - 1)), threading.Lock()
+
+    def claim():
+        with lock:
+            return next(blocks, None)
+
     err = np.geterr()
     if len(scratch) == 1:
         _run_share(task, bounds, claim, scratch[0], err)

@@ -1,4 +1,5 @@
 import multiprocessing
+import sys
 import threading
 import time
 import tracemalloc
@@ -274,7 +275,8 @@ def test_pool_bit_identical_to_one_thread(case, monkeypatch, share_threads):
     np.testing.assert_array_equal(dens_pool, dens_one)
 
 
-def test_shares_keep_the_callers_error_state_and_raise_its_errors(monkeypatch):
+def test_shares_run_each_block_once_under_the_callers_error_state(monkeypatch):
+    # More shares than cores, and threads switched as often as possible.
     monkeypatch.setattr(ev, "_WORKERS", 3)
     bounds = ev._row_blocks(4000, 4000)
     scratch = ev._block_scratch(bounds, 1)
@@ -282,14 +284,19 @@ def test_shares_keep_the_callers_error_state_and_raise_its_errors(monkeypatch):
     seen = []
 
     def record(start, stop, buf):
-        time.sleep(0.001)
-        seen.append((threading.get_ident(), np.geterr()["under"]))
+        time.sleep(0.0005)
+        seen.append((start, threading.get_ident(), np.geterr()["under"]))
 
-    with np.errstate(under="raise"):
-        ev._in_blocks(record, bounds, scratch)
-    assert len(seen) == len(bounds) - 1
-    assert len({ident for ident, _ in seen}) >= 2
-    assert {state for _, state in seen} == {"raise"}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with np.errstate(under="raise"):
+            ev._in_blocks(record, bounds, scratch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(start for start, _, _ in seen) == bounds[:-1]
+    assert len({ident for _, ident, _ in seen}) >= 2
+    assert {state for _, _, state in seen} == {"raise"}
 
     def fail_late(start, stop, buf):
         time.sleep(0.001)
