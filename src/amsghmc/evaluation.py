@@ -11,10 +11,11 @@ arrays.
 The kernel density's three n^2-sized passes (building the squared
 distances, each Newton iteration over them, and ``KdeModel.log_density``)
 run their row blocks on every core this process may use: the calling
-thread works through blocks alongside a small thread pool, which numpy's
-large ufunc, reduction and BLAS calls let run while they hold no GIL.
-Each block writes only its own rows and keeps every row's reduction
-order, so the results do not depend on how many threads ran them.
+thread and a small thread pool work through the blocks together, since
+numpy releases the GIL inside the large ufunc, reduction and BLAS calls
+that make up a block.  Each block writes only its own rows and keeps
+every row's reduction order, so the results do not depend on how many
+threads ran them.  Effective sample size runs over all chains at once.
 """
 
 from __future__ import annotations
@@ -100,22 +101,19 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _row_blocks(n: int, width: int) -> list:
-    """Bounds of about n * width / _BLOCK_ELEMENTS near-equal row blocks.
+def _row_blocks(n: int, width: int):
+    """(bounds, scratch) for a pass over n rows of ``width`` elements:
+    the bounds of about n * width / _BLOCK_ELEMENTS near-equal row blocks,
+    and one (block rows, width) buffer for each thread that will run them.
+    Callers allocate the scratch, so the pool's threads allocate nothing
+    larger than a row vector.
 
     A block holds at least two rows whenever n does: numpy sends a one-row
     product to gemv instead of gemm, whose sums round differently.
     """
     count = max(1, -(-n // max(4, _BLOCK_ELEMENTS // width)))
-    return [b * n // count for b in range(count + 1)]
-
-
-def _block_scratch(bounds: list, width: int) -> np.ndarray:
-    """One (block rows, width) buffer for each thread that will run the
-    blocks of ``bounds``.  Callers allocate it, so that the pool's threads
-    allocate nothing larger than a row vector."""
-    shares = max(1, min(len(bounds) - 1, _WORKERS))
-    return np.empty((shares, max(np.diff(bounds), default=0), width))
+    bounds = [b * n // count for b in range(count + 1)]
+    return bounds, np.empty((min(count, _WORKERS), -(-n // count), width))
 
 
 def _run_share(task, bounds, claim, scratch, err) -> None:
@@ -133,6 +131,10 @@ def _in_blocks(task, bounds: list, scratch) -> None:
     no thread is started.
     """
     global _pool
+    if len(scratch) == 1:
+        for start, stop in zip(bounds, bounds[1:]):
+            task(start, stop, scratch[0])
+        return
     blocks, lock = iter(range(len(bounds) - 1)), threading.Lock()
 
     def claim():
@@ -140,9 +142,6 @@ def _in_blocks(task, bounds: list, scratch) -> None:
             return next(blocks, None)
 
     err = np.geterr()
-    if len(scratch) == 1:
-        _run_share(task, bounds, claim, scratch[0], err)
-        return
     if _pool is None:
         _pool = ThreadPoolExecutor(_WORKERS)
     futures = [_pool.submit(_run_share, task, bounds, claim, buf, err)
@@ -199,8 +198,7 @@ class KdeModel:
         wq = self._whiten(_as_matrix(queries))
         out = np.empty(len(wq))
         scaled_t, offset = self._scaled.T, self._offset
-        bounds = _row_blocks(len(wq), len(offset))
-        scratch = _block_scratch(bounds, len(offset))
+        bounds, scratch = _row_blocks(len(wq), len(offset))
 
         def chunk(start, stop, z):
             z = z[:stop - start]
@@ -239,12 +237,12 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     sq = np.empty((n, n))
     near, total, s1, s2 = np.empty((4, n))
     white_t, norms = np.ascontiguousarray(white.T), (white * white).sum(axis=1)
-    bounds = _row_blocks(n, n)
-    scratch = _block_scratch(bounds, n)
+    bounds, scratch = _row_blocks(n, n)
 
     def distances(start, stop, _):
         # Each row is shifted by its nearest-neighbor distance, so the
-        # largest exp term is 1; in the shifted sq, e_ij = (sq_ij + near_i) / 2c.
+        # largest exp term is 1; in the shifted sq,
+        # e_ij = (sq_ij + near_i) / 2c.
         part = _sq_rows(sq[start:stop], white[start:stop], white_t,
                         norms[start:stop], norms)
         np.fill_diagonal(part[:, start:], np.inf)
