@@ -87,8 +87,9 @@ def _sq_rows(out, a, b_t, a_norms, b_norms):
 # calls run long enough that the GIL is held for a small part of a block.
 _BLOCK_ELEMENTS = 65536
 # Threads that share the row blocks, counting the calling thread: one per
-# core this process may run on.
-_WORKERS = len(os.sched_getaffinity(0))
+# core this process may run on (os.cpu_count where affinity is unknown).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -98,7 +99,8 @@ def _forget_pool() -> None:
     _pool = None
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_blocks(n: int, width: int):
