@@ -3,73 +3,43 @@
     python3 scripts/bench_energy.py --tree before=PATH --tree after=. \
         [--repeats 3] [--calls 40] [--seed 1] [--out BENCH_energy.json]
 
-Each ``--tree LABEL=PATH`` names a checkout whose ``src/`` is imported.
 For every size (stories, chains) and every repeat, each tree runs in its
-own process with BLAS pinned to one thread; the trees alternate which
-goes first.  A run generates a default-settings dataset (3 s record,
-dt 0.01, observed dofs (0, n-1)) for the size's building, draws the
-chain states from the prior, makes one untimed warm-up call of
-``target.potential_energy_batch`` and then times ``--calls`` more.  Each
-call is split into ``structural.discretize_batch``, ``run_batch`` (the
-march and readout) and ``response_vjp`` (the adjoint) by wrapping them;
-the rest of the call is the prior, transform and residual.
-``structural._march``, the adjoint's step-by-step loop, is timed as well;
-it runs inside ``response_vjp``, so its time is also part of that
-layer's.  Next to
-each time, the minor page faults the process took in that span
-(``ru_minflt`` deltas) are recorded: a record-sized array that is freed
-and allocated anew every call shows up there.  Per-call figures are
-medians over the calls.  The host's speed drifts from one process to
-the next, so for every tree after the first the file also gives
-``total_ms_ratio``: the median over repeats of its total time over the
-first tree's in the same repeat, which run back to back.  Each tree
-also gets ``energy_max_rel_diff`` and ``grad_max_rel_diff``: against the
-first tree's first run on the same states, the largest over repeats and
-chains of |u - u_first| / |u_first|, and of a chain's largest
-|grad - grad_first| over its largest |grad_first|.  Only the labels,
-never the paths, go into the output file.
+own process (``trees.per_process``).  A run generates a default-settings
+dataset (3 s record, dt 0.01, observed dofs (0, n-1)) for the size's
+building, draws the chain states from the prior, makes one untimed
+warm-up call of ``target.potential_energy_batch`` and then times
+``--calls`` more.  Each call is split into ``structural.discretize_batch``,
+``run_batch`` (the march and readout) and ``response_vjp`` (the adjoint)
+by wrapping them; the rest of the call is the prior, transform and
+residual.  ``structural._march``, the adjoint's step-by-step loop, is
+timed as well; it runs inside ``response_vjp``, so its time is also part
+of that layer's.  Next to each time, the minor page faults the process
+took in that span (``ru_minflt`` deltas) are recorded: a record-sized
+array that is freed and allocated anew every call shows up there.
+Per-call figures are medians over the calls.  The host's speed drifts
+from one process to the next, so for every tree after the first the file
+also gives ``total_ms_ratio``: the median over repeats of its total time
+over the first tree's in the same repeat, which run back to back.  Each
+tree also gets ``energy_max_rel_diff`` and ``grad_max_rel_diff``:
+against the first tree's first run on the same states, the largest over
+repeats and chains of |u - u_first| / |u_first|, and of a chain's
+largest |grad - grad_first| over its largest |grad_first|.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import resource
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
+import trees
 
-ROOT = Path(__file__).resolve().parent.parent
 SIZES = {"5x32": (5, 32), "2x64": (2, 64), "10x32": (10, 32), "5x1": (5, 1)}
 LAYERS = ("discretize_batch", "run_batch", "response_vjp", "_march")
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _timed(owner, name: str, spent: dict, faults: dict) -> None:
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        first = _minflt()
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[name] += time.perf_counter() - start
-            faults[name] += _minflt() - first
-
-    setattr(owner, name, wrapper)
-
-
-def measure(src: str, size: str, seed: int, calls: int) -> dict:
-    """Time energy-and-gradient calls on the tree at ``src``, in this process."""
-    sys.path.insert(0, src)
+def measure(size: str, seed: int, calls: int) -> dict:
+    """Time energy-and-gradient calls on the imported tree, in this process."""
     import numpy as np
     from amsghmc import structural, target
 
@@ -85,17 +55,17 @@ def measure(src: str, size: str, seed: int, calls: int) -> dict:
     spent = dict.fromkeys(LAYERS, 0.0)
     faults = dict.fromkeys(LAYERS, 0)
     for name in LAYERS:
-        _timed(structural, name, spent, faults)
+        trees.wrap_timed(structural, name, spent, faults)
     names = ("total",) + LAYERS
     per_call = {name: [] for name in names}
     faults_per_call = {name: [] for name in names}
     for _ in range(calls):
         before, faults_before = dict(spent), dict(faults)
-        first = _minflt()
+        first = trees.minflt()
         start = time.perf_counter()
         target.potential_energy_batch(thetas, problem)
         per_call["total"].append(time.perf_counter() - start)
-        faults_per_call["total"].append(_minflt() - first)
+        faults_per_call["total"].append(trees.minflt() - first)
         for name in LAYERS:
             per_call[name].append(spent[name] - before[name])
             faults_per_call[name].append(faults[name] - faults_before[name])
@@ -126,78 +96,45 @@ def max_rel_diffs(result: dict, first: dict) -> dict:
     }
 
 
-def run_tree(path: Path, size: str, seed: int, calls: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure",
-         str(path / "src"), "--size", size, "--seed", str(seed),
-         "--calls", str(calls)],
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def summarize(runs: list, first: list) -> dict:
     diffs = [max_rel_diffs(r, first[0]) for r in runs]
     kept = [{key: val for key, val in r.items() if key not in ("energies", "grads")}
             for r in runs]
-    doc = {"median": {key: statistics.median(r[key] for r in kept) for key in kept[0]}}
+    doc = {"median": trees.medians(kept)}
     for key in diffs[0]:
         doc[key] = max(d[key] for d in diffs)
     if runs is not first:
-        doc["total_ms_ratio"] = statistics.median(
-            r["total_ms"] / f["total_ms"] for r, f in zip(runs, first))
+        doc["total_ms_ratio"] = statistics.median(trees.ratios(
+            [r["total_ms"] for r in runs], [f["total_ms"] for f in first]))
     doc["runs"] = kept
     return doc
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", default=[],
-                        help="LABEL=PATH of a checkout to measure")
+    parser = trees.argument_parser(__doc__, SIZES)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--calls", type=int, default=40)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_energy.json"))
-    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
-    parser.add_argument("--size", choices=SIZES, help=argparse.SUPPRESS)
+    parser.add_argument("--out", default=str(trees.ROOT / "BENCH_energy.json"))
     args = parser.parse_args(argv)
-    # Before numpy is imported here or in a measuring process.
-    os.environ.update({var: "1" for var in BLAS_VARS})
     if args.measure:
-        print(json.dumps(measure(args.measure, args.size, args.seed, args.calls)))
-        return 0
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=PATH")
-    trees = [spec.split("=", 1) for spec in args.tree]
-    runs = {label: {size: [] for size in SIZES} for label, _ in trees}
-    for size in SIZES:
-        for rep in range(args.repeats):
-            order = trees if rep % 2 == 0 else trees[::-1]
-            for label, path in order:
-                result = run_tree(Path(path).resolve(), size, args.seed, args.calls)
-                runs[label][size].append(result)
-                print(f"{size} {label} run {rep}: {result['total_ms']:.2f} ms",
-                      file=sys.stderr)
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import environment
-
-    doc = {
-        "what": "target.potential_energy_batch (energy and gradient) at the "
-                "default 3 s record, one process per tree, size and repeat, "
-                "BLAS pinned to one thread; per-call medians over --calls "
-                "calls, then medians over repeats; *_minflt are minor page "
-                "faults per call",
-        "command": "python3 scripts/bench_energy.py " + " ".join(
-            f"--tree {label}=..." for label, _ in trees)
-            + f" --repeats {args.repeats} --calls {args.calls} --seed {args.seed}",
-        "environment": environment(),
-        "sizes": {size: {"n_stories": n, "chains": k}
-                  for size, (n, k) in SIZES.items()},
-        "trees": {label: {size: summarize(rs, runs[trees[0][0]][size])
-                          for size, rs in by_size.items()}
-                  for label, by_size in runs.items()},
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        return trees.answer(measure, args.measure, args.size, args.seed, args.calls)
+    pairs = trees.parse_trees(parser, args.tree)
+    trees.pin_blas()
+    runs = trees.per_process(__file__, pairs, SIZES, args.repeats,
+                             ["--seed", args.seed, "--calls", args.calls],
+                             lambda result: f"{result['total_ms']:.2f} ms")
+    first = runs[pairs[0][0]]
+    trees.write(
+        args, __file__, pairs,
+        "target.potential_energy_batch (energy and gradient) at the "
+        "default 3 s record, one process per tree, size and repeat, "
+        "BLAS pinned to one thread; per-call medians over --calls "
+        "calls, then medians over repeats; *_minflt are minor page "
+        "faults per call",
+        sizes={size: {"n_stories": n, "chains": k} for size, (n, k) in SIZES.items()},
+        trees={label: {size: summarize(rs, first[size]) for size, rs in by_size.items()}
+               for label, by_size in runs.items()})
     return 0
 
 

@@ -3,14 +3,13 @@
     python3 scripts/bench_strategy.py --tree before=PATH --tree after=. \
         [--pairs 15] [--calls 100] [--seed 1] [--out BENCH_strategy.json]
 
-Each ``--tree LABEL=PATH`` names a checkout whose ``src/amsghmc`` is
-imported into this one process under a name of its own, with BLAS
-pinned to one thread; the host's speed drifts between processes, so the
-trees' calls alternate within one process instead.  For each size
-(stories x chains) the script generates a default-settings problem of
-that building, draws the chains' positions from the prior and their
-momenta, noise and cotangents from a normal, and computes their
-energies and gradients once.  Each tree then gets statistics seeded
+Every tree is imported into this one process (``trees.load_tree``); the
+host's speed drifts between processes, so the trees' calls alternate
+within one process instead.  For each size (stories x chains) the script
+generates a default-settings problem of that building, draws the
+chains' positions from the prior and their momenta, noise and
+cotangents from a normal, and computes their energies and gradients
+once.  Each tree then gets statistics seeded
 from those states and networks built by its own ``init_strategy`` from
 the same seed, with normal biases added so that no bias is zero.
 
@@ -26,38 +25,19 @@ file gives the median and quartiles over pairs of the time per call,
 and for every tree after the first the median and quartiles of its
 paired time ratio to the first tree, the number of pairs it won, and
 whether its outputs (theta1, p1 and the pullback) are bit-identical to
-the first tree's.  Only the labels, never the paths, go into the file.
+the first tree's.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
-import json
-import os
-import statistics
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import trees
+
 SIZES = {"5x32": (5, 32), "2x64": (2, 64)}
 LAYERS = ("am_update", "am_update_vjp")
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ETA = 1e-4
-
-
-def load_tree(label: str, path: Path):
-    """The ``amsghmc`` package of the checkout at ``path``, imported as
-    ``amsghmc_<label>`` so that several trees live in one process."""
-    name = f"amsghmc_{label}"
-    init = path / "src" / "amsghmc" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def inputs(pkg, n_stories: int, k: int, seed: int) -> dict:
@@ -115,37 +95,30 @@ def block_ms(fn, calls: int) -> float:
     return 1e3 * (time.perf_counter() - start) / calls
 
 
-def quartiles(values) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": q2, "q1": q1, "q3": q3}
-
-
-def measure(trees: list, size: str, pairs: int, calls: int, seed: int) -> dict:
+def measure(pkgs: list, size: str, pairs: int, calls: int, seed: int) -> dict:
     import numpy as np
 
     n_stories, k = SIZES[size]
-    rows = inputs(trees[0][1], n_stories, k, seed)
+    rows = inputs(pkgs[0][1], n_stories, k, seed)
     cases, outputs = {}, {}
-    for label, pkg in trees:
+    for label, pkg in pkgs:
         cases[label], outputs[label] = tree_case(pkg, rows, seed)
-    first = trees[0][0]
-    times = {label: {layer: [] for layer in LAYERS} for label, _ in trees}
+    first = pkgs[0][0]
+    times = {label: {layer: [] for layer in LAYERS} for label, _ in pkgs}
     for layer in LAYERS:
-        for label, _ in trees:
+        for label, _ in pkgs:
             block_ms(cases[label][layer], max(1, calls // 5))  # warm-up
         for rep in range(pairs):
-            order = trees if rep % 2 == 0 else trees[::-1]
-            for label, _ in order:
+            for label, _ in trees.alternate(pkgs, rep):
                 times[label][layer].append(block_ms(cases[label][layer], calls))
     doc = {}
-    for label, _ in trees:
-        entry = {layer: {"ms_per_call": quartiles(times[label][layer])}
+    for label, _ in pkgs:
+        entry = {layer: {"ms_per_call": trees.quartiles(times[label][layer])}
                  for layer in LAYERS}
         if label != first:
             for layer in LAYERS:
-                ratios = [a / b for a, b in zip(times[label][layer],
-                                                times[first][layer])]
-                entry[layer]["ratio_to_" + first] = quartiles(ratios)
+                ratios = trees.ratios(times[label][layer], times[first][layer])
+                entry[layer]["ratio_to_" + first] = trees.quartiles(ratios)
                 entry[layer]["pairs_won"] = sum(r < 1.0 for r in ratios)
             entry["bit_identical_to_" + first] = all(
                 np.array_equal(a, b) for a, b in zip(outputs[label], outputs[first]))
@@ -157,44 +130,27 @@ def measure(trees: list, size: str, pairs: int, calls: int, seed: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", default=[],
-                        help="LABEL=PATH of a checkout to measure")
+    parser = trees.argument_parser(__doc__)
     parser.add_argument("--pairs", type=int, default=15)
     parser.add_argument("--calls", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_strategy.json"))
+    parser.add_argument("--out", default=str(trees.ROOT / "BENCH_strategy.json"))
     args = parser.parse_args(argv)
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=PATH")
+    specs = trees.parse_trees(parser, args.tree)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    # Before numpy is imported.
-    os.environ.update({var: "1" for var in BLAS_VARS})
-    trees = []
-    for spec in args.tree:
-        label, path = spec.split("=", 1)
-        trees.append((label, load_tree(label, Path(path).resolve())))
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import environment
-
-    doc = {
-        "what": "samplers.am_update (one AM-SGHMC step of every chain) and "
-                "training.am_update_vjp plus its pullback on the same rows, "
-                "all trees in one process with BLAS pinned to one thread; "
-                "per pair one block of --calls calls per tree, trees "
-                "alternating which goes first; times are per call",
-        "command": "python3 scripts/bench_strategy.py " + " ".join(
-            f"--tree {label}=..." for label, _ in trees)
-            + f" --pairs {args.pairs} --calls {args.calls} --seed {args.seed}",
-        "environment": environment(),
-        "sizes": {size: {"n_stories": n, "chains": k}
-                  for size, (n, k) in SIZES.items()},
-        "results": {size: measure(trees, size, args.pairs, args.calls, args.seed)
-                    for size in SIZES},
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    trees.pin_blas()
+    pkgs = [(label, trees.load_tree(label, path)) for label, path in specs]
+    trees.write(
+        args, __file__, specs,
+        "samplers.am_update (one AM-SGHMC step of every chain) and "
+        "training.am_update_vjp plus its pullback on the same rows, "
+        "all trees in one process with BLAS pinned to one thread; "
+        "per pair one block of --calls calls per tree, trees "
+        "alternating which goes first; times are per call",
+        sizes={size: {"n_stories": n, "chains": k} for size, (n, k) in SIZES.items()},
+        results={size: measure(pkgs, size, args.pairs, args.calls, args.seed)
+                 for size in SIZES})
     return 0
 
 

@@ -3,13 +3,12 @@
     python3 scripts/digest_outputs.py --tree before=PATH --tree after=. \
         [--train-seeds 1-8] [--train-calls 64] [--out DIGESTS.json]
 
-Each ``--tree LABEL=PATH`` names a checkout; its own ``src/`` and
-``perfbench/`` are imported in a process of its own, with BLAS pinned to
-one thread.  Every call is made as perfbench makes call ``i`` of a run
-with setup seed ``s``: stage seed ``1000*s + i``, outputs reduced to the
-workload's fingerprint (report summary and CSV files for ``evaluate``,
-``history.csv`` and the checkpoint's weights for ``train_eta1e-4``, the
-trace files for ``sample_*``).  The calls are
+Each tree's own ``src/`` and ``perfbench/`` are imported in a child
+process (``trees.run_child``).  Every call is made as perfbench makes
+call ``i`` of a run with setup seed ``s``: stage seed ``1000*s + i``,
+outputs reduced to the workload's fingerprint (report summary and CSV
+files for ``evaluate``, ``history.csv`` and the checkpoint's weights for
+``train_eta1e-4``, the trace files for ``sample_*``).  The calls are
 
 * ``evaluate``, setup seeds 1-3, call 0;
 * ``sample_sghmc``, ``sample_amsghmc`` and ``sample_hmc``, setup seed 1,
@@ -32,14 +31,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+import trees
+
 SHORTCUT_SEED = 3
 SHORTCUT_TRAIN = {"epochs": 2, "sub_epochs": 2, "adapt_epochs": 1,
                   "adapt_last": 2, "steps_per_sub_epoch": 12, "T_T": 6,
@@ -90,13 +87,12 @@ def shortcut_call(work: Path) -> dict:
             "fingerprint": digest.hexdigest()}
 
 
-def collect(tree: Path, work: Path, jobs: list) -> dict:
-    """Fingerprint and failure count of every call, in this process.
+def collect(work: Path, jobs: list) -> dict:
+    """Fingerprint and failure count of every call of the imported tree.
 
     The stages write their input paths into their outputs, so every tree
     runs in the same work folder, which is emptied before and after.
     """
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from run import call
 
@@ -135,35 +131,26 @@ def compare(by_tree: dict) -> list:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", default=[],
-                        help="LABEL=PATH of a checkout to run")
+    parser = trees.argument_parser(__doc__)
     parser.add_argument("--train-seeds", default="1-8", type=_seeds)
     parser.add_argument("--train-calls", type=int, default=64)
     parser.add_argument("--out", help="write every fingerprint to this JSON file")
-    parser.add_argument("--work", default=str(ROOT / ".digest_work"),
+    parser.add_argument("--work", default=str(trees.ROOT / ".digest_work"),
                         help="folder for the calls' files (emptied)")
     parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    # Before numpy is imported here or in a collecting process.
-    os.environ.update({var: "1" for var in BLAS_VARS})
     jobs = plan(args.train_seeds, args.train_calls)
     if args.collect:
-        print(json.dumps(collect(Path(args.collect), Path(args.work), jobs)))
-        return 0
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=PATH")
+        return trees.answer(collect, args.collect, Path(args.work), jobs)
+    pairs = trees.parse_trees(parser, args.tree, least=2)
+    trees.pin_blas()
 
     by_tree = {}
-    for spec in args.tree:
-        label, path = spec.split("=", 1)
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--collect",
-             str(Path(path).resolve()), "--work", args.work, "--train-seeds",
-             f"{args.train_seeds[0]}-{args.train_seeds[-1]}",
-             "--train-calls", str(args.train_calls)],
-            capture_output=True, text=True, check=True)
-        by_tree[label] = json.loads(proc.stdout.strip().splitlines()[-1])
+    for label, tree in pairs:
+        by_tree[label] = trees.run_child(__file__, [
+            "--collect", tree, "--work", args.work, "--train-seeds",
+            f"{args.train_seeds[0]}-{args.train_seeds[-1]}",
+            "--train-calls", args.train_calls])
         for seed in args.train_seeds:
             rows = by_tree[label][f"train_eta1e-4/{seed}"]
             failing = [r["call"] for r in rows if r["failed"]]
