@@ -21,14 +21,23 @@ files for ``evaluate``, ``history.csv`` and the checkpoint's weights for
   2-story, 0.5 s problem generated at seed 3, fingerprinted by its
   ``history.csv`` and every ``nets_state`` array of its checkpoint.
 
+Every ``train_eta1e-4`` and ``train_shortcut`` call also records the
+digest of its checkpoint's trainable weights and its last ``loss_energy``
+as ``history.csv`` writes it (``train_outputs``), so that a change to a
+history column, which changes every fingerprint, can still show
+identical weights.
+
 The script prints, per tree and setup seed, the ``train_eta1e-4`` calls
-that failed, and every call whose fingerprint or failure count differs
-between the trees.  The exit code is 1 when any call differs.
+that failed, every call whose fingerprint, weights, final energy loss or
+failure count differs between the trees, and per tree the number of
+train calls whose weights differ from the first tree's.  The exit code
+is 1 when any call differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import shutil
@@ -58,6 +67,22 @@ def plan(train_seeds: list, train_calls: int) -> list:
     return jobs
 
 
+def train_outputs(out: Path) -> dict:
+    """The sha256 of the trainable weights in ``out/checkpoint.npz`` and
+    the last ``loss_energy`` of ``out/history.csv``, as text so that a NaN
+    equals itself; both None when the stage raised before writing them."""
+    from amsghmc import strategy, training
+
+    if not (out / "checkpoint.npz").is_file():
+        return {"weights": None, "final_loss_energy": None}
+    nets, _, _ = training.load_checkpoint(out / "checkpoint.npz")
+    weights = hashlib.sha256(strategy.get_trainable_flat(nets).tobytes())
+    with open(out / "history.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    return {"weights": weights.hexdigest(),
+            "final_loss_energy": last["loss_energy"]}
+
+
 def shortcut_call(work: Path) -> dict:
     """The ``train_shortcut`` job as one row in ``collect``'s layout;
     ``failed`` is the number of skipped segments, or the error message
@@ -76,7 +101,8 @@ def shortcut_call(work: Path) -> dict:
                                "training": SHORTCUT_TRAIN})
     except harness.StageError as err:
         digest.update(str(err).encode())
-        return {"call": 0, "failed": str(err), "fingerprint": digest.hexdigest()}
+        return {"call": 0, "failed": str(err), "fingerprint": digest.hexdigest(),
+                **train_outputs(work / "train")}
     digest.update((work / "train" / "history.csv").read_bytes())
     nets, _, _ = training.load_checkpoint(
         work / "train" / report["outputs"]["checkpoint"])
@@ -84,11 +110,13 @@ def shortcut_call(work: Path) -> dict:
         digest.update(key.encode())
         digest.update(arr.tobytes())
     return {"call": 0, "failed": report["summary"]["skipped_segments"],
-            "fingerprint": digest.hexdigest()}
+            "fingerprint": digest.hexdigest(),
+            **train_outputs(work / "train")}
 
 
 def collect(work: Path, jobs: list) -> dict:
-    """Fingerprint and failure count of every call of the imported tree.
+    """Fingerprint and failure count of every call of the imported tree,
+    with ``train_outputs`` for the train calls.
 
     The stages write their input paths into their outputs, so every tree
     runs in the same work folder, which is emptied before and after.
@@ -106,9 +134,12 @@ def collect(work: Path, jobs: list) -> dict:
             for i in calls:
                 out = work / "call"
                 _, outcome, fingerprint = call(wl, ctx, 1000 * seed + i, out)
+                row = {"call": i, "failed": outcome.failed,
+                       "fingerprint": fingerprint}
+                if wl.stage == "train":
+                    row.update(train_outputs(out))
                 shutil.rmtree(out, ignore_errors=True)
-                rows.append({"call": i, "failed": outcome.failed,
-                             "fingerprint": fingerprint})
+                rows.append(row)
             results[f"{name}/{seed}"] = rows
         results[f"train_shortcut/{SHORTCUT_SEED}"] = [
             shortcut_call(work / "train_shortcut")]
@@ -117,17 +148,26 @@ def collect(work: Path, jobs: list) -> dict:
     return results
 
 
-def compare(by_tree: dict) -> list:
-    """Lines naming every call that differs from the first tree's."""
+def compare(by_tree: dict) -> tuple:
+    """(lines naming every call that differs from the first tree's and the
+    fields that differ, one line per other tree counting the train calls
+    whose weights differ)."""
     (first, base), *rest = by_tree.items()
-    lines = []
+    lines, weight_lines = [], []
     for label, other in rest:
+        train = differ = 0
         for key, rows in base.items():
             for a, b in zip(rows, other[key]):
-                if a != b:
-                    lines.append(f"{key} call {a['call']}: {first} {a} != "
-                                 f"{label} {b}")
-    return lines
+                if "weights" in a:
+                    train += 1
+                    differ += a["weights"] != b["weights"]
+                fields = [f for f in a if a[f] != b[f]]
+                if fields:
+                    lines.append(f"{key} call {a['call']}: " + "; ".join(
+                        f"{f} {first} {a[f]} != {label} {b[f]}" for f in fields))
+        weight_lines.append(f"{label}: weights differ from {first} on "
+                            f"{differ} of {train} train calls")
+    return lines, weight_lines
 
 
 def main(argv=None) -> int:
@@ -158,8 +198,9 @@ def main(argv=None) -> int:
                   f"{failing}")
     if args.out:
         Path(args.out).write_text(json.dumps(by_tree, indent=1) + "\n")
-    diffs = compare(by_tree)
+    diffs, weights = compare(by_tree)
     print("\n".join(diffs) if diffs else "all calls identical between trees")
+    print("\n".join(weights))
     return 1 if diffs else 0
 
 

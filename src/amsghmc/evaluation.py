@@ -42,8 +42,12 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def regularize_covariance(cov: np.ndarray) -> np.ndarray:
-    """Ridge the covariance when it is near-singular (warns)."""
+    """Ridge the covariance when it is near-singular (warns); raise
+    ValueError when it holds a non-finite entry, as an overflowed one
+    does."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if not np.isfinite(cov).all():
+        raise ValueError("non-finite sample covariance")
     d = cov.shape[0]
     tr = float(np.trace(cov))
     cond = np.linalg.cond(cov)

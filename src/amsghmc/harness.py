@@ -277,7 +277,6 @@ def _stage_train(cfg: ExperimentConfig, loaded: dict, out: Path,
         "epochs": cfg.training.epochs,
         "updates": len(result.history),
         "final_loss_energy": last["loss_energy"],
-        "final_loss_entropy": last["loss_entropy"],
         "divergence_events": result.meta["divergence_events"],
         "skipped_segments": result.meta["skipped_segments"],
     }

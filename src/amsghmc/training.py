@@ -2,11 +2,11 @@
 
 The networks are trained to minimize a variational objective over short
 chain segments: the mean potential energy of the generated states plus
-the mean log of a kernel density fitted to them, which together bound the
+the mean log density of the samples, which together bound the
 KL divergence from the sampled distribution to the target.  Gradients
 flow through one update step per sample (earlier steps are treated as
-constants), the density's own dependence on the samples enters through a
-kernelized score estimate, and one optimizer update is applied per
+constants), the density term enters only through a kernelized score
+estimate (its value is not computed), and one Adam step is applied per
 sub-epoch from the averaged segment gradients.  The population is one
 ``samplers.ChainState``; a segment advances it with the sampler's own
 step (``samplers.am_update`` and ``samplers._advance``).  Its weight
@@ -80,24 +80,22 @@ def stein_gradient(samples: np.ndarray, *, bandwidth_scale: float = 4.0,
 
 def entropy_terms(samples: np.ndarray, m_skip: int, *,
                   bandwidth_scale: float = 4.0, ridge: float = 0.1) -> dict:
-    """Density values and score rows for the entropy part of the loss.
+    """Score rows for the entropy part of the loss.
 
     ``samples`` has shape (S+1, K, D): row 0 holds the segment's starting
-    states and row s the states after s recorded steps.  The density at
-    index s is fitted to rows 0..s only, so adding later samples never
-    changes earlier terms.  Returns {s: (mean log density at row s,
-    score rows for row s)} for s = m_skip+1 .. S.
+    states and row s the states after s recorded steps.  The scores at
+    index s are estimated from rows 0..s only, so adding later samples
+    never changes earlier terms.  Returns {s: score rows for row s} for
+    s = m_skip+1 .. S.  The term's gradient needs only these scores, so
+    the log density itself is not computed.
     """
     s_total = samples.shape[0] - 1
     k = samples.shape[1]
     out = {}
     for s in range(m_skip + 1, s_total + 1):
         centers = samples[: s + 1].reshape(-1, samples.shape[2])
-        kde = evaluation.fit_cop(centers)
-        logq = kde.log_density(samples[s])
-        scores = stein_gradient(centers, bandwidth_scale=bandwidth_scale,
+        out[s] = stein_gradient(centers, bandwidth_scale=bandwidth_scale,
                                 ridge=ridge)[-k:]
-        out[s] = (float(np.mean(logq)), scores)
     return out
 
 
@@ -321,12 +319,11 @@ def am_update_vjp(nets: sn.StrategyNets, theta, p, grad, u_hat, du_star, sig,
 
 @dataclass
 class SegmentResult:
-    """States after a segment plus the loss pieces computed on it."""
+    """States after a segment plus the energy loss computed on it."""
 
     state: samplers.ChainState
     grad_flat: np.ndarray | None
     loss_energy: float
-    loss_entropy: float
     k_eff: int
     aborted: bool
     samples_theta: np.ndarray
@@ -407,17 +404,17 @@ def run_segment(state: samplers.ChainState, xi_seq, nets: sn.StrategyNets,
 
         if recorded:
             slot_ok &= state.alive[slots]
-            # A finite but runaway slot would dominate the density fit and
-            # the energy sum, turning the whole segment gradient into
+            # A finite but runaway slot would dominate the score estimate
+            # and the energy sum, turning the whole segment gradient into
             # noise, so it leaves the loss just as a diverged slot does.
             slot_ok &= stats.sane_rows(state.theta[slots], state.u[slots])
             record(s)
 
     survivors = np.flatnonzero(slot_ok)
     k_eff = survivors.size
-    result = SegmentResult(state, None, float("nan"), float("nan"), k_eff,
-                           False, samples_theta, samples_p, samples_u,
-                           samples_grad, slot_ok)
+    result = SegmentResult(state, None, float("nan"), k_eff, False,
+                           samples_theta, samples_p, samples_u, samples_grad,
+                           slot_ok)
     if k_eff == 0:
         return result
     # A slot that leaves the loss has a zero cotangent at every step, so
@@ -435,27 +432,25 @@ def run_segment(state: samplers.ChainState, xi_seq, nets: sn.StrategyNets,
     loss_energy = float(samples_u[1:, survivors].sum() * scale_u)
     cot = samples_grad[1:, survivors] * scale_u
 
-    loss_entropy = 0.0
     n_dens = s_total - cfg.M
     if n_dens >= 1:
         try:
             terms = entropy_terms(samples_theta[:, survivors], cfg.M,
                                   bandwidth_scale=cfg.stein_bandwidth,
                                   ridge=cfg.stein_ridge)
-        except (ValueError, np.linalg.LinAlgError):
-            # density fit can still fail on degenerate recorded states;
-            # a lost segment is recoverable, a crashed run is not
+        except np.linalg.LinAlgError:
+            # the score system can stay singular on degenerate recorded
+            # states; a lost segment is recoverable, a crashed run is not
             result.aborted = True
             return result
-        for s, (val, scores) in terms.items():
-            loss_entropy += val / n_dens
+        for s, scores in terms.items():
             cot[s - 1] += scores / (k_eff * n_dens)
 
     grad_flat = pullback(cot.reshape(-1, d))
     result.aborted = not np.all(np.isfinite(grad_flat))
     if not result.aborted:
         result.grad_flat = grad_flat
-        result.loss_energy, result.loss_entropy = loss_energy, loss_entropy
+        result.loss_energy = loss_energy
     return result
 
 
@@ -550,7 +545,6 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
 
             seg_grads = []
             e_losses = []
-            h_losses = []
             sub_diverged = 0
             for _ in range(n_segments):
                 slots = np.sort(driver.choice(cfg.K0, size=cfg.K,
@@ -575,7 +569,6 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
                 if res.grad_flat is not None:
                     seg_grads.append(res.grad_flat)
                     e_losses.append(res.loss_energy)
-                    h_losses.append(res.loss_entropy)
                     epoch_usable += 1
                 else:
                     skipped_segments += 1
@@ -597,7 +590,6 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
             history.append({
                 "epoch": epoch, "sub_epoch": sub,
                 "loss_energy": float(np.mean(e_losses)) if e_losses else float("nan"),
-                "loss_entropy": float(np.mean(h_losses)) if h_losses else float("nan"),
                 "grad_norm": grad_norm,
                 "diverged": sub_diverged,
             })
@@ -633,8 +625,7 @@ def train(problem, cfg: TrainingConfig | None = None, *, seed: int = 0,
 
 
 def _write_history(path, history) -> None:
-    cols = ["epoch", "sub_epoch", "loss_energy", "loss_entropy",
-            "grad_norm", "diverged"]
+    cols = ["epoch", "sub_epoch", "loss_energy", "grad_norm", "diverged"]
     lines = [",".join(cols)]
     for row in history:
         lines.append(",".join(repr(row[c]) for c in cols))

@@ -315,14 +315,18 @@ class _NoPool:
         raise AssertionError("a row-block pass was sent to the pool")
 
 
-def test_training_entropy_terms_never_dispatch(monkeypatch):
+def test_one_block_fit_never_dispatches(monkeypatch):
     monkeypatch.setattr(ev, "_WORKERS", 2)
     monkeypatch.setattr(ev, "_pool", _NoPool())
     cfg = tr.TrainingConfig()
-    # D = 11 is the shipped 5-story problem: 5 stiffness, 5 damping, 1 noise.
-    samples = np.random.default_rng(17).standard_normal((cfg.T_T + 1, cfg.K, 11))
-    terms = tr.entropy_terms(samples, cfg.M)
-    assert sorted(terms) == list(range(cfg.M + 1, cfg.T_T + 1))
+    # The largest set the shipped training segment holds, 160 x 11: its
+    # K chains at T_T + 1 recorded rows, D = 11 for the shipped 5-story
+    # problem (5 stiffness, 5 damping, 1 noise).  One block, run inline.
+    n = (cfg.T_T + 1) * cfg.K
+    assert len(ev._row_blocks(n, n)[0]) == 2
+    samples = np.random.default_rng(17).standard_normal((n, 11))
+    kde = ev.fit_cop(samples)
+    assert np.isfinite(kde.log_density(samples[-cfg.K:])).all()
     with pytest.raises(AssertionError, match="sent to the pool"):
         ev.fit_cop(_block_cases()["short_last_block_1000"])
 
@@ -394,6 +398,19 @@ def test_regularize_covariance_warns_on_singular():
     assert np.linalg.cond(fixed) < 1e12
     good = np.eye(3)
     np.testing.assert_array_equal(ev.regularize_covariance(good), good)
+
+
+def test_regularize_covariance_rejects_non_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        cov = np.eye(2)
+        cov[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite sample covariance"):
+            ev.regularize_covariance(cov)
+    # Samples this large overflow the covariance, which then holds inf.
+    samples = np.random.default_rng(4).standard_normal((50, 3)) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite sample covariance"):
+        ev.fit_cop(samples)
 
 
 # --- naive loss ---------------------------------------------------------------

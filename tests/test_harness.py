@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from amsghmc import autodiff as ad, cli, harness, samplers as sp, strategy as sn, training as tr
+from amsghmc import (autodiff as ad, cli, evaluation as ev, harness,
+                     samplers as sp, strategy as sn, training as tr)
 
 
 # --- fixtures: tiny generated problems and a handcrafted checkpoint ---------------
@@ -468,7 +469,30 @@ def test_train_stage_writes_checkpoint(two_story, tmp_path):
     assert extra["n_stories"] == 2
     assert np.isfinite(stats.sigma_i).all()
     header = (out / "history.csv").read_text().splitlines()[0]
-    assert header == "epoch,sub_epoch,loss_energy,loss_entropy,grad_norm,diverged"
+    assert header == "epoch,sub_epoch,loss_energy,grad_norm,diverged"
+    assert "final_loss_entropy" not in report["summary"]
+
+
+@pytest.mark.usefixtures("no_tape")
+def test_train_stage_fits_no_kernel_density(two_story, tmp_path, monkeypatch):
+    """Training's density term enters through Stein scores alone, so the
+    stage never reaches the bandwidth search or the mixture density."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the train stage fitted a kernel density")
+
+    monkeypatch.setattr(ev, "fit_cop", forbidden)
+    monkeypatch.setattr(ev.KdeModel, "log_density", forbidden)
+    out = tmp_path / "trn"
+    report = harness.run_experiment("train", harness.ExperimentConfig.from_dict({
+        "seed": 2, "out": str(out), "problem": str(two_story["problem"]),
+        "training": {"K0": 4, "K": 2, "epochs": 1, "sub_epochs": 2,
+                     "steps_per_sub_epoch": 3, "T_T": 3, "M": 1,
+                     "adapt_epochs": 1, "adapt_last": 1, "eta": 1e-4},
+    }))
+    # Two sub-epochs of one segment each, whose last two of three recorded
+    # steps carry score terms.
+    assert report["summary"]["skipped_segments"] < 2
+    assert np.isfinite(report["summary"]["final_loss_energy"])
 
 
 # --- compare -----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The before/after scripts under ``scripts/`` and their shared tree runner."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +53,48 @@ def test_digest_needs_two_trees_to_compare(capsys):
         digest_outputs.main(["--tree", f"a={ROOT}"])
     assert exc.value.code == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+def _train_row(call, fingerprint, weights="w"):
+    return {"call": call, "failed": 0, "fingerprint": fingerprint,
+            "weights": weights, "final_loss_energy": "1.5"}
+
+
+def test_digest_counts_differing_weights_apart_from_fingerprints():
+    same = {"call": 0, "failed": 0, "fingerprint": "e"}
+    by_tree = {
+        "a": {"evaluate/1": [same],
+              "train_eta1e-4/1": [_train_row(0, "f0"), _train_row(1, "f1"),
+                                  _train_row(2, "f2")]},
+        "b": {"evaluate/1": [same],
+              "train_eta1e-4/1": [_train_row(0, "g0"), _train_row(1, "f1"),
+                                  _train_row(2, "g2", weights="v")]},
+    }
+    lines, weights = digest_outputs.compare(by_tree)
+    # Call 0 differs in its history only; call 2 in its weights too.
+    assert lines == [
+        "train_eta1e-4/1 call 0: fingerprint a f0 != b g0",
+        "train_eta1e-4/1 call 2: fingerprint a f2 != b g2; weights a w != b v"]
+    assert weights == ["b: weights differ from a on 1 of 3 train calls"]
+
+
+def test_digest_train_outputs_read_weights_and_last_energy(tmp_path):
+    from amsghmc import samplers, strategy, training
+
+    nets = strategy.init_strategy(strategy.StrategyConfig(),
+                                  np.random.default_rng(0))
+    training.save_checkpoint(tmp_path / "checkpoint.npz", nets,
+                             samplers.AdaptiveStats(2, mode="training"))
+    (tmp_path / "history.csv").write_text(
+        "epoch,sub_epoch,loss_energy,grad_norm,diverged\n"
+        "1,1,2.5,0.1,0\n1,2,nan,nan,3\n")
+    flat = strategy.get_trainable_flat(nets)
+    assert digest_outputs.train_outputs(tmp_path) == {
+        "weights": hashlib.sha256(flat.tobytes()).hexdigest(),
+        "final_loss_energy": "nan"}
+    # A stage that raised wrote neither file.
+    assert digest_outputs.train_outputs(tmp_path / "raised") == {
+        "weights": None, "final_loss_energy": None}
 
 
 def test_alternate_reverses_odd_repeats():
