@@ -1,4 +1,4 @@
-"""Time ``harness.compute_metrics`` on source trees and write BENCH_evaluate.json.
+"""Time the evaluate stage's steps on source trees and write BENCH_evaluate.json.
 
     python3 scripts/bench_evaluate.py --tree before=PATH --tree after=. \
         [--repeats 3] [--seed 1] [--out BENCH_evaluate.json]
@@ -8,15 +8,20 @@ trace's 32x6000x11) and every repeat, each tree runs in its own process
 (``trees.per_process``).  A run builds a seeded AR(1) trace like
 perfbench's ``evaluate`` workload, times one ``compute_metrics`` call
 and splits it into ``fit_cop``, ``KdeModel.log_density`` and
-``aggregate_ess`` by wrapping them, and records how many threads share
-the KDE's row blocks (1 for a tree without the pool).
+``aggregate_ess`` by wrapping them, then times the plot step
+(``harness._emit_plot_data`` into a temporary folder) with
+``conditional_mean_surface`` split out, and records how many threads
+share the KDE's row blocks (1 for a tree without the pool).
 """
 
 from __future__ import annotations
 
 import resource
 import sys
+import tempfile
 import time
+from pathlib import Path
+
 import trees
 
 SIZES = {"workload": (32, 130, 11), "default": (32, 6000, 11)}
@@ -42,20 +47,28 @@ def measure(size: str, seed: int) -> dict:
 
     samples, potentials = ar1_trace(*SIZES[size], seed)
     trace = samplers.Trace(samples, potentials, {"sampler": "synthetic-ar1"})
-    totals = {"fit_cop": 0.0, "log_density": 0.0, "aggregate_ess": 0.0}
+    totals = {"fit_cop": 0.0, "log_density": 0.0, "aggregate_ess": 0.0,
+              "conditional_mean_surface": 0.0}
     last = {}
     trees.wrap_timed(evaluation, "fit_cop", totals, last=last)
     trees.wrap_timed(evaluation.KdeModel, "log_density", totals, last=last)
     trees.wrap_timed(evaluation, "aggregate_ess", totals, last=last)
+    trees.wrap_timed(evaluation, "conditional_mean_surface", totals)
     start = time.perf_counter()
     metrics = harness.compute_metrics(trace, None)
     wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        harness._emit_plot_data(trace, Path(out), [])
+        plot = time.perf_counter() - start
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "compute_metrics_s": wall,
         "fit_cop_s": totals["fit_cop"],
         "log_density_s": totals["log_density"],
         "aggregate_ess_s": totals["aggregate_ess"],
+        "plot_s": plot,
+        "surface_s": totals["conditional_mean_surface"],
         "peak_rss_mb": rss_kb / 1024.0,
         "workers": getattr(evaluation, "_WORKERS", 1),
         "c_op": last["fit_cop"].c_op,
@@ -76,12 +89,14 @@ def main(argv=None) -> int:
     trees.pin_blas()
     runs = trees.per_process(__file__, pairs, SIZES, args.repeats,
                              ["--seed", args.seed],
-                             lambda result: f"{result['compute_metrics_s']:.2f} s")
+                             lambda result: f"{result['compute_metrics_s']:.2f} s, "
+                                            f"plot {result['plot_s']:.3f} s")
     trees.write(
         args, __file__, pairs,
-        "harness.compute_metrics on a seeded AR(1) trace, one call "
-        "per process, BLAS pinned to one thread, 'workers' threads "
-        "sharing the KDE's row blocks; medians over repeats",
+        "harness.compute_metrics, then harness._emit_plot_data, on a "
+        "seeded AR(1) trace, one call each per process, BLAS pinned to "
+        "one thread, 'workers' threads sharing the KDE's row blocks; "
+        "peak_rss_mb after both; medians over repeats",
         sizes={size: list(shape) for size, shape in SIZES.items()},
         trees={label: {size: {"median": trees.medians(rs), "runs": rs}
                        for size, rs in by_size.items()}

@@ -15,7 +15,12 @@ thread and a small thread pool work through the blocks together, since
 numpy releases the GIL inside the large ufunc, reduction and BLAS calls
 that make up a block.  Each block writes only its own rows and keeps
 every row's reduction order, so the results do not depend on how many
-threads ran them.  Effective sample size runs over all chains at once.
+threads ran them.  A density block is one product and one exp: the
+query's own term is folded into the product, so no exponent is positive
+and no max pass is needed; only rows whose sum underflows are redone with
+the max shift.  Effective sample size runs over all chains at once, and
+a conditional-mean surface reads, per grid column, only the window of
+x-sorted samples within the threshold.
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ def _sq_rows(out, a, b_t, a_norms, b_norms):
 # so a block stays in a core's cache through its passes, and its numpy
 # calls run long enough that the GIL is held for a small part of a block.
 _BLOCK_ELEMENTS = 65536
+# Row sums of the density's kernel terms below this have lost precision to
+# subnormal terms (or underflowed to 0) and are redone with the max shift.
+_TINY = np.finfo(float).tiny
 # Threads that share the row blocks, counting the calling thread: one per
 # core this process may run on (os.cpu_count where affinity is unknown).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -165,15 +173,23 @@ def _in_blocks(task, bounds: list, scratch) -> None:
 
 @dataclass
 class KdeModel:
-    """Equal-weight Gaussian mixture with shared covariance c_op * base_cov."""
+    """Equal-weight Gaussian mixture with shared covariance c_op * base_cov.
+
+    A block of query rows costs one product and one exp: with w the
+    whitened centers, every exponent -|q - w|^2 / 2c is the product of the
+    augmented query row [q, 1, |q|^2] with one column of the (D + 2, m)
+    matrix [w/c ; -|w|^2/2c ; -1/2c].  No exponent exceeds 0 beyond
+    rounding, so the row sums cannot overflow; rows whose sum falls below
+    the smallest normal float (every term subnormal or zero) are redone
+    with the max shift.
+    """
 
     centers: np.ndarray
     base_cov: np.ndarray
     c_op: float
     _mean: np.ndarray = field(init=False, repr=False)
     _chol: np.ndarray = field(init=False, repr=False)
-    _scaled: np.ndarray = field(init=False, repr=False)
-    _offset: np.ndarray = field(init=False, repr=False)
+    _kernel: np.ndarray = field(init=False, repr=False)
     _log_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -183,10 +199,12 @@ class KdeModel:
         self._mean = self.centers.mean(axis=0)
         self._chol = cholesky(self.base_cov, lower=True)
         white = self._whiten(self.centers)
-        # -|q - w|^2 / 2c = q.(w/c) - |w|^2/2c - |q|^2/2c; the last term is
-        # the same along a query's row, so it is added after the reduction.
-        self._scaled = white / self.c_op
-        self._offset = -0.5 * (white * self._scaled).sum(axis=1)
+        scaled = white / self.c_op
+        # Row-major: the product against the transposed layout is ~2x slower.
+        self._kernel = np.empty((d + 2, n))
+        self._kernel[:d] = scaled.T
+        self._kernel[d] = -0.5 * (white * scaled).sum(axis=1)
+        self._kernel[d + 1] = -0.5 / self.c_op
         logdet = 2.0 * np.log(np.diag(self._chol)).sum()
         self._log_norm = (-0.5 * (d * np.log(2.0 * np.pi * self.c_op) + logdet)
                           - np.log(n))
@@ -202,21 +220,36 @@ class KdeModel:
     def log_density(self, queries) -> np.ndarray:
         """log q-bar at each query point."""
         wq = self._whiten(_as_matrix(queries))
+        sq_norms = np.einsum("ij,ij->i", wq, wq)
         out = np.empty(len(wq))
-        scaled_t, offset = self._scaled.T, self._offset
-        bounds, scratch = _row_blocks(len(wq), len(offset))
+        kernel = self._kernel
+        width, m = kernel.shape
+        bounds, scratch = _row_blocks(len(wq), m + width)
 
-        def chunk(start, stop, z):
-            z = z[:stop - start]
-            np.matmul(wq[start:stop], scaled_t, out=z)
-            z += offset
-            top = z.max(axis=1, out=out[start:stop])
-            z -= top[:, None]
+        def chunk(start, stop, buf):
+            # A block's scratch holds its exponents, contiguous so that the
+            # exp runs at full speed, then its augmented query rows.
+            rows, flat = stop - start, buf.reshape(-1)
+            z = flat[:rows * m].reshape(rows, m)
+            aug = flat[rows * m:rows * (m + width)].reshape(rows, width)
+            aug[:, :-2] = wq[start:stop]
+            aug[:, -2] = 1.0
+            aug[:, -1] = sq_norms[start:stop]
+            np.matmul(aug, kernel, out=z)
             np.exp(z, out=z)
-            top += np.log(z.sum(axis=1))
+            total = z.sum(axis=1, out=out[start:stop])
+            low = np.flatnonzero(total < _TINY) if (total < _TINY).any() else []
+            if len(low):
+                # At least two rows, so the product is gemm's as in the pass.
+                redo = aug[np.r_[low, low[0]]] @ kernel
+                top = redo.max(axis=1, keepdims=True)
+                np.exp(redo - top, out=redo)
+                total[low] = redo[:-1].sum(axis=1)
+            np.log(total, out=total)
+            if len(low):
+                total[low] += top[:-1, 0]
 
         _in_blocks(chunk, bounds, scratch)
-        out -= 0.5 * (wq * wq).sum(axis=1) / self.c_op
         return out + self._log_norm
 
 
@@ -444,7 +477,9 @@ def conditional_mean_surface(projected, i: int, j: int, k: int, *,
     Each grid node averages the k-th coordinate of samples whose (i, j)
     coordinates lie within `threshold` standard deviations of the node,
     then `iterations` rounds of 3x3 grid averaging smooth the result.
-    Nodes with an empty neighborhood come back NaN and stay NaN.
+    Nodes with an empty neighborhood come back NaN and stay NaN.  The
+    samples are sorted once by their i-th coordinate, so a grid column
+    reads only the slice of them that can lie within its nodes' reach.
     """
     projected = _as_matrix(projected)
     x, y, z = projected[:, i], projected[:, j], projected[:, k]
@@ -459,13 +494,21 @@ def conditional_mean_surface(projected, i: int, j: int, k: int, *,
 
     values = np.full((len(gx), len(gy)), np.nan)
     xn = x / sx
-    yn = y / sy
-    for a, gxa in enumerate(gx / sx):
-        d2 = (xn - gxa) ** 2 + (yn[None, :] - (gy / sy)[:, None]) ** 2
-        for b in range(len(gy)):
-            mask = d2[b] <= threshold**2
-            if mask.any():
-                values[a, b] = z[mask].mean()
+    order = np.argsort(xn)
+    xn, yn = xn[order], y[order] / sy
+    z_one = np.column_stack([z[order], np.ones(len(z))])
+    gxn, gyn = gx / sx, (gy / sy)[:, None]
+    # A sample the disk test keeps lies within the threshold along x up to
+    # rounding, so each column reads the sorted samples within the
+    # threshold plus a few ulps of it, and the disk test decides.
+    pad = threshold + 4.0 * np.finfo(float).eps * (np.abs(gxn) + threshold)
+    lo = np.searchsorted(xn, gxn - pad, side="left")
+    hi = np.searchsorted(xn, gxn + pad, side="right")
+    for a, gxa in enumerate(gxn):
+        win = slice(lo[a], hi[a])
+        inside = (xn[win] - gxa) ** 2 + (yn[win] - gyn) ** 2 <= threshold**2
+        sums, counts = (inside @ z_one[win]).T
+        np.divide(sums, counts, out=values[a], where=counts > 0)
 
     missing = np.isnan(values)
     for _ in range(iterations):

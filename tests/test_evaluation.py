@@ -110,7 +110,21 @@ def test_log_density_matches_broadcast_reference():
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     far = centers.mean(axis=0) + 1e3 * unit @ chol.T
     near = centers.mean(axis=0) + rng.standard_normal((150, 4)) @ chol.T
-    queries = np.vstack([near, centers[:30], far])
+    # Along the same directions, queries whose nearest center's exponent is
+    # -720 to -740: every kernel term is subnormal, so the plain row sum
+    # has lost digits but not yet underflowed to 0.
+    white = np.linalg.solve(chol, (centers - centers.mean(axis=0)).T).T
+    depth = np.linspace(720.0, 740.0, len(unit))
+    lo, hi = np.zeros(len(unit)), np.full(len(unit), 100.0)
+    for _ in range(100):
+        radius = 0.5 * (lo + hi)
+        sq = ((radius[:, None, None] * unit[:, None] - white) ** 2).sum(axis=2)
+        nearest = sq.min(axis=1) / (2.0 * kde.c_op)
+        lo = np.where(nearest < depth, radius, lo)
+        hi = np.where(nearest < depth, hi, radius)
+    np.testing.assert_allclose(nearest, depth, rtol=1e-12)
+    subnormal = centers.mean(axis=0) + (radius[:, None] * unit) @ chol.T
+    queries = np.vstack([near, centers[:30], subnormal, far])
     got = kde.log_density(queries)
     want = _broadcast_log_density(kde, queries)
     assert np.isfinite(want).all() and want[-20:].max() < -1e5
@@ -639,6 +653,63 @@ def test_surface_zero_iterations_equals_raw_means():
     sx, sy = proj[:, 0].std(), proj[:, 1].std()
     mask = (proj[:, 0] / sx) ** 2 + (proj[:, 1] / sy) ** 2 <= 0.09
     assert z[0, 0] == pytest.approx(proj[mask, 2].mean(), rel=1e-12)
+
+
+def _loop_surface_means(projected, gx, gy, threshold=0.3):
+    """Raw node means of the (0, 1) -> 2 surface by one disk test per node
+    over every sample."""
+    x, y, z = projected[:, 0], projected[:, 1], projected[:, 2]
+    sx = x.std() or 1.0
+    sy = y.std() or 1.0
+    values = np.full((len(gx), len(gy)), np.nan)
+    xn = x / sx
+    yn = y / sy
+    for a, gxa in enumerate(gx / sx):
+        d2 = (xn - gxa) ** 2 + (yn[None, :] - (gy / sy)[:, None]) ** 2
+        for b in range(len(gy)):
+            mask = d2[b] <= threshold**2
+            if mask.any():
+                values[a, b] = z[mask].mean()
+    return values
+
+
+def _ulp_sweep(center, steps=12):
+    """center and the 2 * steps floats nearest it."""
+    lower = [center]
+    upper = [center]
+    for _ in range(steps):
+        lower.append(np.nextafter(lower[-1], -np.inf))
+        upper.append(np.nextafter(upper[-1], np.inf))
+    return np.array(lower[::-1] + upper[1:])
+
+
+def test_surface_matches_per_node_loop():
+    rng = np.random.default_rng(34)
+    proj = rng.standard_normal((3000, 3)) * [2.0, 0.5, 3.0]
+    proj[:, 2] += proj[:, 0] * proj[:, 1]
+    # Nodes a few ulps either side of exactly threshold from sample 17,
+    # along x and along y, and a column whose window holds no sample.  The
+    # sample sits near 0, where its ulp is finer than the node's: there
+    # the disk test keeps samples that lie past node + threshold as the
+    # window's bound rounds it.
+    proj[17, :2] = [0.05, -0.02]
+    sx, sy = proj[:, 0].std(), proj[:, 1].std()
+    xs, ys = proj[17, 0], proj[17, 1]
+    cases = [(None, None),
+             (_ulp_sweep((xs / sx - 0.3) * sx), np.array([ys])),
+             (_ulp_sweep((xs / sx + 0.3) * sx), np.array([ys])),
+             (np.array([xs, proj[:, 0].max() + 10.0 * sx]),
+              _ulp_sweep((ys / sy + 0.3) * sy))]
+    for gx, gy in cases:
+        grid = 25 if gx is None else (gx, gy)
+        gx, gy, got = ev.conditional_mean_surface(proj, 0, 1, 2, grid=grid,
+                                                  iterations=0)
+        want = _loop_surface_means(proj, gx, gy)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        assert np.isfinite(want).any()
+        np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
+                                   rtol=0.0, atol=1e-12 * np.abs(proj[:, 2]).max())
+    assert np.isnan(got[1]).all()
 
 
 def test_surface_empty_neighborhood_missing():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ def test_stein_ridge_escalates_when_solve_degenerates(monkeypatch):
         scores = tr.stein_gradient(x)
     assert len(calls) == 2
     assert np.all(np.isfinite(scores))
+
+
+def test_stein_non_finite_system_raises_without_raising_the_ridge():
+    x = np.random.default_rng(5).normal(size=(20, 3))
+    x[7] = 1e200  # its squared norm overflows sq_distances
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            tr.stein_gradient(x)
 
 
 # --- optimizer ---------------------------------------------------------------
