@@ -11,7 +11,9 @@ and splits it into ``fit_cop``, ``KdeModel.log_density`` and
 ``aggregate_ess`` by wrapping them, then times the plot step
 (``harness._emit_plot_data`` into a temporary folder) with
 ``conditional_mean_surface`` split out, and records how many threads
-share the KDE's row blocks (1 for a tree without the pool).
+share the KDE's row blocks (1 for a tree without the pool).  After the
+peak RSS is read, one more ``fit_cop`` call on the same samples, untimed,
+gives ``fit_peak_mb``: the largest memory that tracemalloc saw it hold.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import trees
@@ -50,6 +53,7 @@ def measure(size: str, seed: int) -> dict:
     totals = {"fit_cop": 0.0, "log_density": 0.0, "aggregate_ess": 0.0,
               "conditional_mean_surface": 0.0}
     last = {}
+    fit_cop = evaluation.fit_cop
     trees.wrap_timed(evaluation, "fit_cop", totals, last=last)
     trees.wrap_timed(evaluation.KdeModel, "log_density", totals, last=last)
     trees.wrap_timed(evaluation, "aggregate_ess", totals, last=last)
@@ -62,6 +66,12 @@ def measure(size: str, seed: int) -> dict:
         harness._emit_plot_data(trace, Path(out), [])
         plot = time.perf_counter() - start
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tracemalloc.start()
+    try:
+        fit_cop(trace.flat())
+        _, fit_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return {
         "compute_metrics_s": wall,
         "fit_cop_s": totals["fit_cop"],
@@ -70,6 +80,7 @@ def measure(size: str, seed: int) -> dict:
         "plot_s": plot,
         "surface_s": totals["conditional_mean_surface"],
         "peak_rss_mb": rss_kb / 1024.0,
+        "fit_peak_mb": fit_peak / 2**20,
         "workers": getattr(evaluation, "_WORKERS", 1),
         "c_op": last["fit_cop"].c_op,
         "naive_loss": metrics["naive_loss"],
@@ -96,7 +107,8 @@ def main(argv=None) -> int:
         "harness.compute_metrics, then harness._emit_plot_data, on a "
         "seeded AR(1) trace, one call each per process, BLAS pinned to "
         "one thread, 'workers' threads sharing the KDE's row blocks; "
-        "peak_rss_mb after both; medians over repeats",
+        "peak_rss_mb after both; fit_peak_mb the tracemalloc peak of one "
+        "more, untimed fit_cop call; medians over repeats",
         sizes={size: list(shape) for size, shape in SIZES.items()},
         trees={label: {size: {"median": trees.medians(rs), "runs": rs}
                        for size, rs in by_size.items()}

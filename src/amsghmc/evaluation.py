@@ -1,26 +1,27 @@
 """Sample-quality diagnostics.
 
 Kernel density fit with bandwidth-factor selection (a safeguarded Newton
-search on log c over BLAS-form squared distances, each iteration one pass
-over them in cache-sized row blocks), the order-independent
-ELBO-style loss, effective sample size with the truncated autocorrelation
-sum, principal directions, and conditional-mean surfaces for visualizing
-nonlinear parameter couplings.  Everything here is read-only over sample
-arrays.
+search on log c, each iteration one pass over the pairwise kernel
+exponents in cache-sized row blocks, none of which is stored), the
+order-independent ELBO-style loss, effective sample size with the
+truncated autocorrelation sum, principal directions, and conditional-mean
+surfaces for visualizing nonlinear parameter couplings.  Everything here
+is read-only over sample arrays.
 
-The kernel density's three n^2-sized passes (building the squared
-distances, each Newton iteration over them, and ``KdeModel.log_density``)
+The kernel density's n^2-sized passes (the bandwidth search's
+nearest-neighbor pass and Newton iterations, and ``KdeModel.log_density``)
 run their row blocks on every core this process may use: the calling
 thread and a small thread pool work through the blocks together, since
 numpy releases the GIL inside the large ufunc, reduction and BLAS calls
 that make up a block.  Each block writes only its own rows and keeps
 every row's reduction order, so the results do not depend on how many
-threads ran them.  A density block is one product and one exp: the
-query's own term is folded into the product, so no exponent is positive
-and no max pass is needed; only rows whose sum underflows are redone with
-the max shift.  Effective sample size runs over all chains at once, and
-a conditional-mean surface reads, per grid column, only the window of
-x-sorted samples within the threshold.
+threads ran them.  A block's exponents are one product of its augmented
+rows with the (D + 2, n) kernel matrix, followed by one exp: each row's
+own shift is folded into the product, so no exponent exceeds 0 beyond
+rounding and no max pass is needed; only density rows whose sum
+underflows are redone with the max shift.  Effective sample size runs
+over all chains at once, and a conditional-mean surface reads, per grid
+column, only the window of x-sorted samples within the threshold.
 """
 
 from __future__ import annotations
@@ -75,17 +76,10 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     to a contiguous array because numpy sends a @ a.T to a symmetric
     rank-k update, which is about twice as slow here as the plain product.
     """
-    return _sq_rows(np.empty((len(a), len(b))), a, np.ascontiguousarray(b.T),
-                    (a * a).sum(axis=1), (b * b).sum(axis=1))
-
-
-def _sq_rows(out, a, b_t, a_norms, b_norms):
-    """sq_distances of the rows ``a`` into ``out``, given the contiguous
-    b^T and both row norms."""
-    np.matmul(a, b_t, out=out)
+    out = a @ np.ascontiguousarray(b.T)
     out *= -2.0
-    out += a_norms[:, None]
-    out += b_norms
+    out += (a * a).sum(axis=1)[:, None]
+    out += (b * b).sum(axis=1)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -115,19 +109,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _row_blocks(n: int, width: int):
+def _row_blocks(n: int, width: int, buffers: int = 1):
     """(bounds, scratch) for a pass over n rows of ``width`` elements:
     the bounds of about n * width / _BLOCK_ELEMENTS near-equal row blocks,
-    and one (block rows, width) buffer for each thread that will run them.
-    Callers allocate the scratch, so the pool's threads allocate nothing
-    larger than a row vector.
+    and ``buffers`` (block rows, width) buffers for each thread that will
+    run them.  Callers allocate the scratch, so the pool's threads
+    allocate nothing larger than a row vector.
 
     A block holds at least two rows whenever n does: numpy sends a one-row
     product to gemv instead of gemm, whose sums round differently.
     """
     count = max(1, -(-n // max(4, _BLOCK_ELEMENTS // width)))
     bounds = [b * n // count for b in range(count + 1)]
-    return bounds, np.empty((min(count, _WORKERS), -(-n // count), width))
+    return bounds, np.empty((min(count, _WORKERS), buffers, -(-n // count),
+                             width))
 
 
 def _run_share(task, bounds, claim, scratch, err) -> None:
@@ -171,17 +166,41 @@ def _in_blocks(task, bounds: list, scratch) -> None:
 # --- kernel density -----------------------------------------------------------
 
 
+def _kernel_matrix(white: np.ndarray, c: float, out=None) -> np.ndarray:
+    """The row-major (D + 2, n) matrix [w/c ; -|w|^2/2c ; -1/2c] of the
+    whitened centers w, into ``out`` if given.  Its product with an
+    augmented row [q, 1, s] (``_augment``) is (2 q.w_j - |w_j|^2 - s) / 2c
+    in column j, which is the kernel exponent -|q - w_j|^2 / 2c when
+    s = |q|^2.
+    """
+    n, d = white.shape
+    scaled = white / c
+    # Row-major: the product against the transposed layout is ~2x slower.
+    kernel = np.empty((d + 2, n)) if out is None else out
+    kernel[:d] = scaled.T
+    kernel[d] = -0.5 * (white * scaled).sum(axis=1)
+    kernel[d + 1] = -0.5 / c
+    return kernel
+
+
+def _augment(out: np.ndarray, rows: np.ndarray, last) -> np.ndarray:
+    """The augmented rows [rows, 1, last] of ``_kernel_matrix``, into out."""
+    out[:, :-2] = rows
+    out[:, -2] = 1.0
+    out[:, -1] = last
+    return out
+
+
 @dataclass
 class KdeModel:
     """Equal-weight Gaussian mixture with shared covariance c_op * base_cov.
 
     A block of query rows costs one product and one exp: with w the
     whitened centers, every exponent -|q - w|^2 / 2c is the product of the
-    augmented query row [q, 1, |q|^2] with one column of the (D + 2, m)
-    matrix [w/c ; -|w|^2/2c ; -1/2c].  No exponent exceeds 0 beyond
-    rounding, so the row sums cannot overflow; rows whose sum falls below
-    the smallest normal float (every term subnormal or zero) are redone
-    with the max shift.
+    augmented query row [q, 1, |q|^2] with one column of
+    ``_kernel_matrix``.  No exponent exceeds 0 beyond rounding, so the row
+    sums cannot overflow; rows whose sum falls below the smallest normal
+    float (every term subnormal or zero) are redone with the max shift.
     """
 
     centers: np.ndarray
@@ -198,13 +217,7 @@ class KdeModel:
         n, d = self.centers.shape
         self._mean = self.centers.mean(axis=0)
         self._chol = cholesky(self.base_cov, lower=True)
-        white = self._whiten(self.centers)
-        scaled = white / self.c_op
-        # Row-major: the product against the transposed layout is ~2x slower.
-        self._kernel = np.empty((d + 2, n))
-        self._kernel[:d] = scaled.T
-        self._kernel[d] = -0.5 * (white * scaled).sum(axis=1)
-        self._kernel[d + 1] = -0.5 / self.c_op
+        self._kernel = _kernel_matrix(self._whiten(self.centers), self.c_op)
         logdet = 2.0 * np.log(np.diag(self._chol)).sum()
         self._log_norm = (-0.5 * (d * np.log(2.0 * np.pi * self.c_op) + logdet)
                           - np.log(n))
@@ -220,6 +233,10 @@ class KdeModel:
     def log_density(self, queries) -> np.ndarray:
         """log q-bar at each query point."""
         wq = self._whiten(_as_matrix(queries))
+        count = len(wq)
+        if count == 1:
+            # Scored as two rows, so the product is gemm's as in a batch.
+            wq = np.repeat(wq, 2, axis=0)
         sq_norms = np.einsum("ij,ij->i", wq, wq)
         out = np.empty(len(wq))
         kernel = self._kernel
@@ -231,10 +248,8 @@ class KdeModel:
             # exp runs at full speed, then its augmented query rows.
             rows, flat = stop - start, buf.reshape(-1)
             z = flat[:rows * m].reshape(rows, m)
-            aug = flat[rows * m:rows * (m + width)].reshape(rows, width)
-            aug[:, :-2] = wq[start:stop]
-            aug[:, -2] = 1.0
-            aug[:, -1] = sq_norms[start:stop]
+            aug = _augment(flat[rows * m:rows * (m + width)].reshape(rows, width),
+                           wq[start:stop], sq_norms[start:stop])
             np.matmul(aug, kernel, out=z)
             np.exp(z, out=z)
             total = z.sum(axis=1, out=out[start:stop])
@@ -250,7 +265,7 @@ class KdeModel:
                 total[low] += top[:-1, 0]
 
         _in_blocks(chunk, bounds, scratch)
-        return out + self._log_norm
+        return out[:count] + self._log_norm
 
 
 def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
@@ -266,51 +281,60 @@ def _loo_max_log_c(white: np.ndarray, lo: float, hi: float,
     bracket becomes a bisection on the sign of f'; the search stops when
     a step is shorter than tol.
 
-    The (n, n) squared distances are built once; each iteration then runs
-    over them in row blocks of about ``_BLOCK_ELEMENTS`` elements, which
-    stay in cache from the exp to the last of the three row sums.  A row
-    sum reduces the same contiguous row as a whole-matrix pass would, so
-    the result depends neither on the block size nor on the threads.
+    No (n, n) array is stored.  Each pass runs over row blocks of about
+    ``_BLOCK_ELEMENTS`` elements, and a block's exponents are one product
+    of its augmented rows with ``_kernel_matrix``, as in
+    ``KdeModel.log_density``.  A first pass at c = 1 finds each row's
+    nearest-neighbor distance near_i; the rows are then augmented with
+    |w_i|^2 - near_i, so a Newton iteration's product gives the shifted
+    exponents z_ij = near_i / 2c - e_ij, at most 0 up to rounding.  The
+    exp of the block goes to a second buffer, and the three row sums (of
+    p, p z and p z^2, unnormalized) are dot products of contiguous rows,
+    so the result depends neither on the block size nor on the threads.
     """
     n, d = white.shape
-    sq = np.empty((n, n))
     near, total, s1, s2 = np.empty((4, n))
-    white_t, norms = np.ascontiguousarray(white.T), (white * white).sum(axis=1)
-    bounds, scratch = _row_blocks(n, n)
+    ones = np.ones(n)
+    aug = _augment(np.empty((n, d + 2)), white, (white * white).sum(axis=1))
+    bounds, scratch = _row_blocks(n, n, buffers=2)
 
-    def distances(start, stop, _):
-        # Each row is shifted by its nearest-neighbor distance, so the
-        # largest exp term is 1; in the shifted sq,
-        # e_ij = (sq_ij + near_i) / 2c.
-        part = _sq_rows(sq[start:stop], white[start:stop], white_t,
-                        norms[start:stop], norms)
-        np.fill_diagonal(part[:, start:], np.inf)
-        part.min(axis=1, out=near[start:stop])
-        part -= near[start:stop, None]
-        np.fill_diagonal(part[:, start:], 0.0)
+    def nearest(start, stop, buf):
+        # At c = 1 the product is -sq_ij / 2.
+        z = buf[0, :stop - start]
+        np.matmul(aug[start:stop], kernel, out=z)
+        np.fill_diagonal(z[:, start:], -np.inf)
+        z.max(axis=1, out=near[start:stop])
 
     def moments(start, stop, buf):
-        part, w = sq[start:stop], buf[:stop - start]
-        np.multiply(part, -inv, out=w)
-        np.exp(w, out=w)
-        np.fill_diagonal(w[:, start:], 0.0)
-        w.sum(axis=1, out=total[start:stop])
-        w *= part
-        w.sum(axis=1, out=s1[start:stop])
-        w *= part
-        w.sum(axis=1, out=s2[start:stop])
+        z, p = buf[:, :stop - start]
+        np.matmul(aug[start:stop], kernel, out=z)
+        # z_ii, about near_i / 2c, could overflow the exp; its term is dropped.
+        np.fill_diagonal(z[:, start:], 0.0)
+        np.exp(z, out=p)
+        np.fill_diagonal(p[:, start:], 0.0)
+        # One dot product per row: gemv's sums (p @ ones) round differently
+        # in a block's last rows than in the others.
+        np.vecdot(p, ones, out=total[start:stop])
+        np.vecdot(p, z, out=s1[start:stop])
+        p *= z
+        np.vecdot(p, z, out=s2[start:stop])
 
-    _in_blocks(distances, bounds, scratch)
+    kernel = _kernel_matrix(white, 1.0)
+    _in_blocks(nearest, bounds, scratch)
+    near *= -2.0
+    aug[:, -1] -= near
     # Scott's rule factor for whitened data as the starting point.
     log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
     for _ in range(200):
-        inv = 0.5 * np.exp(-log_c)
+        c = np.exp(log_c)
+        _kernel_matrix(white, c, out=kernel)
         _in_blocks(moments, bounds, scratch)
+        # E_p[z] and E_p[z^2]; e = near / 2c - z, so Var_p[e] = Var_p[z].
         m1 = s1 / total
         m2 = s2 / total
-        mean_e = (m1 + near) * inv
+        mean_e = near * (0.5 / c) - m1
         grad = mean_e.mean() - 0.5 * d
-        curv = ((m2 - m1 * m1) * inv * inv - mean_e).mean()
+        curv = (m2 - m1 * m1 - mean_e).mean()
         if grad > 0:
             lo = log_c
         else:

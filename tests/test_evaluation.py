@@ -195,9 +195,57 @@ def test_naive_loss_golden_ar1():
 # --- the row-block bandwidth search against the full-matrix one ---------------
 
 
+def _newton_step(log_c, grad, curv, lo, hi):
+    """(next log c, lo, hi) of the safeguarded Newton search."""
+    if grad > 0:
+        lo = log_c
+    else:
+        hi = log_c
+    nxt = log_c - grad / curv if curv < 0 else np.nan
+    if not lo <= nxt <= hi:
+        nxt = 0.5 * (lo + hi)
+    return nxt, lo, hi
+
+
 def _full_matrix_loo_max_log_c(white, lo, hi, tol):
-    """The bandwidth search as it was before it ran in row blocks: every
-    Newton iteration passes over a whole (n, n) scratch array."""
+    """The row-block bandwidth search's arithmetic on whole (n, n) arrays:
+    every pass is one product of all augmented rows with the kernel
+    matrix [w/c ; -|w|^2/2c ; -1/2c]."""
+    n, d = white.shape
+    ones = np.ones(n)
+
+    def kernel(c):
+        return np.vstack([white.T / c, -0.5 * (white * (white / c)).sum(axis=1),
+                          np.full(n, -0.5 / c)])
+
+    aug = np.column_stack([white, ones, (white * white).sum(axis=1)])
+    z = aug @ kernel(1.0)
+    np.fill_diagonal(z, -np.inf)
+    near = -2.0 * z.max(axis=1)
+    aug[:, -1] -= near
+    log_c = min(max(-2.0 / (d + 4) * np.log(n), lo), hi)
+    for _ in range(200):
+        c = np.exp(log_c)
+        z = aug @ kernel(c)
+        np.fill_diagonal(z, 0.0)
+        p = np.exp(z)
+        np.fill_diagonal(p, 0.0)
+        total = np.vecdot(p, ones)
+        m1 = np.vecdot(p, z) / total
+        m2 = np.vecdot(p * z, z) / total
+        mean_e = near * (0.5 / c) - m1
+        grad = mean_e.mean() - 0.5 * d
+        curv = (m2 - m1 * m1 - mean_e).mean()
+        nxt, lo, hi = _newton_step(log_c, grad, curv, lo, hi)
+        if abs(nxt - log_c) < tol:
+            return nxt
+        log_c = nxt
+    return log_c
+
+
+def _subtraction_loo_max_log_c(white, lo, hi, tol):
+    """The bandwidth search over the stored (n, n) squared distances, each
+    row shifted by its nearest-neighbor distance by subtraction."""
     n, d = white.shape
     sq = ev.sq_distances(white, white)
     np.fill_diagonal(sq, np.inf)
@@ -219,13 +267,7 @@ def _full_matrix_loo_max_log_c(white, lo, hi, tol):
         mean_e = (m1 + near) * inv
         grad = mean_e.mean() - 0.5 * d
         curv = ((m2 - m1 * m1) * inv * inv - mean_e).mean()
-        if grad > 0:
-            lo = log_c
-        else:
-            hi = log_c
-        nxt = log_c - grad / curv if curv < 0 else np.nan
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
+        nxt, lo, hi = _newton_step(log_c, grad, curv, lo, hi)
         if abs(nxt - log_c) < tol:
             return nxt
         log_c = nxt
@@ -258,6 +300,13 @@ def test_loo_search_bit_identical_to_full_matrix(case, monkeypatch):
     blocked = ev.fit_cop(samples).c_op
     monkeypatch.setattr(ev, "_loo_max_log_c", _full_matrix_loo_max_log_c)
     assert blocked == ev.fit_cop(samples).c_op
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_loo_search_agrees_with_subtraction_form(case):
+    white = _whitened(_block_cases()[case])
+    assert abs(ev._loo_max_log_c(white, -7.0, 7.0, 1e-6)
+               - _subtraction_loo_max_log_c(white, -7.0, 7.0, 1e-6)) <= 1e-12
 
 
 # --- row blocks shared between threads ------------------------------------------
@@ -362,7 +411,7 @@ def test_log_density_rows_do_not_depend_on_their_chunk(monkeypatch):
     np.testing.assert_array_equal(kde.log_density(queries), got)
     one = kde.log_density(queries[7:8])
     assert one.shape == (1,)
-    np.testing.assert_allclose(one, got[7:8], rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(one, got[7:8])
     assert kde.log_density(np.empty((0, 3))).shape == (0,)
 
 
@@ -391,18 +440,19 @@ def test_forked_child_fits_after_the_parent_used_the_pool(monkeypatch):
     assert child.exitcode == 0
 
 
-def test_fit_cop_peak_memory_one_square_matrix():
-    n = 2080
-    samples = np.random.default_rng(5).standard_normal((n, 11))
-    tracemalloc.start()
-    try:
-        ev.fit_cop(samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The squared-distance matrix itself is n*n*8 bytes; the search may
-    # add only row blocks and vectors on top of it.
-    assert peak < 1.25 * n * n * 8
+def test_fit_cop_peak_memory_no_square_matrix(monkeypatch):
+    # Two threads' row blocks at the gated workload's 2080 centers and at
+    # the 4000-center cap: well under a tenth of one (n, n) array.
+    monkeypatch.setattr(ev, "_WORKERS", 2)
+    for n in (2080, 4000):
+        samples = np.random.default_rng(5).standard_normal((n, 11))
+        tracemalloc.start()
+        try:
+            ev.fit_cop(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
 
 
 def test_regularize_covariance_warns_on_singular():
