@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 def _unbroadcast(grad, like):
@@ -199,13 +198,15 @@ def log(x):
 
 
 def sigmoid(x):
+    from .strategy import logistic  # strategy imports this module
+
     if isinstance(x, DualValue):
         s = sigmoid(x.primal)
         return DualValue(s, x.tangent * (s * (1.0 - s)))
     if isinstance(x, Var):
-        s = expit(x.value)
+        s = logistic(x.value)
         return x.tape._push(s, (x.idx,), (s * (1.0 - s),))
-    return expit(x)
+    return logistic(x)
 
 
 def _pos_slope(v, slope):

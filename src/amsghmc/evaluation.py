@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import cholesky, solve_triangular
+from numpy.fft import irfft, rfft
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -191,6 +190,20 @@ def _augment(out: np.ndarray, rows: np.ndarray, last) -> np.ndarray:
     return out
 
 
+def _solve_lower_rows(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows x solving lower @ x = row for each row of ``rows``, by
+    forward substitution, one column of the result at a time for all rows.
+    Every step is elementwise across rows, so a row's bits depend on that
+    row alone, never on how many rows share the call (a blocked
+    triangular solve's or a BLAS product's can)."""
+    cols = rows.T.copy()
+    for i, col in enumerate(cols):
+        for k in range(i):
+            col -= lower[i, k] * cols[k]
+        col /= lower[i, i]
+    return np.ascontiguousarray(cols.T)
+
+
 @dataclass
 class KdeModel:
     """Equal-weight Gaussian mixture with shared covariance c_op * base_cov.
@@ -216,7 +229,7 @@ class KdeModel:
         self.base_cov = np.atleast_2d(np.asarray(self.base_cov, dtype=float))
         n, d = self.centers.shape
         self._mean = self.centers.mean(axis=0)
-        self._chol = cholesky(self.base_cov, lower=True)
+        self._chol = np.linalg.cholesky(self.base_cov)
         self._kernel = _kernel_matrix(self._whiten(self.centers), self.c_op)
         logdet = 2.0 * np.log(np.diag(self._chol)).sum()
         self._log_norm = (-0.5 * (d * np.log(2.0 * np.pi * self.c_op) + logdet)
@@ -227,8 +240,7 @@ class KdeModel:
         return self.c_op * self.base_cov
 
     def _whiten(self, points: np.ndarray) -> np.ndarray:
-        return solve_triangular(self._chol, (points - self._mean).T,
-                                lower=True).T
+        return _solve_lower_rows(self._chol, points - self._mean)
 
     def log_density(self, queries) -> np.ndarray:
         """log q-bar at each query point."""
@@ -365,9 +377,8 @@ def fit_cop(samples, *, log_bracket=(-7.0, 7.0), tol: float = 1e-6,
         stride = int(np.ceil(len(samples) / max_centers))
         samples = samples[::stride]
     base = regularize_covariance(np.cov(samples, rowvar=False, ddof=1))
-    chol = cholesky(base, lower=True)
-    white = solve_triangular(chol, (samples - samples.mean(axis=0)).T,
-                             lower=True).T
+    white = _solve_lower_rows(np.linalg.cholesky(base),
+                              samples - samples.mean(axis=0))
     log_c = _loo_max_log_c(white, log_bracket[0], log_bracket[1], tol)
     return KdeModel(samples, base, float(np.exp(log_c)))
 
@@ -396,6 +407,20 @@ class EssResult:
     degenerate: np.ndarray
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, a length whose FFT factors
+    into small radices (scipy.fft.next_fast_len's answer)."""
+    n = max(n, 1)
+    while True:
+        rest = n
+        for radix in (2, 3, 5, 7, 11):
+            while rest % radix == 0:
+                rest //= radix
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _chain_ess(chains: np.ndarray) -> EssResult:
     """ESS of each (chain, dimension) of (K, T, D) samples, all chains at
     once: the autocovariances by one FFT per group of chains whose
@@ -408,7 +433,7 @@ def _chain_ess(chains: np.ndarray) -> EssResult:
     degenerate = (centered**2).sum(axis=1) == 0.0
 
     max_lag = min(1000, t // 3 - 1)
-    nfft = next_fast_len(2 * t)
+    nfft = _fast_len(2 * t)
     acov = np.empty((k, max_lag + 1, d))
     group = max(1, _BLOCK_ELEMENTS // (nfft * d))
     for lo in range(0, k, group):

@@ -162,15 +162,18 @@ class AdaptiveStats:
         return obj
 
 
-def normalize_inputs(u, grad, stats: AdaptiveStats):
+def normalize_inputs(u, grad, stats: AdaptiveStats, sigma_i=None):
     """Scale-invariant network inputs: centered energy and scaled gradient.
 
     Returns (U_hat, dU_star) where U_hat = (U - mu_U) / (sqrt(2D) sigma_U)
-    and dU_star_i = sigma_i * dU/dtheta_i / (sqrt(2D) sigma_U).
+    and dU_star_i = sigma_i * dU/dtheta_i / (sqrt(2D) sigma_U).  A caller
+    that already holds ``stats.sigma_i`` passes it as ``sigma_i``.
     """
+    if sigma_i is None:
+        sigma_i = stats.sigma_i
     denom = np.sqrt(2.0 * stats.d) * stats.sigma_u
     u_hat = (np.asarray(u, dtype=float) - stats.mu_u) / denom
-    du_star = stats.sigma_i * np.asarray(grad, dtype=float) / denom
+    du_star = sigma_i * np.asarray(grad, dtype=float) / denom
     return u_hat, du_star
 
 
@@ -350,7 +353,8 @@ def am_update_normalized(theta, p, grad, xi, eta: float,
     """Meta-learned update from ``normalize_inputs``' (U_hat, dU_star) and
     scales ``sig``, (D,) or one row per chain: network coefficients, their
     state partials, and G re-evaluated at the updated momentum.  Returns
-    (theta1, p1).  The G and C passes share one squash of their inputs.
+    (theta1, p1).  The three passes share one squash of U_hat, and the G
+    and C passes one of p and dU_star.
     A ``record`` list receives the three network passes (G, C, then G at
     p1) as ``strategy.fast_q_eval`` records them."""
     x = sn.features(u_hat, p, du_star)
@@ -358,7 +362,7 @@ def am_update_normalized(theta, p, grad, xi, eta: float,
                                  record=record)
     c_t, dc_dp = sn.fast_d_eval(nets, x, oh, dp_seed=1.0, record=record)
     p1 = momentum_update(p, grad, eta, g_t, c_t, dg_dth + dc_dp, xi)
-    g_hat, dg_dp = sn.fast_q_eval(nets, sn.features(u_hat, p1), oh, sig,
+    g_hat, dg_dp = sn.fast_q_eval(nets, x.at_momentum(p1), oh, sig,
                                   dp_seed=1.0, record=record)
     return position_update(theta, p1, eta, g_hat, dg_dp), p1
 
@@ -367,9 +371,10 @@ def am_update(theta, p, u, grad, xi, eta: float, nets: sn.StrategyNets,
               stats: AdaptiveStats, oh):
     """Meta-learned update on raw (K, D) arrays: ``normalize_inputs``,
     then ``am_update_normalized``.  Returns (theta1, p1)."""
-    u_hat, du_star = normalize_inputs(u, grad, stats)
+    sig = stats.sigma_i
+    u_hat, du_star = normalize_inputs(u, grad, stats, sig)
     return am_update_normalized(theta, p, grad, xi, eta, nets, u_hat,
-                                du_star, stats.sigma_i, oh)
+                                du_star, sig, oh)
 
 
 def am_sghmc_step(state: ChainState, eta: float, nets: sn.StrategyNets,

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 
@@ -241,19 +240,34 @@ def _squash_u_np(u):
     return val, slope
 
 
+# exp's largest finite argument; numpy takes a 0-d array operand faster than
+# a Python float.
+_EXP_ARG_MAX = np.array(np.log(np.finfo(float).max))
+
+
+def logistic(x):
+    """1 / (1 + exp(-x)), scipy.special.expit's formula, with exp's argument
+    clipped at its largest finite value so that no overflow warns: where
+    exp(-x) would overflow, the result is 1 / (1 + max float) ~ 5.6e-309
+    instead of expit's 0.  numpy's exp differs from the C library's in the
+    last bit on a few inputs, so a result can differ from expit's by a few
+    ulps."""
+    return 1.0 / (1.0 + np.exp(np.minimum(np.negative(x), _EXP_ARG_MAX)))
+
+
 def _squash_p_np(p):
-    s = expit(np.asarray(p, dtype=float) / 10.0)
+    s = logistic(np.asarray(p, dtype=float) / 10.0)
     return 3.0 * s - 1.5, 0.3 * s * (1.0 - s)
 
 
 def _squash_p_curvature(p):
     """Second derivative of the momentum squash."""
-    s = expit(np.asarray(p, dtype=float) / 10.0)
+    s = logistic(np.asarray(p, dtype=float) / 10.0)
     return 0.03 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def _squash_g_np(g):
-    s = expit(np.asarray(g, dtype=float) / 30.0)
+    s = logistic(np.asarray(g, dtype=float) / 30.0)
     return 3.0 * s - 1.5, 0.1 * s * (1.0 - s)
 
 
@@ -277,6 +291,14 @@ class Features:
         if du_seed is not None:
             return 0, np.multiply(self.du_slope[:, None], du_seed, out=t).ravel()
         return 1, np.multiply(self.dp_slope, dp_seed, out=t).ravel()
+
+    def at_momentum(self, p) -> "Features":
+        """The Q net's rows at momentum ``p`` (K, D), U_hat's squash reused."""
+        ip, dip = _squash_p_np(p)
+        rows = np.empty((2, ip.size))
+        rows[0] = self.rows[0]
+        rows[1] = ip.ravel()
+        return Features(rows, self.du_slope, dip)
 
 
 def features(u_hat, p, du_star=None) -> Features:
@@ -411,7 +433,7 @@ def fast_q_eval(nets: StrategyNets, x: Features, onehot, sigma,
     acts = None if record is None else []
     o, ot = _fast_forward(nets.q_layers, nets.q_shortcut, x.rows[:2], onehot,
                           x.seed(du_seed, dp_seed), cfg.leaky_slope, acts)
-    s = expit(5.0 * o)
+    s = logistic(5.0 * o)
     g = sigma * (cfg.c1 + cfg.m_q * s)
     if record is not None:
         record.append((acts, o, ot, s, g))
@@ -429,7 +451,7 @@ def fast_d_eval(nets: StrategyNets, x: Features, onehot, dp_seed=None,
     acts = None if record is None else []
     o, ot = _fast_forward(nets.d_layers, nets.d_shortcut, x.rows, onehot,
                           x.seed(dp_seed=dp_seed), cfg.leaky_slope, acts)
-    s = expit(5.0 * o)
+    s = logistic(5.0 * o)
     c = cfg.c2 + cfg.m_d * s
     if record is not None:
         record.append((acts, o, ot, s, c))

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet, toeplitz
 
 
 @dataclass(frozen=True)
@@ -316,6 +315,8 @@ def _input_block(a):
 
 def _discretize_expm(a, dt):
     """Matrix-exponential discretization (ad, bd) of one batch element."""
+    from scipy.linalg import expm  # only ill-conditioned rows load scipy
+
     full = expm(_input_block(a) * dt)
     return full[:-1, :-1], full[:-1, -1]
 
@@ -326,6 +327,8 @@ def _expm_adjoint(a, dt, s, q):
     The adjoint of the Frechet derivative of expm at X is the one at X^T, so
     one derivative (Al-Mohy & Higham 2009) gives every parameter's gradient.
     """
+    from scipy.linalg import expm_frechet  # as in _discretize_expm
+
     m = a.shape[0]
     w = np.zeros((m + 1, m + 1))
     w[:m, :m] = s
@@ -370,7 +373,9 @@ def _windows(record: bytes) -> np.ndarray:
     """
     ground = np.frombuffer(record)
     span = math.isqrt(max(ground.size - 1, 0)) + 1
-    windows = toeplitz(ground, np.zeros(span))
+    padded = np.concatenate([np.zeros(span - 1), ground])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, span)
+    windows = windows[:, ::-1].copy()
     windows.flags.writeable = False
     return windows
 

@@ -400,9 +400,10 @@ def run_segment(state: samplers.ChainState, xi_seq, nets: sn.StrategyNets,
             in_grad[s - 1] = state.grad[slots]
             in_xi[s - 1] = xi[slots]
             ok = slots[slot_ok]
+            in_sig[s - 1] = sig = stats.sigma_i
             in_u_hat[s - 1, slot_ok], in_du_star[s - 1, slot_ok] = (
-                samplers.normalize_inputs(state.u[ok], state.grad[ok], stats))
-            in_sig[s - 1] = stats.sigma_i
+                samplers.normalize_inputs(state.u[ok], state.grad[ok], stats,
+                                          sig))
 
         th1, p1 = samplers.am_update(state.theta[live], state.p[live],
                                      state.u[live], state.grad[live], xi[live],

@@ -394,6 +394,28 @@ def test_one_block_fit_never_dispatches(monkeypatch):
         ev.fit_cop(_block_cases()["short_last_block_1000"])
 
 
+@pytest.mark.parametrize("d", [1, 3, 11])
+def test_whitening_matches_scipy_solve_triangular(d):
+    from scipy.linalg import cholesky, solve_triangular
+
+    rng = np.random.default_rng(d)
+    mix = rng.standard_normal((d, d)) * np.exp(rng.uniform(-3.0, 3.0, d))
+    centers = rng.standard_normal((400, d)) @ mix + 5.0
+    kde = ev.KdeModel(centers, np.cov(centers, rowvar=False), 0.3)
+    chol = cholesky(kde.base_cov, lower=True)
+    np.testing.assert_allclose(kde._chol, chol, rtol=1e-13,
+                               atol=1e-13 * np.abs(chol).max())
+    queries = rng.standard_normal((257, d)) @ mix + 5.0
+    want = solve_triangular(chol, (queries - kde._mean).T, lower=True).T
+    got = kde._whiten(queries)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+    # Each row is solved on its own, so a row's bits do not depend on the
+    # rows that share its call.
+    for i in (0, 100, 256):
+        np.testing.assert_array_equal(kde._whiten(queries[i:i + 1]), got[i:i + 1])
+
+
 def test_log_density_rows_do_not_depend_on_their_chunk(monkeypatch):
     rng = np.random.default_rng(11)
     kde = ev.KdeModel(rng.standard_normal((2000, 3)), np.eye(3), 0.2)
@@ -602,6 +624,11 @@ def _mixed_chains(rng, k, t, d):
         x[:, s] = phi[:, 0] * x[:, s - 1] + rng.standard_normal((k, d))
     x[::3, :, 1] = 2.5
     return x * np.exp(rng.uniform(-2.0, 2.0, d))
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    lengths = range(1, 30001)
+    assert [ev._fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
 @pytest.mark.parametrize("k, t, d", [(200, 60, 4), (32, 130, 11), (7, 3500, 3),

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +352,45 @@ def test_sample_then_evaluate_sghmc(two_story, tmp_path):
     harness.run_experiment("evaluate", cfg)
     assert (out / "metrics.json").read_bytes() == metric_bytes
     assert (out / "report.json").read_bytes() == eval_report
+
+
+_STAGES_WITHOUT_SCIPY = textwrap.dedent("""
+    import sys
+
+    import amsghmc
+    from amsghmc import harness
+
+    problem, checkpoint, out = sys.argv[1:]
+    for sampler in ("sghmc", "am-sghmc", "hmc"):
+        cfg = harness.ExperimentConfig.from_dict({
+            "seed": 5, "out": f"{out}/{sampler}", "problem": problem,
+            "sampler": sampler, "checkpoint": checkpoint,
+            "run": {"K": 2, "T": 30, "burn_in": 10, "window": [2, 8]},
+        })
+        harness.run_experiment("sample", cfg)
+        harness.run_experiment("evaluate", cfg)
+    harness.run_experiment("train", harness.ExperimentConfig.from_dict({
+        "seed": 2, "out": f"{out}/train", "problem": problem,
+        "training": {"K0": 4, "K": 2, "epochs": 1, "sub_epochs": 2,
+                     "steps_per_sub_epoch": 3, "T_T": 3, "M": 1,
+                     "adapt_epochs": 1, "adapt_last": 1, "eta": 1e-4},
+    }))
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_stages_load_no_scipy(two_story, checkpoint, tmp_path):
+    """The package and the sample, evaluate and train stages run on numpy
+    alone; scipy (a second BLAS and ~25 MB per process) loads only for
+    the matrix-exponential fallback of ill-conditioned buildings."""
+    src = Path(harness.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGES_WITHOUT_SCIPY, str(two_story["problem"]),
+         str(checkpoint), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_compute_metrics_energy_quantiles():

@@ -15,11 +15,13 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import bench_energy  # noqa: E402
 import bench_evaluate  # noqa: E402
+import bench_import  # noqa: E402
 import bench_strategy  # noqa: E402
 import digest_outputs  # noqa: E402
 import trees  # noqa: E402
 
-SCRIPTS = [bench_energy, bench_evaluate, bench_strategy, digest_outputs]
+SCRIPTS = [bench_energy, bench_evaluate, bench_import, bench_strategy,
+           digest_outputs]
 
 
 def test_parse_trees_keeps_order_and_hyphenated_labels():
@@ -153,6 +155,25 @@ def _shape(doc, rename):
     if not isinstance(doc, dict):
         return None
     return {rename(key): _shape(value, rename) for key, value in doc.items()}
+
+
+def test_bench_import_smoke_finds_no_scipy(tmp_path):
+    out = tmp_path / "BENCH_import.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_import.py"),
+                    "--tree", f"a={ROOT}", "--tree", f"b={ROOT}", "--repeats", "2",
+                    "--out", str(out)],
+                   check=True, capture_output=True, timeout=120)
+    doc = json.loads(out.read_text())
+    assert doc["command"] == ("python3 scripts/bench_import.py --tree a=... "
+                              "--tree b=... --repeats 2")
+    assert doc["environment"]["blas_threads"] in (1, None)
+    assert set(doc["trees"]) == {"a", "b"}
+    for tree in doc["trees"].values():
+        assert len(tree["runs"]) == 2
+        assert set(tree["median"]) == {"import_s", "rss_mb", "modules",
+                                       "scipy_modules", "openblas_libs"}
+        assert all(run["scipy_modules"] == 0 and run["import_s"] > 0
+                   for run in tree["runs"])
 
 
 def test_bench_strategy_smoke_matches_the_committed_structure(tmp_path):

@@ -61,6 +61,27 @@ def test_squash_values_at_zero():
     np.testing.assert_array_equal(i_c, [0.0, 1.0, 0.0])
 
 
+def test_logistic_matches_scipy_expit():
+    from scipy.special import expit
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                        [-746.0, -745.0, -709.8, -709.7, 36.0, 37.0, 38.0,
+                         -0.0, -np.inf, np.inf]])
+    got = sn.logistic(x)  # silent: this directory turns warnings into errors
+    want = expit(x)
+    # numpy's exp is within one ulp of the C library's, and each side rounds
+    # 1 + e and the reciprocal once: at most 4 eps apart.  Below -709.78,
+    # where exp(-x) overflows, expit is 0 and logistic 1 / (1 + max float);
+    # the absolute tolerance, the smallest normal float, covers that and
+    # the subnormal results.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    np.testing.assert_allclose(got, want, rtol=4 * eps, atol=tiny)
+    assert (got == want).mean() > 0.9
+    assert got[-1] == 1.0 and got[-2] < tiny and got[-3] == 0.5
+    assert np.isnan(sn.logistic(np.nan))
+    assert sn.logistic(0.25) == expit(0.25)
+
+
 def test_squash_rejects_unknown_category():
     with pytest.raises(ValueError):
         sn.one_hot([3], 3)

@@ -371,6 +371,18 @@ def test_windowed_forward_matches_stepwise_march(n_steps):
         assert np.abs(y[row] - y_ref[row]).max() <= 1e-13 * np.abs(y_ref[row]).max()
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 9, 17, 18, 19, 300])
+def test_windows_equal_scipy_toeplitz(n_steps):
+    from scipy.linalg import toeplitz
+
+    ground = np.random.default_rng(n_steps).normal(0, 1, n_steps)
+    windows = sb._windows(ground.tobytes())
+    span = windows.shape[1]
+    assert span == int(np.ceil(np.sqrt(n_steps)))
+    np.testing.assert_array_equal(windows, toeplitz(ground, np.zeros(span)))
+    assert windows.flags.c_contiguous and not windows.flags.writeable
+
+
 def test_empty_batch_gives_empty_results():
     disc = sb.discretize_batch(np.full(2, 2e5), np.zeros((0, 2)), np.zeros((0, 2)), 0.01)
     y, states = sb.run_batch(disc, np.ones(10), (1,))
