@@ -22,6 +22,13 @@ rounding and no max pass is needed; only density rows whose sum
 underflows are redone with the max shift.  Effective sample size runs
 over all chains at once, and a conditional-mean surface reads, per grid
 column, only the window of x-sorted samples within the threshold.
+
+The plot CSVs hold the bytes np.savetxt writes with "%.10e", built by
+whole-array arithmetic a block of rows at a time: a value times an exact
+power of ten, rounded to 11 digits (an exact decimal tie, found with
+Dekker's exact product error, rounds half to even as "%" does), then
+read from tables of 4-character digit groups.  A block holding a zero,
+NaN, infinity or a magnitude outside [1e-12, 1e10) is formatted by "%".
 """
 
 from __future__ import annotations
@@ -425,7 +432,12 @@ def _chain_ess(chains: np.ndarray) -> EssResult:
     """ESS of each (chain, dimension) of (K, T, D) samples, all chains at
     once: the autocovariances by one FFT per group of chains whose
     transforms fill about one row block, and the lag sum as a running sum
-    read at each cutoff, which adds the terms in lag order."""
+    read at each cutoff, which adds the terms in lag order.
+
+    The lag sum of the weighted autocorrelations stops at lag 1000, at
+    floor(T/3) - 1, or at the first even lag whose adjacent pair sums
+    negative.  Zero-variance dimensions are flagged in ``degenerate`` and
+    reported as T."""
     k, t, d = chains.shape
     if t < 10:
         raise ValueError("need at least 10 samples per chain")
@@ -460,17 +472,6 @@ def _chain_ess(chains: np.ndarray) -> EssResult:
     mixing = ~degenerate & ~(denom <= 0)
     ess[mixing] = np.minimum(t / denom[mixing], float(t))
     return EssResult(ess, degenerate)
-
-
-def effective_sample_size(chain) -> EssResult:
-    """ESS per dimension from the truncated weighted autocorrelation sum.
-
-    The lag sum stops at lag 1000, at floor(T/3) - 1, or at the first
-    even lag whose adjacent autocorrelation pair sums negative.
-    Zero-variance dimensions are flagged and reported as T.
-    """
-    res = _chain_ess(_as_matrix(chain)[None])
-    return EssResult(res.ess[0], res.degenerate[0])
 
 
 def aggregate_ess(samples):
@@ -569,21 +570,117 @@ def conditional_mean_surface(projected, i: int, j: int, k: int, *,
 # --- CSV export ----------------------------------------------------------------------
 
 
-# Rows formatted per write: enough to amortize the call, few enough that
-# the formatted text adds no measurable memory.
-_WRITE_ROWS = 256
+# Rows formatted per block.  At 11 columns each of a block's arrays stays
+# under glibc's 128 KB mmap threshold, so blocks reuse heap memory: 1024-row
+# blocks took ~290 minor page faults each and ran ~1.8x slower, and larger
+# blocks raise evaluate's peak RSS (4096 rows: +8 MB).
+_WRITE_ROWS = 512
+# The "%.10e" text is assembled from 4-byte pieces, each read as one uint32:
+# the digit groups "0000".."9999", the leading "d.dd" of 100..999, and the
+# exponents "e-12".."e+10".  A value's 18-byte field is its sign slot, the
+# pieces and its separator.
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+                               + ord("0"))
+_GROUPS = _DIGITS.view(np.uint32)[:, 0]
+_LEAD = np.column_stack([_DIGITS[:1000, 1], np.full(1000, ord("."), np.uint8),
+                         _DIGITS[:1000, 2:]]).view(np.uint32)[:, 0]
+_EXPONENTS = np.array(["e%+03d" % e for e in range(-12, 11)],
+                      dtype="S4").view(np.uint32)
+# 10^0..10^22: every power of ten that is an exact double.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_FIELD = np.dtype({"names": ["sign", "lead", "mid", "tail", "exp", "sep"],
+                   "formats": ["u1", "u4", "u4", "u4", "u4", "u1"],
+                   "offsets": [0, 1, 5, 9, 13, 17], "itemsize": 18})
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b - p exactly, for p = fl(a * b), by Dekker's split of each
+    factor into two 26-bit halves whose products are exact."""
+    def split(x):
+        t = 134217729.0 * x
+        hi = t - (t - x)
+        return hi, x - hi
+
+    ah, al = split(a)
+    bh, bl = split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _format_e10(block: np.ndarray) -> bytes | None:
+    """The bytes of ``block``'s rows as "%.10e" writes them, "," between
+    values, or None when a value is zero, not finite or outside
+    [1e-12, 1e10), where 10^k below is not exact or the exponent needs
+    three digits.
+
+    With k = 10 - floor(log10|x|), the 11 digits are |x| 10^k rounded to
+    an integer, and 10^k <= 10^22 is an exact double, so p = fl(|x| 10^k)
+    is the correctly rounded product.  p is in [1e10, 1e11] once k is
+    right; log10 can be one off near a power of ten, so k is corrected
+    once, and a block whose p or k is still out of range returns None.
+    p's fraction decides the rounding, except when it is exactly 0.5: then
+    the sign of the product's exact error decides, and a zero error is a
+    decimal tie, rounded half to even, as "%" does.
+    """
+    a = np.abs(block)
+    ok = (a >= 1e-12) & (a < 1e10)
+    if not (ok.size and ok.all()):
+        return None
+    k = 10 - np.floor(np.log10(a)).astype(np.intp)
+    p = a * _POW10.take(k, mode="clip")
+    shift = (p < 1e10).astype(np.intp) - (p > 1e11)
+    if shift.any():
+        k += shift
+        p = a * _POW10.take(k, mode="clip")
+    if not ((p >= 1e10) & (p <= 1e11) & (k >= 1) & (k <= 22)).all():
+        return None
+    digits = np.floor(p)
+    frac = p - digits
+    digits += frac > 0.5
+    tie = np.flatnonzero(frac == 0.5)
+    if len(tie):
+        err = _product_error(a.flat[tie], _POW10[k.flat[tie]], p.flat[tie])
+        digits.flat[tie] += (err > 0) | ((err == 0) & (digits.flat[tie] % 2 == 1))
+    carry = digits == 1e11
+    digits[carry] = 1e10
+    k[carry] -= 1
+    # digits = lead 10^8 + mid 10^4 + tail; each division is exact or
+    # far from the next integer, so its floor is the integer quotient.
+    lead = np.floor(digits / 1e8)
+    digits -= lead * 1e8
+    mid = np.floor(digits / 1e4)
+    digits -= mid * 1e4
+    rows, cols = block.shape
+    fields = np.empty((rows, cols), _FIELD)
+    fields["sign"] = ord("-")
+    fields["lead"] = _LEAD[lead.astype(np.intp)]
+    fields["mid"] = _GROUPS[mid.astype(np.intp)]
+    fields["tail"] = _GROUPS[digits.astype(np.intp)]
+    fields["exp"] = _EXPONENTS[22 - k]
+    fields["sep"] = ord(",")
+    fields["sep"][:, -1] = ord("\n")
+    keep = np.ones((rows, cols, _FIELD.itemsize), bool)
+    keep[:, :, 0] = np.signbit(block)
+    return fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
 
 
 def _write_table(path, header: str, table) -> None:
     """``header`` and the rows of ``table`` with the bytes np.savetxt
-    writes with fmt "%.10e" and "," as the delimiter, formatted a block of
-    rows per %-operation."""
+    writes with fmt "%.10e" and "," as the delimiter.
+
+    Each block of ``_WRITE_ROWS`` rows is formatted by ``_format_e10``'s
+    whole-array arithmetic; a block holding a value outside its range
+    (zeros, NaN, infinities, magnitudes below 1e-12 or from 1e10 on) is
+    formatted by one "%" operation instead, the reference path.
+    """
     row = ",".join(["%.10e"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for start in range(0, len(table), _WRITE_ROWS):
             block = table[start:start + _WRITE_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            text = _format_e10(block)
+            if text is None:
+                text = ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+            fh.write(text)
 
 
 def save_surface(path, gx, gy, values) -> None:

@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import sys
 import threading
@@ -6,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import logsumexp
 
@@ -533,7 +537,7 @@ def test_naive_loss_length_mismatch():
 def test_ess_iid():
     rng = np.random.default_rng(12)
     t = 10_000
-    res = ev.effective_sample_size(rng.standard_normal((t, 2)))
+    res = ev._chain_ess(rng.standard_normal((1, t, 2)))
     assert np.all(res.ess >= 0.8 * t) and np.all(res.ess <= 1.2 * t)
     assert not res.degenerate.any()
 
@@ -546,17 +550,17 @@ def test_ess_ar1():
     noise = rng.standard_normal(t) * np.sqrt(1.0 - rho**2)
     for s in range(1, t):
         x[s] = rho * x[s - 1] + noise[s]
-    res = ev.effective_sample_size(x)
+    ess, _ = ev.aggregate_ess(x[None, :, None])
     expected = t * (1.0 - rho) / (1.0 + rho)
-    assert abs(res.ess[0] - expected) < 0.3 * expected
+    assert abs(ess - expected) < 0.3 * expected
 
 
 def test_ess_constant_dimension_flagged():
     chain = np.column_stack([np.full(50, 2.5),
                              np.random.default_rng(0).standard_normal(50)])
-    res = ev.effective_sample_size(chain)
-    assert res.degenerate[0] and not res.degenerate[1]
-    assert res.ess[0] == 50
+    res = ev._chain_ess(chain[None])
+    assert res.degenerate[0, 0] and not res.degenerate[0, 1]
+    assert res.ess[0, 0] == 50
 
 
 def test_ess_never_exceeds_t():
@@ -564,8 +568,8 @@ def test_ess_never_exceeds_t():
     anti = np.empty(2000)
     anti[::2] = rng.standard_normal(1000)
     anti[1::2] = -anti[::2]
-    res = ev.effective_sample_size(anti)
-    assert res.ess[0] <= 2000
+    ess, _ = ev.aggregate_ess(anti[None, :, None])
+    assert ess <= 2000
 
 
 def test_ess_thinning_raises_per_sample_fraction():
@@ -576,15 +580,15 @@ def test_ess_thinning_raises_per_sample_fraction():
     noise = rng.standard_normal(t) * np.sqrt(1.0 - rho**2)
     for s in range(1, t):
         x[s] = rho * x[s - 1] + noise[s]
-    full = ev.effective_sample_size(x).ess[0] / t
+    full = ev.aggregate_ess(x[None, :, None])[0] / t
     thin = x[::19]
-    thinned = ev.effective_sample_size(thin).ess[0] / len(thin)
+    thinned = ev.aggregate_ess(thin[None, :, None])[0] / len(thin)
     assert thinned > full
 
 
 def test_ess_short_chain_rejected():
     with pytest.raises(ValueError):
-        ev.effective_sample_size(np.zeros(5))
+        ev.aggregate_ess(np.zeros((1, 5, 1)))
 
 
 def _loop_ess(chain):
@@ -641,9 +645,9 @@ def test_ess_bit_identical_to_loop(k, t, d):
     np.testing.assert_array_equal(per_chain, want)
     assert agg == want.min(axis=1).mean()
     for chain, row in zip(samples[:10], want):
-        res = ev.effective_sample_size(chain)
-        np.testing.assert_array_equal(res.ess, row)
-        np.testing.assert_array_equal(res.degenerate, chain.std(axis=0) == 0.0)
+        res = ev._chain_ess(chain[None])
+        np.testing.assert_array_equal(res.ess[0], row)
+        np.testing.assert_array_equal(res.degenerate[0], chain.std(axis=0) == 0.0)
 
 
 def test_aggregate_ess_mean_of_min():
@@ -839,3 +843,78 @@ def test_plot_files_have_the_bytes_of_savetxt(tmp_path):
                header=header, fmt="%.10e")
     assert ((tmp_path / "projection.csv").read_bytes()
             == (tmp_path / "ref_projection.csv").read_bytes())
+
+
+def _savetxt_bytes(table, header):
+    ref = io.BytesIO()
+    np.savetxt(ref, table, fmt="%.10e", delimiter=",", header=header,
+               comments="")
+    return ref.getvalue()
+
+
+def _write_table_bytes(path, table, header="a,b"):
+    ev._write_table(path, header, table)
+    return path.read_bytes()
+
+
+# Any bit pattern; magnitudes in the kernel's range [1e-12, 1e10) of either
+# sign; dyadic values with few significant bits, which land on exact
+# decimal ties at the 11th digit; and powers of ten with their neighbours.
+_ANY_BITS = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+_IN_RANGE = (st.floats(1e-12, 1e10, exclude_max=True)
+             | st.floats(-1e10, -1e-12, exclude_min=True))
+_DYADIC = st.builds(lambda m, e: float(np.ldexp(float(m), e)),
+                    st.integers(-2**24, 2**24), st.integers(-45, 12))
+_DECADE = st.builds(lambda i, step, sign: sign * float(
+    np.nextafter(10.0**i, np.inf if step > 0 else 0.0) if step else 10.0**i),
+    st.integers(-13, 11), st.integers(-1, 1), st.sampled_from([-1.0, 1.0]))
+_SHAPES = st.tuples(st.integers(0, 30), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    arrays(np.float64, _SHAPES, elements=_IN_RANGE | _DYADIC | _DECADE),
+    arrays(np.float64, _SHAPES, elements=_IN_RANGE),
+    arrays(np.float64, _SHAPES,
+           elements=_ANY_BITS | st.floats() | _DYADIC | _DECADE)))
+def test_write_table_has_the_bytes_of_savetxt(tmp_path, table):
+    assert (_write_table_bytes(tmp_path / "t.csv", table)
+            == _savetxt_bytes(table, "a,b"))
+
+
+# Near ties: |x| 10^k rounds to exactly n + 0.5, but the exact product lies
+# above (the first three) or below (the last three), so only the product's
+# exact error rounds them as "%" does.
+NEAR_TIES = [9.06146888925e-11, 0.862111136535, 839849.9439450001,
+             0.017982392700499998, 9.95350704925, 561891.380565]
+FIXED_VALUES = [2.0**-16, 9.99999999995, -0.0, 5e-324, 1.7976931348623157e308,
+                np.nan, np.inf, -np.inf] + NEAR_TIES + [
+    float(v) for i in range(-12, 11)
+    for v in (np.nextafter(10.0**i, 0.0), 10.0**i, np.nextafter(10.0**i, np.inf))]
+
+
+def test_write_table_fixed_values(tmp_path):
+    # 2^-16 = 1.52587890625e-05 exactly: a decimal tie at the 11th digit.
+    assert ev._format_e10(np.array([[2.0**-16, -2.0**-16]])) == (
+        b"1.5258789062e-05,-1.5258789062e-05\n")
+    for value in FIXED_VALUES:
+        table = np.array([[value, -value]])
+        assert (_write_table_bytes(tmp_path / "t.csv", table)
+                == _savetxt_bytes(table, "a,b")), value
+        if 1e-12 <= abs(value) < 1e10:
+            # Never sent to the "%" path.
+            assert ev._format_e10(table) is not None, value
+
+
+def test_write_table_mixes_blocks_and_ends_short(tmp_path):
+    rows = 2 * ev._WRITE_ROWS + 37
+    rng = np.random.default_rng(3)
+    table = (rng.uniform(1.0, 10.0, (rows, 4)) * rng.choice([-1.0, 1.0], (rows, 4))
+             * 10.0 ** (np.arange(rows * 4).reshape(rows, 4) % 22 - 12))
+    table[ev._WRITE_ROWS + 5, 2] = np.nan  # only the middle block falls back
+    assert ev._format_e10(table[:ev._WRITE_ROWS]) is not None
+    assert ev._format_e10(table[2 * ev._WRITE_ROWS:]) is not None
+    assert (_write_table_bytes(tmp_path / "t.csv", table, "x")
+            == _savetxt_bytes(table, "x"))
