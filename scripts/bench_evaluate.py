@@ -10,14 +10,16 @@ perfbench's ``evaluate`` workload, times one ``compute_metrics`` call
 and splits it into ``fit_cop``, ``KdeModel.log_density`` and
 ``aggregate_ess`` by wrapping them, then times the plot step
 (``harness._emit_plot_data`` into a temporary folder) with
-``conditional_mean_surface`` split out, and records how many threads
-share the KDE's row blocks (1 for a tree without the pool).  After the
+``conditional_mean_surface`` and the CSV writes (``evaluation._write_table``)
+split out, records the sha256 of the two plot files, and records how many
+threads share the KDE's row blocks (1 for a tree without the pool).  After the
 peak RSS is read, one more ``fit_cop`` call on the same samples, untimed,
 gives ``fit_peak_mb``: the largest memory that tracemalloc saw it hold.
 """
 
 from __future__ import annotations
 
+import hashlib
 import resource
 import sys
 import tempfile
@@ -51,13 +53,14 @@ def measure(size: str, seed: int) -> dict:
     samples, potentials = ar1_trace(*SIZES[size], seed)
     trace = samplers.Trace(samples, potentials, {"sampler": "synthetic-ar1"})
     totals = {"fit_cop": 0.0, "log_density": 0.0, "aggregate_ess": 0.0,
-              "conditional_mean_surface": 0.0}
+              "conditional_mean_surface": 0.0, "_write_table": 0.0}
     last = {}
     fit_cop = evaluation.fit_cop
     trees.wrap_timed(evaluation, "fit_cop", totals, last=last)
     trees.wrap_timed(evaluation.KdeModel, "log_density", totals, last=last)
     trees.wrap_timed(evaluation, "aggregate_ess", totals, last=last)
     trees.wrap_timed(evaluation, "conditional_mean_surface", totals)
+    trees.wrap_timed(evaluation, "_write_table", totals)
     start = time.perf_counter()
     metrics = harness.compute_metrics(trace, None)
     wall = time.perf_counter() - start
@@ -65,6 +68,9 @@ def measure(size: str, seed: int) -> dict:
         start = time.perf_counter()
         harness._emit_plot_data(trace, Path(out), [])
         plot = time.perf_counter() - start
+        digest = hashlib.sha256()
+        for name in ("projection.csv", "surface.csv"):
+            digest.update((Path(out) / name).read_bytes())
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
     try:
@@ -79,6 +85,8 @@ def measure(size: str, seed: int) -> dict:
         "aggregate_ess_s": totals["aggregate_ess"],
         "plot_s": plot,
         "surface_s": totals["conditional_mean_surface"],
+        "write_s": totals["_write_table"],
+        "plot_sha256": digest.hexdigest(),
         "peak_rss_mb": rss_kb / 1024.0,
         "fit_peak_mb": fit_peak / 2**20,
         "workers": getattr(evaluation, "_WORKERS", 1),
@@ -108,7 +116,8 @@ def main(argv=None) -> int:
         "seeded AR(1) trace, one call each per process, BLAS pinned to "
         "one thread, 'workers' threads sharing the KDE's row blocks; "
         "peak_rss_mb after both; fit_peak_mb the tracemalloc peak of one "
-        "more, untimed fit_cop call; medians over repeats",
+        "more, untimed fit_cop call; plot_sha256 the digest of "
+        "projection.csv then surface.csv; medians over repeats",
         sizes={size: list(shape) for size, shape in SIZES.items()},
         trees={label: {size: {"median": trees.medians(rs), "runs": rs}
                        for size, rs in by_size.items()}

@@ -155,7 +155,16 @@ def wrap_timed(owner, name: str, spent: dict, faults: dict | None = None,
 
 
 def medians(runs: list) -> dict:
-    return {key: statistics.median(r[key] for r in runs) for key in runs[0]}
+    """The median of each numeric key over ``runs``; a text key (a digest)
+    keeps its value when every run agrees and becomes None when they do not."""
+    out = {}
+    for key in runs[0]:
+        values = [r[key] for r in runs]
+        if isinstance(values[0], str):
+            out[key] = values[0] if len(set(values)) == 1 else None
+        else:
+            out[key] = statistics.median(values)
+    return out
 
 
 def quartiles(values) -> dict:

@@ -110,6 +110,9 @@ def test_quartiles_ratios_and_medians():
     assert trees.ratios([2.0, 3.0], [1.0, 6.0]) == [2.0, 0.5]
     runs = [{"x": 1, "y": 5}, {"x": 3, "y": 1}, {"x": 2, "y": 2}]
     assert trees.medians(runs) == {"x": 2, "y": 2}
+    digests = [{"x": 1, "d": "ab"}, {"x": 4, "d": "ab"}]
+    assert trees.medians(digests) == {"x": 2.5, "d": "ab"}
+    assert trees.medians(digests + [{"x": 0, "d": "cd"}]) == {"x": 1, "d": None}
 
 
 def test_run_child_returns_the_last_json_line(tmp_path):
@@ -174,6 +177,18 @@ def test_bench_import_smoke_finds_no_scipy(tmp_path):
                                        "scipy_modules", "openblas_libs"}
         assert all(run["scipy_modules"] == 0 and run["import_s"] > 0
                    for run in tree["runs"])
+
+
+def test_bench_evaluate_child_matches_the_committed_structure():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_evaluate.py"),
+                           "--measure", str(ROOT), "--size", "workload"],
+                          check=True, capture_output=True, text=True, timeout=120)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    committed = json.loads((ROOT / "BENCH_evaluate.json").read_text())
+    for tree in committed["trees"].values():
+        assert set(result) == set(tree["workload"]["runs"][0])
+    assert result["write_s"] > 0
+    assert len(result["plot_sha256"]) == 64
 
 
 def test_bench_strategy_smoke_matches_the_committed_structure(tmp_path):
