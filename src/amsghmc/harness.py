@@ -309,7 +309,7 @@ def _run_sampler(cfg: ExperimentConfig, problem, checkpoint, name: str,
     trace.meta["sampler_label"] = name
     trace_dir = out_dir / "trace"
     samplers.save_trace(trace, trace_dir)
-    written.append(trace_dir / "trace.json")
+    written += [trace_dir / "trace.npz", trace_dir / "trace.json"]
     _write_json(trace_dir / "timing.json", {"wall_time_s": wall}, written)
     summary = {
         "sampler": name,

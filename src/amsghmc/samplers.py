@@ -15,6 +15,7 @@ module are adapted automatically.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -661,42 +662,39 @@ def run_chains(sampler: str, problem, config: RunConfig, *, seed: int = 0,
     return Trace(samples[alive], pots[alive], meta, stats)
 
 
-def save_trace(trace: Trace, out_dir) -> None:
-    """One CSV per chain (step, theta_1..theta_D, u) plus a metadata file.
+def _arrays_sha256(samples: np.ndarray, potentials: np.ndarray) -> str:
+    digest = hashlib.sha256(samples.tobytes())
+    digest.update(potentials.tobytes())
+    return digest.hexdigest()
 
-    Chain files of an earlier trace in the folder that this one does not
-    overwrite are removed, so the folder holds exactly this trace. Each
-    file has the bytes np.savetxt writes with fmt "%.17e" and "," as the
-    delimiter, formatted in one pass.
-    """
+
+def save_trace(trace: Trace, out_dir) -> None:
+    """Write the arrays to ``trace.npz`` (``samples`` (K, S, D), ``potentials``
+    (K, S)) and the meta to ``trace.json`` with ``arrays_sha256``, the sha256
+    of both arrays' bytes, so that the JSON changes with every sample bit."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = [f"chain_{k:03d}.csv" for k in range(trace.k_chains)]
-    keep = set(names)
-    for path in out.glob("chain_*.csv"):
-        if path.name not in keep:
-            path.unlink()
-    n_rows, d = trace.samples.shape[1:]
-    header = "step," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",u\n"
-    rows = ",".join(["%.17e"] * (d + 2)) + "\n"
-    steps = np.asarray(trace.meta["steps"], dtype=float)
-    for name, samples, pots in zip(names, trace.samples, trace.potentials):
-        arr = np.column_stack([steps, samples, pots])
-        (out / name).write_text(header + (rows * n_rows) % tuple(arr.ravel().tolist()))
-    (out / "trace.json").write_text(json.dumps(trace.meta, indent=2))
+    np.savez(out / "trace.npz", samples=trace.samples, potentials=trace.potentials)
+    meta = dict(trace.meta, arrays_sha256=_arrays_sha256(trace.samples, trace.potentials))
+    (out / "trace.json").write_text(json.dumps(meta, indent=2))
 
 
 def load_trace(trace_dir) -> Trace:
-    """Inverse of save_trace; chains come back in the order of their numbers."""
+    """Inverse of save_trace.  Raises ValueError when the arrays do not
+    match their digest or their shapes disagree with each other or with
+    the kept steps, and on a folder of per-chain CSV files (the format of
+    older trees), which the sample stage has to regenerate."""
     folder = Path(trace_dir)
+    if not (folder / "trace.npz").exists() and any(folder.glob("chain_*.csv")):
+        raise ValueError(f"{folder} holds a trace in the old per-chain CSV "
+                         "format; regenerate it with the sample stage")
     meta = json.loads((folder / "trace.json").read_text())
-    paths = [p for p in folder.glob("chain_*.csv") if p.stem[len("chain_"):].isdigit()]
-    samples = []
-    pots = []
-    for path in sorted(paths, key=lambda p: int(p.stem[len("chain_"):])):
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        samples.append(arr[:, 1:-1])
-        pots.append(arr[:, -1])
-    if not samples:
-        raise FileNotFoundError(f"no chain files under {folder}")
-    return Trace(np.stack(samples), np.stack(pots), meta)
+    with np.load(folder / "trace.npz") as arrays:
+        samples, pots = arrays["samples"], arrays["potentials"]
+    if meta.pop("arrays_sha256", None) != _arrays_sha256(samples, pots):
+        raise ValueError(f"the arrays of {folder} do not match their digest")
+    if (samples.ndim != 3 or pots.shape != samples.shape[:2]
+            or len(meta["steps"]) != pots.shape[1]):
+        raise ValueError(f"{folder}: samples {samples.shape}, potentials "
+                         f"{pots.shape} and {len(meta['steps'])} steps disagree")
+    return Trace(samples, pots, meta)

@@ -329,10 +329,10 @@ def test_sample_then_evaluate_sghmc(two_story, tmp_path):
 
     # identical rerun: deterministic content is byte-stable, timing is not
     report_bytes = (out / "report.json").read_bytes()
-    chain_bytes = (out / "trace" / "chain_000.csv").read_bytes()
+    npz_bytes = (out / "trace" / "trace.npz").read_bytes()
     harness.run_experiment("sample", cfg)
     assert (out / "report.json").read_bytes() == report_bytes
-    assert (out / "trace" / "chain_000.csv").read_bytes() == chain_bytes
+    assert (out / "trace" / "trace.npz").read_bytes() == npz_bytes
 
     ev = harness.run_experiment("evaluate", cfg)
     doc = json.loads((out / "metrics.json").read_text())
@@ -652,6 +652,40 @@ def test_midstage_failure_leaves_partial_marker(two_story, tmp_path, monkeypatch
     monkeypatch.undo()
     harness.run_experiment("evaluate", cfg)
     assert not (out / "error.json").exists()
+
+
+def test_compare_failure_lists_the_trace_arrays_as_written(two_story, tmp_path,
+                                                           monkeypatch):
+    out = tmp_path / "cmp"
+    cfg = harness.ExperimentConfig.from_dict({
+        "seed": 5, "out": str(out), "problem": str(two_story["problem"]),
+        "compare": ["sghmc", "hmc"], "run": run_settings(),
+    })
+
+    def boom(trace, wall_time_s):
+        raise RuntimeError("metrics fell over")
+
+    monkeypatch.setattr(harness, "compute_metrics", boom)
+    with pytest.raises(harness.StageError):
+        harness.run_experiment("compare", cfg)
+    marker = json.loads((out / "error.json").read_text())
+    assert marker["partial_outputs"] == [
+        "sghmc/trace/trace.npz", "sghmc/trace/trace.json",
+        "sghmc/trace/timing.json"]
+    assert all((out / path).is_file() for path in marker["partial_outputs"])
+
+
+def test_evaluate_rejects_a_per_chain_csv_trace_before_writing(tmp_path):
+    legacy = tmp_path / "trace"
+    legacy.mkdir()
+    (legacy / "trace.json").write_text(json.dumps({"steps": [1]}))
+    (legacy / "chain_000.csv").write_text("step,theta_1,u\n1,0.5,0.25\n")
+    out = tmp_path / "eval"
+    cfg = harness.ExperimentConfig.from_dict(
+        {"seed": 1, "out": str(out), "trace": str(legacy)})
+    with pytest.raises(harness.ConfigError, match="old per-chain CSV format"):
+        harness.run_experiment("evaluate", cfg)
+    assert not out.exists()
 
 
 # --- command line ------------------------------------------------------------------

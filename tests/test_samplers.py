@@ -415,6 +415,7 @@ def test_trace_save_load_roundtrip(tmp_path):
 
     odd = _trace(2, 3, 3)
     odd.samples[0, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    odd.samples[1, 2] = [np.nan, -np.inf, -7.25e-17]
     odd.potentials[1, 2] = -1.7976931348623157e308
     sp.save_trace(odd, tmp_path / "odd")
     back = sp.load_trace(tmp_path / "odd")
@@ -430,42 +431,58 @@ def _trace(k, n_rows, d, seed=0):
 
 def test_save_trace_removes_an_earlier_traces_extra_chains(tmp_path):
     # A rerun into the same folder with fewer chains (or after chains
-    # diverged) must not leave the earlier run's files to be loaded.
+    # diverged) must load the second trace, not the first.
     sp.save_trace(_trace(4, 3, 2, seed=1), tmp_path)
     second = _trace(2, 3, 2, seed=2)
     sp.save_trace(second, tmp_path)
-    assert sorted(p.name for p in tmp_path.glob("chain_*.csv")) == [
-        "chain_000.csv", "chain_001.csv"]
     back = sp.load_trace(tmp_path)
     np.testing.assert_array_equal(back.samples, second.samples)
     np.testing.assert_array_equal(back.potentials, second.potentials)
 
 
-def test_load_trace_orders_chains_by_number(tmp_path):
-    # Past 999 chains the names outgrow the zero padding, and chain_1000
-    # sorts before chain_101 as a string.
-    tr = _trace(2, 2, 1)
+def test_trace_json_changes_with_one_sample_bit(tmp_path):
+    # A fingerprint of trace.json alone has to see every sample bit.
+    tr = _trace(2, 3, 2)
+    sp.save_trace(tr, tmp_path / "a")
+    flipped = tr.samples.copy()
+    flipped.view(np.uint64)[1, 2, 0] ^= 1
+    sp.save_trace(sp.Trace(flipped, tr.potentials, tr.meta), tmp_path / "b")
+    assert ((tmp_path / "a" / "trace.json").read_bytes()
+            != (tmp_path / "b" / "trace.json").read_bytes())
+    sp.save_trace(tr, tmp_path / "c")
+    for name in ("trace.json", "trace.npz"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
+def test_load_trace_rejects_arrays_that_do_not_match_their_digest(tmp_path):
+    tr = _trace(2, 3, 2)
     sp.save_trace(tr, tmp_path)
-    (tmp_path / "chain_000.csv").rename(tmp_path / "chain_101.csv")
-    (tmp_path / "chain_001.csv").rename(tmp_path / "chain_1000.csv")
-    back = sp.load_trace(tmp_path)
-    np.testing.assert_array_equal(back.samples, tr.samples)
+    json_bytes = (tmp_path / "trace.json").read_bytes()
+    tr.samples[0, 0, 0] += 1.0
+    sp.save_trace(tr, tmp_path)
+    (tmp_path / "trace.json").write_bytes(json_bytes)
+    with pytest.raises(ValueError, match="digest"):
+        sp.load_trace(tmp_path)
 
 
-@pytest.mark.parametrize("n_rows", [1, 4])
-def test_trace_files_have_the_bytes_of_savetxt(tmp_path, n_rows):
-    tr = _trace(2, n_rows, 3)
-    tr.samples[0, 0] = [-1.5e300, 2.5e-308, -0.0]
-    tr.samples[1, -1] = [5e-324, 1.7976931348623157e308, -7.25e-17]
-    tr.potentials[1, 0] = -123456.789
-    sp.save_trace(tr, tmp_path / "fast")
-    header = "step,theta_1,theta_2,theta_3,u"
-    steps = np.asarray(tr.meta["steps"], dtype=float)
-    for k in range(2):
-        ref = tmp_path / f"ref_{k}.csv"
-        np.savetxt(ref, np.column_stack([steps, tr.samples[k], tr.potentials[k]]),
-                   delimiter=",", header=header, comments="", fmt="%.17e")
-        assert (tmp_path / "fast" / f"chain_{k:03d}.csv").read_bytes() == ref.read_bytes()
+def test_load_trace_rejects_shapes_that_disagree(tmp_path):
+    tr = _trace(2, 3, 2)
+    tr.meta["steps"] = [1, 2]
+    sp.save_trace(tr, tmp_path / "steps")
+    with pytest.raises(ValueError, match="2 steps disagree"):
+        sp.load_trace(tmp_path / "steps")
+    tr = _trace(2, 3, 2)
+    sp.save_trace(sp.Trace(tr.samples, tr.potentials[:, :2], tr.meta), tmp_path / "pots")
+    with pytest.raises(ValueError, match=r"potentials \(2, 2\)"):
+        sp.load_trace(tmp_path / "pots")
+
+
+def test_load_trace_rejects_a_folder_of_per_chain_csv_files(tmp_path):
+    sp.save_trace(_trace(2, 3, 2), tmp_path)
+    (tmp_path / "trace.npz").unlink()
+    (tmp_path / "chain_000.csv").write_text("step,theta_1,theta_2,u\n")
+    with pytest.raises(ValueError, match="old per-chain CSV format"):
+        sp.load_trace(tmp_path)
 
 
 # --- scale invariance of the meta-learned engine -------------------------------------
