@@ -15,6 +15,10 @@ split out, records the sha256 of the two plot files, and records how many
 threads share the KDE's row blocks (1 for a tree without the pool).  After the
 peak RSS is read, one more ``fit_cop`` call on the same samples, untimed,
 gives ``fit_peak_mb``: the largest memory that tracemalloc saw it hold.
+Last, the trace is stored with ``samplers.save_trace`` and read back with
+``samplers.load_trace`` into a fresh temporary folder, each call timed,
+and ``trace_sha256`` is the digest of the samples' then the potentials'
+bytes read back.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ def measure(size: str, seed: int) -> dict:
     from amsghmc import evaluation, harness, samplers
 
     samples, potentials = ar1_trace(*SIZES[size], seed)
-    trace = samplers.Trace(samples, potentials, {"sampler": "synthetic-ar1"})
+    meta = {"sampler": "synthetic-ar1", "steps": list(range(1, samples.shape[1] + 1))}
+    trace = samplers.Trace(samples, potentials, meta)
     totals = {"fit_cop": 0.0, "log_density": 0.0, "aggregate_ess": 0.0,
               "conditional_mean_surface": 0.0, "_write_table": 0.0}
     last = {}
@@ -78,6 +83,15 @@ def measure(size: str, seed: int) -> dict:
         _, fit_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as folder:
+        start = time.perf_counter()
+        samplers.save_trace(trace, folder)
+        save = time.perf_counter() - start
+        start = time.perf_counter()
+        back = samplers.load_trace(folder)
+        load = time.perf_counter() - start
+    trace_digest = hashlib.sha256(back.samples.tobytes())
+    trace_digest.update(back.potentials.tobytes())
     return {
         "compute_metrics_s": wall,
         "fit_cop_s": totals["fit_cop"],
@@ -93,6 +107,9 @@ def measure(size: str, seed: int) -> dict:
         "c_op": last["fit_cop"].c_op,
         "naive_loss": metrics["naive_loss"],
         "ess_aggregate": metrics["ess_aggregate"],
+        "save_trace_s": save,
+        "load_trace_s": load,
+        "trace_sha256": trace_digest.hexdigest(),
     }
 
 
@@ -117,7 +134,10 @@ def main(argv=None) -> int:
         "one thread, 'workers' threads sharing the KDE's row blocks; "
         "peak_rss_mb after both; fit_peak_mb the tracemalloc peak of one "
         "more, untimed fit_cop call; plot_sha256 the digest of "
-        "projection.csv then surface.csv; medians over repeats",
+        "projection.csv then surface.csv; then save_trace_s and "
+        "load_trace_s of one samplers.save_trace and load_trace call into "
+        "a fresh folder, trace_sha256 the digest of the samples then the "
+        "potentials read back; medians over repeats",
         sizes={size: list(shape) for size, shape in SIZES.items()},
         trees={label: {size: {"median": trees.medians(rs), "runs": rs}
                        for size, rs in by_size.items()}

@@ -25,7 +25,10 @@ Every ``train_eta1e-4`` and ``train_shortcut`` call also records the
 digest of its checkpoint's trainable weights and its last ``loss_energy``
 as ``history.csv`` writes it (``train_outputs``), so that a change to a
 history column, which changes every fingerprint, can still show
-identical weights.
+identical weights.  Likewise every ``sample_*`` call records the digest
+of the arrays that the tree's own ``load_trace`` reads back and the
+trace's meta (``trace_outputs``), so that two trees that store a trace
+in different files can still show identical samples.
 
 The script prints, per tree and setup seed, the ``train_eta1e-4`` calls
 that failed, every call whose fingerprint, weights, final energy loss or
@@ -83,6 +86,21 @@ def train_outputs(out: Path) -> dict:
             "final_loss_energy": last["loss_energy"]}
 
 
+def trace_outputs(out: Path) -> dict:
+    """The sha256 of the samples' then the potentials' bytes as this tree's
+    ``load_trace`` reads ``out/trace`` back, and the meta it returns (which
+    holds no ``arrays_sha256``); both None when the stage raised before
+    saving the trace."""
+    from amsghmc import samplers
+
+    if not (out / "trace" / "trace.json").is_file():
+        return {"trace_sha256": None, "trace_meta": None}
+    trace = samplers.load_trace(out / "trace")
+    digest = hashlib.sha256(trace.samples.tobytes())
+    digest.update(trace.potentials.tobytes())
+    return {"trace_sha256": digest.hexdigest(), "trace_meta": trace.meta}
+
+
 def shortcut_call(work: Path) -> dict:
     """The ``train_shortcut`` job as one row in ``collect``'s layout;
     ``failed`` is the number of skipped segments, or the error message
@@ -116,7 +134,8 @@ def shortcut_call(work: Path) -> dict:
 
 def collect(work: Path, jobs: list) -> dict:
     """Fingerprint and failure count of every call of the imported tree,
-    with ``train_outputs`` for the train calls.
+    with ``train_outputs`` for the train calls and ``trace_outputs`` for
+    the sample calls.
 
     The stages write their input paths into their outputs, so every tree
     runs in the same work folder, which is emptied before and after.
@@ -138,6 +157,8 @@ def collect(work: Path, jobs: list) -> dict:
                        "fingerprint": fingerprint}
                 if wl.stage == "train":
                     row.update(train_outputs(out))
+                elif wl.stage == "sample":
+                    row.update(trace_outputs(out))
                 shutil.rmtree(out, ignore_errors=True)
                 rows.append(row)
             results[f"{name}/{seed}"] = rows

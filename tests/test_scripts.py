@@ -99,6 +99,21 @@ def test_digest_train_outputs_read_weights_and_last_energy(tmp_path):
         "weights": None, "final_loss_energy": None}
 
 
+def test_digest_trace_outputs_read_the_arrays_back(tmp_path):
+    from amsghmc import samplers
+
+    rng = np.random.default_rng(0)
+    meta = {"sampler": "sghmc", "steps": [2, 4, 6]}
+    trace = samplers.Trace(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3)), meta)
+    samplers.save_trace(trace, tmp_path / "trace")
+    digest = hashlib.sha256(trace.samples.tobytes() + trace.potentials.tobytes())
+    assert digest_outputs.trace_outputs(tmp_path) == {
+        "trace_sha256": digest.hexdigest(), "trace_meta": meta}
+    # A stage that raised saved no trace.
+    assert digest_outputs.trace_outputs(tmp_path / "raised") == {
+        "trace_sha256": None, "trace_meta": None}
+
+
 def test_alternate_reverses_odd_repeats():
     items = [("a", 1), ("b", 2)]
     assert [trees.alternate(items, rep) for rep in range(3)] == [
@@ -189,6 +204,9 @@ def test_bench_evaluate_child_matches_the_committed_structure():
         assert set(result) == set(tree["workload"]["runs"][0])
     assert result["write_s"] > 0
     assert len(result["plot_sha256"]) == 64
+    samples, potentials = bench_evaluate.ar1_trace(*bench_evaluate.SIZES["workload"], 1)
+    digest = hashlib.sha256(samples.tobytes() + potentials.tobytes())
+    assert result["trace_sha256"] == digest.hexdigest()
 
 
 def test_bench_strategy_smoke_matches_the_committed_structure(tmp_path):
